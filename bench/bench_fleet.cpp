@@ -26,16 +26,12 @@
 // E22 (scaling) -- the million-session fleet:
 //
 //   scaling tiers 10k / 100k / 1M sessions through a stampede + full
-//                 backend outage, with request batching, the calendar-
-//                 wheel driver and compressed SoA sessions. Reports host
-//                 wall time, sessions/sec, peak RSS, synthesis runs,
-//                 worker dequeues and the cohort-size histogram; the
-//                 no-stranded-vehicle invariant is enforced at every
-//                 tier (exit non-zero).
-//
-//   wheel gate    10k sessions driven by the timing wheel vs the kernel
-//                 heap must produce bit-identical FNV fingerprints: the
-//                 wheel is an optimization, not a semantics change.
+//                 backend outage, with request batching and compressed
+//                 SoA sessions whose timers are plain kernel events.
+//                 Reports host wall time, sessions/sec, peak RSS,
+//                 synthesis runs, worker dequeues and the cohort-size
+//                 histogram; the no-stranded-vehicle invariant is
+//                 enforced at every tier (exit non-zero).
 //
 //   batching gate batched vs serial service at 100k sessions with equal
 //                 served counts: the cohort path must cut worker
@@ -269,8 +265,8 @@ bool determinism_gate() {
 // --- E22: million-session scaling --------------------------------------------
 
 /// Compressed short-horizon scenario for the big tiers: staggered OTA on a
-/// 10 ms phase grid (shared wheel instants AND shared service cohorts), a
-/// 50% fault wave at 2 s on top of a full backend crash at 1.5..2.5 s.
+/// 10 ms phase grid (shared instants feed the service's cohorts), a 50%
+/// fault wave at 2 s on top of a full backend crash at 1.5..2.5 s.
 backend::FleetConfig scale_config(std::size_t sessions, std::uint64_t seed) {
   backend::FleetConfig config;
   config.sessions = sessions;
@@ -346,36 +342,6 @@ ScaleRow run_scale_tier(std::size_t sessions) {
                  report.summary().c_str());
   }
   return row;
-}
-
-/// The wheel must be invisible in results: same 10k fleet, wheel vs heap,
-/// bit-identical fingerprints. The session count is prime (10'007) so the
-/// exact OTA stagger period/sessions truncates to off-lattice nanosecond
-/// phases: timers and foreign kernel events then never share an instant,
-/// which is the wheel's documented equivalence precondition (DESIGN.md
-/// Sec. 15). A round 10'000 would put every timer on a 200 us lattice
-/// shared with transport deliveries and make same-instant cross-population
-/// ordering observable.
-bool wheel_vs_heap_gate() {
-  const auto arm = [](bool wheel) {
-    sim::Simulator simulator;
-    backend::FleetScheduleService service(simulator,
-                                          scale_service_config(10'007, true));
-    backend::FleetConfig config = scale_config(10'007, 10);
-    config.ota_phase_grid = 0;  // exact per-session stagger
-    config.use_timer_wheel = wheel;
-    backend::FleetDriver driver(simulator, service, config);
-    driver.run();
-    return driver.fingerprint();
-  };
-  const std::uint64_t with_wheel = arm(true);
-  const std::uint64_t with_heap = arm(false);
-  if (with_wheel != with_heap) {
-    std::fprintf(stderr, "wheel-vs-heap MISMATCH: wheel=%016llx heap=%016llx\n",
-                 static_cast<unsigned long long>(with_wheel),
-                 static_cast<unsigned long long>(with_heap));
-  }
-  return with_wheel == with_heap;
 }
 
 struct BatchingGate {
@@ -549,7 +515,7 @@ int main(int argc, char** argv) {
 
   // --- E22 ---
   std::printf(
-      "\n-- E22 scaling (stampede + outage; batched + wheel + SoA; %s) --\n",
+      "\n-- E22 scaling (stampede + outage; batched + SoA; %s) --\n",
       ci ? "ci ladder: 10k/100k" : "full ladder: 10k/100k/1M");
   std::vector<std::size_t> tiers = {10'000, 100'000};
   if (!ci) tiers.push_back(1'000'000);
@@ -573,10 +539,6 @@ int main(int argc, char** argv) {
          row.invariants_ok ? "PASS" : "FAIL"});
   }
 
-  const bool wheel_ok = wheel_vs_heap_gate();
-  std::printf("wheel-vs-heap fingerprint (10k sessions): %s\n",
-              wheel_ok ? "bit-identical" : "MISMATCH");
-
   const BatchingGate batch_gate = batching_gate(100'000);
   std::printf(
       "batched vs serial dequeues (100k, served %llu vs %llu): "
@@ -595,7 +557,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(drill.region1_synthesis),
       drill.unsafe_now, drill.ok ? "PASS" : "FAIL");
 
-  bool ok = deterministic && wheel_ok && batch_gate.ok && drill.ok;
+  bool ok = deterministic && batch_gate.ok && drill.ok;
   for (const StampedeRow& row : stampede) ok = ok && row.invariants_ok;
   for (const ScaleRow& row : scale) ok = ok && row.invariants_ok;
   // The resilient arm carries the headline; the ablation arm must actually
@@ -727,8 +689,6 @@ int main(int argc, char** argv) {
     std::fprintf(f, "    }%s\n", i + 1 < scale.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"wheel_matches_heap\": %s,\n",
-               wheel_ok ? "true" : "false");
   std::fprintf(f, "  \"batching_gate\": {\n");
   std::fprintf(f, "    \"sessions\": 100000,\n");
   std::fprintf(f, "    \"batched_dequeues\": %llu,\n",

@@ -85,50 +85,23 @@ FleetDriver::FleetDriver(sim::Simulator& simulator,
   config_.topology_classes = std::max<std::size_t>(config_.topology_classes, 1);
 }
 
-FleetDriver::~FleetDriver() {
+FleetDriver::~FleetDriver() { cancel_timers(); }
+
+void FleetDriver::cancel_timer(sim::EventId& timer) {
+  sim_.cancel(timer);
+  timer = sim::EventId{};
+}
+
+void FleetDriver::cancel_timers() {
   for (std::size_t idx = 0; idx < pending_.size(); ++idx) {
     if (!pending_[idx].in_use) continue;
     cancel_timer(pending_[idx].timeout);
     cancel_timer(pending_[idx].resubmit);
   }
-  for (Timer& timer : ota_timers_) cancel_timer(timer);
-}
-
-// --- Timer facade over the wheel / kernel-heap arms --------------------------
-
-FleetDriver::Timer FleetDriver::timer_at(sim::Time at, sim::InlineFunction fn) {
-  Timer timer{};
-  if (wheel_) {
-    timer.wt = wheel_->schedule_at(at, std::move(fn));
-  } else {
-    timer.ev = sim_.schedule_at(std::max(at, sim_.now()), std::move(fn));
-  }
-  return timer;
-}
-
-FleetDriver::Timer FleetDriver::timer_in(sim::Duration delay,
-                                         sim::InlineFunction fn) {
-  return timer_at(sim_.now() + std::max<sim::Duration>(delay, 0),
-                  std::move(fn));
-}
-
-FleetDriver::Timer FleetDriver::timer_every(sim::Time first,
-                                            sim::Duration period,
-                                            sim::InlineFunction fn) {
-  Timer timer{};
-  if (wheel_) {
-    timer.wt = wheel_->schedule_every(first, period, std::move(fn));
-  } else {
-    timer.ev = sim_.schedule_every(std::max(first, sim_.now()), period,
-                                   std::move(fn));
-  }
-  return timer;
-}
-
-void FleetDriver::cancel_timer(Timer& timer) {
-  if (timer.wt.valid() && wheel_) wheel_->cancel(timer.wt);
-  if (timer.ev.valid()) sim_.cancel(timer.ev);
-  timer = Timer{};
+  for (sim::EventId& timer : ota_timers_) cancel_timer(timer);
+  ota_timers_.clear();
+  for (sim::EventId& timer : wake_) cancel_timer(timer);
+  for (sim::EventId& timer : outage_events_) cancel_timer(timer);
 }
 
 // --- Fleet construction ------------------------------------------------------
@@ -148,16 +121,15 @@ void FleetDriver::build_classes() {
 }
 
 void FleetDriver::reset_sessions() {
-  // Tear down anything a previous run() left in flight before the state it
-  // points at is rebuilt: free live slab entries (bumps generations, so a
-  // stale timeout/resubmit firing later no-ops) and bump the epoch (so a
-  // stale cadence/wave timer no-ops).
+  // Tear down anything a previous run() left queued or in flight before the
+  // state it points at is rebuilt: cancel its timers and free live slab
+  // entries (bumps generations, so a late service response no-ops).
+  cancel_timers();
   for (std::size_t idx = 0; idx < pending_.size(); ++idx) {
     if (!pending_[idx].in_use) continue;
     free_pending((static_cast<std::uint64_t>(idx) + 1) << 32 |
                  pending_[idx].gen);
   }
-  ++epoch_;
 
   build_classes();
 
@@ -170,6 +142,7 @@ void FleetDriver::reset_sessions() {
   open_until_.assign(n, 0);
   unsafe_since_.assign(n, 0);
   recovery_issued_.assign(n, 0);
+  wake_.assign(n, sim::EventId{});
   for (std::size_t i = 0; i < n; ++i) {
     class_of_[i] = static_cast<std::uint32_t>(i % config_.topology_classes);
     if (config_.topology_drift_fraction <= 0.0) continue;
@@ -192,26 +165,17 @@ void FleetDriver::reset_sessions() {
 
   unsafe_now_ = 0;
   degraded_now_ = 0;
-
-  // Rebuild the wheel per run: destroying it cancels every kernel event it
-  // owns, which is what makes the previous run's wheel timers vanish.
-  wheel_.reset();
-  if (config_.use_timer_wheel) {
-    wheel_ = std::make_unique<sim::TimerWheel>(sim_, config_.wheel);
-  }
 }
 
 void FleetDriver::run() {
   reset_sessions();
-  const std::uint32_t epoch = epoch_;
   // All config instants are relative to the run's start, so a re-run on a
   // simulator whose clock already advanced replays the same scenario shape.
   const sim::Time start = sim_.now();
 
   // Staggered routine OTA resync cadence. With a phase grid the stagger is
-  // quantized onto shared instants: one wheel batch — and, service-side,
-  // one request cohort — per tick instant instead of one event per
-  // session.
+  // quantized onto shared instants, so the service sees one request cohort
+  // per tick instant instead of one request per session.
   if (config_.ota_period > 0) {
     ota_timers_.reserve(config_.sessions);
     for (std::size_t i = 0; i < config_.sessions; ++i) {
@@ -221,10 +185,8 @@ void FleetDriver::run() {
         first = first / config_.ota_phase_grid * config_.ota_phase_grid;
       }
       const std::uint32_t s = static_cast<std::uint32_t>(i);
-      ota_timers_.push_back(
-          timer_every(start + first, config_.ota_period, [this, s, epoch] {
-            if (epoch == epoch_) issue_ota(s);
-          }));
+      ota_timers_.push_back(sim_.schedule_every(
+          start + first, config_.ota_period, [this, s] { issue_ota(s); }));
     }
   }
 
@@ -239,9 +201,7 @@ void FleetDriver::run() {
           static_cast<sim::Duration>(draw.uniform01() *
                                      static_cast<double>(config_.wave_stagger));
       const std::uint32_t s = static_cast<std::uint32_t>(i);
-      timer_at(at, [this, s, epoch] {
-        if (epoch == epoch_) hit_with_wave(s);
-      });
+      wake_[s] = sim_.schedule_at(at, [this, s] { hit_with_wave(s); });
     }
   }
 
@@ -250,19 +210,16 @@ void FleetDriver::run() {
     heal_time_ = start + config_.outage_at + config_.outage_duration;
     FleetScheduleService* target = services_.front();
     if (config_.outage_is_partition) {
-      sim_.schedule_at(start + config_.outage_at, [this, target, epoch] {
-        if (epoch == epoch_) target->set_partitioned(true);
-      });
-      sim_.schedule_at(heal_time_, [this, target, epoch] {
-        if (epoch == epoch_) target->set_partitioned(false);
-      });
+      outage_events_[0] =
+          sim_.schedule_at(start + config_.outage_at,
+                           [target] { target->set_partitioned(true); });
+      outage_events_[1] = sim_.schedule_at(
+          heal_time_, [target] { target->set_partitioned(false); });
     } else {
-      sim_.schedule_at(start + config_.outage_at, [this, target, epoch] {
-        if (epoch == epoch_) target->crash();
-      });
-      sim_.schedule_at(heal_time_, [this, target, epoch] {
-        if (epoch == epoch_) target->restart();
-      });
+      outage_events_[0] = sim_.schedule_at(start + config_.outage_at,
+                                           [target] { target->crash(); });
+      outage_events_[1] =
+          sim_.schedule_at(heal_time_, [target] { target->restart(); });
     }
   }
 
@@ -271,7 +228,7 @@ void FleetDriver::run() {
   // Drain: stop issuing routine work and let everything in flight settle,
   // so the end-of-run invariants (backend drained, recoveries complete)
   // judge a quiescent system rather than the arbitrary horizon cut.
-  for (Timer& timer : ota_timers_) cancel_timer(timer);
+  for (sim::EventId& timer : ota_timers_) cancel_timer(timer);
   ota_timers_.clear();
   if (config_.drain_grace > 0) {
     sim_.run_until(start + config_.horizon + config_.drain_grace);
@@ -363,8 +320,8 @@ std::uint64_t FleetDriver::begin_request(std::uint32_t s, std::uint8_t kind) {
   pending.in_use = true;
   pending.backoff = 0;
   pending.issued = sim_.now();
-  pending.timeout = Timer{};
-  pending.resubmit = Timer{};
+  pending.timeout = sim::EventId{};
+  pending.resubmit = sim::EventId{};
   const std::uint64_t id =
       (static_cast<std::uint64_t>(idx) + 1) << 32 | pending.gen;
   start_attempt(id);
@@ -396,7 +353,7 @@ void FleetDriver::free_pending(std::uint64_t id) {
 void FleetDriver::start_attempt(std::uint64_t id) {
   Pending* pending = lookup(id);
   if (pending == nullptr) return;
-  pending->resubmit = Timer{};
+  pending->resubmit = sim::EventId{};
   const std::uint32_t s = pending->session;
   const std::uint8_t home = home_region(s);
   std::uint8_t target = home;
@@ -431,8 +388,8 @@ void FleetDriver::start_attempt(std::uint64_t id) {
                             [this, id, token](const SynthesisResponse& response) {
                               on_response(id, token, response);
                             });
-  pending->timeout = timer_in(config_.client.request_timeout,
-                              [this, id] { on_timeout(id); });
+  pending->timeout = sim_.schedule_in(config_.client.request_timeout,
+                                      [this, id] { on_timeout(id); });
 }
 
 void FleetDriver::on_response(std::uint64_t id, std::uint32_t token,
@@ -481,7 +438,7 @@ void FleetDriver::on_response(std::uint64_t id, std::uint32_t token,
 void FleetDriver::on_timeout(std::uint64_t id) {
   Pending* pending = lookup(id);
   if (pending == nullptr) return;
-  pending->timeout = Timer{};
+  pending->timeout = sim::EventId{};
   ++timeouts_;
   ++pending->attempt_token;  // a late response to this attempt is ignored
   if (pending->target_region == home_region(pending->session)) {
@@ -503,7 +460,8 @@ void FleetDriver::retry_or_fail(std::uint64_t id, sim::Duration floor_delay) {
     return;
   }
   const sim::Duration delay = std::max(next_backoff(*pending), floor_delay);
-  pending->resubmit = timer_in(delay, [this, id] { start_attempt(id); });
+  pending->resubmit =
+      sim_.schedule_in(delay, [this, id] { start_attempt(id); });
 }
 
 sim::Duration FleetDriver::next_backoff(Pending& pending) {
@@ -616,10 +574,8 @@ void FleetDriver::on_recovery_outcome(std::uint32_t s,
     // is the stranding the no-fallback ablation arm exhibits.
     ++fallback_none_;
   }
-  const std::uint32_t epoch = epoch_;
-  timer_in(config_.recovery_retry, [this, s, epoch] {
-    if (epoch == epoch_) issue_recovery(s);
-  });
+  wake_[s] = sim_.schedule_in(config_.recovery_retry,
+                              [this, s] { issue_recovery(s); });
 }
 
 void FleetDriver::mark_safe(std::uint32_t s, bool recovered) {

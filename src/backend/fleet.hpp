@@ -28,8 +28,8 @@
 // embedding a fat client object per vehicle. Jitter draws derive from
 // sim::Random::stream(jitter_seed, session·2^32 + draw#) so no generator
 // state is stored. Timers (OTA cadences, timeouts, backoff, recovery
-// retry) run on a sim::TimerWheel by default; FleetConfig::use_timer_wheel
-// = false keeps them on the kernel heap for the A/B and fingerprint gate.
+// retry) are plain kernel events, so they interleave with the service's
+// deliveries in the kernel's one (time, seq) order.
 //
 // Multi-region: with N services, session i's home region is i % N. While
 // the home breaker is OPEN, attempts fail over to the sibling region (a
@@ -47,12 +47,11 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "backend/client.hpp"
 #include "backend/service.hpp"
-#include "sim/timer_wheel.hpp"
+#include "sim/simulator.hpp"
 
 namespace dynaplat::backend {
 
@@ -67,9 +66,8 @@ struct FleetConfig {
   /// fleet so nominal load is smooth).
   sim::Duration ota_period = 2 * sim::kSecond;
   /// Quantize the per-session OTA phase onto this grid (0 = exact i·P/N
-  /// stagger). Shared phase instants are what let the timing wheel fire a
-  /// whole cohort from one kernel event — and what hands the service's
-  /// request batcher its cohorts.
+  /// stagger). Shared phase instants are what hand the service's request
+  /// batcher its cohorts.
   sim::Duration ota_phase_grid = 0;
   /// Fault wave: at wave_at, wave_fraction of the fleet loses an ECU,
   /// spread over wave_stagger — the stampede.
@@ -95,10 +93,6 @@ struct FleetConfig {
   /// much longer so in-flight requests settle — end-of-run invariants
   /// (backend drained, recoveries complete) read a quiescent system.
   sim::Duration drain_grace = 2 * sim::kSecond;
-  /// Drive cadences/timeouts/backoff on a sim::TimerWheel (false = kernel
-  /// heap; the E22 A/B and the wheel-vs-heap fingerprint gate flip this).
-  bool use_timer_wheel = true;
-  sim::TimerWheel::Config wheel;
   /// Keep the exact per-request latency vector (order-sensitive, folded
   /// into the fingerprint). Disable at 1M sessions; the bounded log-scale
   /// histogram still feeds quantiles either way.
@@ -117,8 +111,8 @@ class FleetDriver {
   FleetDriver& operator=(const FleetDriver&) = delete;
 
   /// Builds the fleet, schedules OTA cadences / fault wave / outage, and
-  /// runs the simulator to the horizon. Re-runnable: timers from earlier
-  /// runs are epoch-guarded and the wheel is rebuilt per run.
+  /// runs the simulator to the horizon. Re-runnable: a run first cancels
+  /// every timer an earlier run left queued.
   void run();
 
   // --- Robustness surface (invariants + bench read these) -------------------
@@ -175,8 +169,8 @@ class FleetDriver {
   }
 
   /// FNV-1a over driver counters, the latency record, every per-session
-  /// state array and each region's service fingerprint: the sweep and
-  /// wheel-vs-heap determinism gates compare this across runs.
+  /// state array and each region's service fingerprint: the sweep
+  /// determinism gate and the pinned golden compare this across runs.
   std::uint64_t fingerprint() const;
 
   const FleetConfig& config() const { return config_; }
@@ -206,12 +200,6 @@ class FleetDriver {
     bool artifact_valid = false;
   };
 
-  /// One timer handle usable on either driver arm (wheel or kernel heap).
-  struct Timer {
-    sim::EventId ev;
-    sim::TimerWheel::TimerId wt;
-  };
-
   /// In-flight request slab entry, sized O(in-flight), not O(sessions).
   struct Pending {
     std::uint32_t session = 0;
@@ -224,8 +212,8 @@ class FleetDriver {
     bool in_use = false;
     sim::Duration backoff = 0;
     sim::Time issued = 0;
-    Timer timeout;
-    Timer resubmit;
+    sim::EventId timeout;
+    sim::EventId resubmit;
   };
 
   /// Final outcome of a request, artifact elided (it lives in the class
@@ -239,13 +227,10 @@ class FleetDriver {
                                                    std::size_t topology);
   void build_classes();
   void reset_sessions();
-
-  // Timer facade over the two arms.
-  Timer timer_at(sim::Time at, sim::InlineFunction fn);
-  Timer timer_in(sim::Duration delay, sim::InlineFunction fn);
-  Timer timer_every(sim::Time first, sim::Duration period,
-                    sim::InlineFunction fn);
-  void cancel_timer(Timer& timer);
+  /// Cancels a timer (a no-op for a fired or empty one) and clears it.
+  void cancel_timer(sim::EventId& timer);
+  /// Cancels every kernel event the driver has queued.
+  void cancel_timers();
 
   // Session helpers.
   std::uint8_t home_region(std::uint32_t s) const {
@@ -302,11 +287,14 @@ class FleetDriver {
   std::vector<sim::Time> unsafe_since_;
   std::vector<sim::Time> recovery_issued_;
 
-  std::unique_ptr<sim::TimerWheel> wheel_;
-  std::vector<Timer> ota_timers_;
-  /// Bumped per run(); timers capture it so a prior run's leftover kernel
-  /// events become no-ops instead of dangling into rebuilt state.
-  std::uint32_t epoch_ = 0;
+  // Every kernel event the driver queues is held here or in pending_, so a
+  // re-run or the destructor can cancel it before the state it captures
+  // goes away.
+  std::vector<sim::EventId> ota_timers_;
+  /// Per session: its pending wave hit or recovery retry (never both).
+  std::vector<sim::EventId> wake_;
+  /// Driver-injected outage: start and heal.
+  std::array<sim::EventId, 2> outage_events_{};
 
   std::vector<Pending> pending_;
   std::uint32_t pending_free_ = 0xFFFFFFFFu;

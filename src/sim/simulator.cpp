@@ -15,12 +15,12 @@ std::uint32_t Simulator::alloc_slot() {
     Node* chunk = chunks_.back().get();
     // Thread the fresh nodes onto the free list so low slots pop first.
     for (std::uint32_t i = kChunkSize; i-- > 0;) {
-      chunk[i].next_free = free_head_;
+      chunk[i].next = free_head_;
       free_head_ = base + i;
     }
   }
   const std::uint32_t slot = free_head_;
-  free_head_ = node(slot).next_free;
+  free_head_ = node(slot).next;
   return slot;
 }
 
@@ -29,8 +29,54 @@ void Simulator::free_slot(std::uint32_t slot) {
   n.fn.reset();
   ++n.gen;  // all outstanding handles to this slot go stale
   n.heap_pos = kNpos;
-  n.next_free = free_head_;
+  n.next = free_head_;
   free_head_ = slot;
+}
+
+// --- Same-instant rings -----------------------------------------------------
+
+void Simulator::link(std::uint32_t slot) {
+  Node& n = node(slot);
+  Recent& recent = recent_[recent_index(n.at)];
+  if (recent.head != kNpos && recent.at == n.at) {
+    // Append at the tail: every event in this ring was scheduled earlier.
+    Node& head = node(recent.head);
+    const std::uint32_t tail = head.prev;
+    node(tail).next = slot;
+    n.prev = tail;
+    n.next = recent.head;
+    head.prev = slot;
+    n.heap_pos = kQueuedBehind;
+    return;
+  }
+  n.prev = slot;
+  n.next = slot;
+  heap_push(HeapEntry{n.at, next_seq_++, slot});
+  recent = Recent{n.at, slot};
+}
+
+void Simulator::unlink(std::uint32_t slot) {
+  Node& n = node(slot);
+  if (n.heap_pos == kQueuedBehind) {
+    node(n.prev).next = n.next;
+    node(n.next).prev = n.prev;
+  } else if (n.next != slot) {
+    // The head leaves a non-empty ring: its successor takes over the heap
+    // entry in place. The entry's key is unchanged, so nothing sifts.
+    const std::uint32_t successor = n.next;
+    Node& s = node(successor);
+    s.prev = n.prev;
+    node(n.prev).next = successor;
+    s.heap_pos = n.heap_pos;
+    heap_[n.heap_pos].slot = successor;
+    Recent& recent = recent_[recent_index(n.at)];
+    if (recent.head == slot) recent.head = successor;
+  } else {
+    heap_remove(n.heap_pos);
+    Recent& recent = recent_[recent_index(n.at)];
+    if (recent.head == slot) recent.head = kNpos;
+  }
+  n.heap_pos = kNpos;
 }
 
 // --- Indexed 4-ary min-heap -------------------------------------------------
@@ -73,7 +119,6 @@ void Simulator::heap_push(HeapEntry entry) {
 }
 
 void Simulator::heap_remove(std::uint32_t pos) {
-  node(heap_[pos].slot).heap_pos = kNpos;
   const HeapEntry last = heap_.back();
   heap_.pop_back();
   if (pos == heap_.size()) return;  // removed the tail entry
@@ -91,10 +136,9 @@ EventId Simulator::enqueue(Time at, Duration period, InlineFunction fn) {
   const std::uint32_t slot = alloc_slot();
   Node& n = node(slot);
   n.at = at;
-  n.seq = next_seq_++;
   n.period = period;
   n.fn = std::move(fn);
-  heap_push(HeapEntry{at, n.seq, slot});
+  link(slot);
   ++live_;
   return EventId{(static_cast<std::uint64_t>(slot) + 1) << 32 | n.gen};
 }
@@ -118,7 +162,7 @@ bool Simulator::cancel(EventId id) {
   Node& n = node(slot);
   if (n.gen != gen) return false;  // already fired, cancelled, or slot reused
   if (n.heap_pos != kNpos) {
-    heap_remove(n.heap_pos);
+    unlink(slot);
   } else if (slot != firing_) {
     return false;  // not queued and not firing: nothing to cancel
   }
@@ -143,12 +187,12 @@ bool Simulator::step() {
   Node& n = node(slot);
   now_ = n.at;
   ++events_executed_;
+  unlink(slot);
   if (n.period > 0) {
     // Re-arm in place before invoking (zero callback copies) so the
     // callback may cancel its own recurrence.
     n.at += n.period;
-    n.seq = next_seq_++;
-    sift_down(0, HeapEntry{n.at, n.seq, slot});
+    link(slot);
     firing_ = slot;
     firing_cancelled_ = false;
     n.fn();
@@ -158,11 +202,10 @@ bool Simulator::step() {
       // that the callable finished executing, reclaim its storage.
       n.fn.reset();
       n.heap_pos = kNpos;
-      n.next_free = free_head_;
+      n.next = free_head_;
       free_head_ = slot;
     }
   } else {
-    heap_remove(0);
     --live_;
     // Move the callback out and release the slot before invoking, so the
     // callback may safely schedule/cancel anything (including reusing this

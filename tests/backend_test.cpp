@@ -964,30 +964,44 @@ TEST(FleetCache, EvictionUnderTopologyChurn) {
 
 // --- Compressed fleet driver (ISSUE 10) ---------------------------------------
 
-TEST(FleetDriverScale, WheelDriverMatchesHeapDriverBitExact) {
-  const auto run_arm = [](bool wheel) {
+TEST(FleetDriverScale, KernelTimersReproducePinnedFingerprints) {
+  // Two fleets, each pinned to a golden captured before the driver's timers
+  // moved onto plain kernel events: an exact per-session stagger, and a
+  // 10 ms phase grid feeding service-side cohorts. A change to the timer
+  // path, the kernel's (time, seq) order or the client engine that alters
+  // any simulated outcome changes these hashes.
+  const auto fingerprint_of = [](FleetConfig config,
+                                 const ServiceConfig& service_config) {
     sim::Simulator simulator;
-    FleetScheduleService service(simulator);
-    FleetConfig config = small_fleet(21);
-    config.sessions = 48;
-    config.horizon = 6 * sim::kSecond;
+    FleetScheduleService service(simulator, service_config);
     config.wave_at = 1'500 * sim::kMillisecond;
     config.outage_at = 1'400 * sim::kMillisecond;
     config.outage_duration = 1 * sim::kSecond;
-    config.use_timer_wheel = wheel;
     FleetDriver driver(simulator, service, config);
     driver.run();
     return driver.fingerprint();
   };
-  // The wheel is an implementation detail: same fleet, same fingerprint.
-  EXPECT_EQ(run_arm(true), run_arm(false));
+  FleetConfig exact = small_fleet(21);
+  exact.sessions = 48;
+  exact.horizon = 6 * sim::kSecond;
+  EXPECT_EQ(fingerprint_of(exact, ServiceConfig{}), 0x4f6714e9870b5b9eull);
+
+  FleetConfig grid = small_fleet(21);
+  grid.sessions = 1'000;
+  grid.horizon = 4 * sim::kSecond;
+  grid.ota_phase_grid = 10 * sim::kMillisecond;
+  ServiceConfig batched;
+  batched.batching = true;
+  batched.workers = 2;
+  batched.min_service_time = 500 * sim::kMicrosecond;
+  EXPECT_EQ(fingerprint_of(grid, batched), 0x2e785d4a398bee74ull);
 }
 
 TEST(FleetDriverScale, RerunRebuildsSessionsWithoutDanglingTimers) {
   // Regression: the driver once captured raw Session pointers in wave and
   // retry lambdas; a second run() rebuilt the session vector and left the
-  // old timers dangling. Index + epoch captures make re-running safe (ASan
-  // guards the old failure mode).
+  // old timers dangling. Index captures, plus cancelling the previous run's
+  // timers, make re-running safe (ASan guards the old failure mode).
   sim::Simulator simulator;
   FleetScheduleService service(simulator);
   FleetConfig config = small_fleet(31);
@@ -1003,6 +1017,29 @@ TEST(FleetDriverScale, RerunRebuildsSessionsWithoutDanglingTimers) {
   EXPECT_GT(driver.recoveries_completed(), first_recoveries);
   EXPECT_EQ(driver.unsafe_now(), 0u);
   EXPECT_EQ(driver.recoveries_outstanding(), 0u);
+}
+
+TEST(FleetDriverScale, DestructionCancelsEveryDriverTimer) {
+  sim::Simulator simulator;
+  FleetScheduleService service(simulator);
+  {
+    // Cut mid-wave with no drain: wave hits, timeouts, resubmits, recovery
+    // retries and the whole outage window are still queued.
+    FleetConfig config = small_fleet(61);
+    config.sessions = 48;
+    config.horizon = 1'200 * sim::kMillisecond;
+    config.drain_grace = 0;
+    config.outage_at = 1'500 * sim::kMillisecond;
+    config.outage_duration = 1 * sim::kSecond;
+    FleetDriver driver(simulator, service, config);
+    driver.run();
+    EXPECT_GT(simulator.pending(), 0u);
+  }
+  // A crash drops the service's own in-flight deliveries. Anything left
+  // would be a driver callback into freed state (ASan guards the run).
+  service.crash();
+  EXPECT_EQ(simulator.pending(), 0u);
+  simulator.run();
 }
 
 TEST(FleetDriverScale, TwoRegionFailoverSurvivesRegionOutage) {

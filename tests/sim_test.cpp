@@ -3,6 +3,11 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <map>
+#include <memory>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/random.hpp"
@@ -288,6 +293,246 @@ TEST(Simulator, RecurrenceRearmsWithoutCopyingCallback) {
       });
   simulator.run();
   EXPECT_EQ(count, 3);
+}
+
+// --- Same-instant coalescing ------------------------------------------------
+
+using FireLog = std::vector<std::pair<Time, int>>;
+
+TEST(Simulator, SameInstantEventsShareOneQueueEntry) {
+  Simulator simulator;
+  FireLog log;
+  constexpr Time kAt = 5 * kMillisecond;
+  for (int i = 0; i < 100; ++i) {
+    simulator.schedule_at(
+        kAt, [&log, &simulator, i] { log.push_back({simulator.now(), i}); });
+  }
+  simulator.schedule_at(
+      kAt + 1, [&log, &simulator] { log.push_back({simulator.now(), 100}); });
+  EXPECT_EQ(simulator.pending(), 101u);
+  EXPECT_EQ(simulator.queued_instants(), 2u);
+  simulator.run();
+  ASSERT_EQ(log.size(), 101u);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(log[i], std::make_pair(kAt, i));
+  EXPECT_EQ(log[100], std::make_pair(kAt + 1, 100));
+  EXPECT_EQ(simulator.queued_instants(), 0u);
+}
+
+TEST(Simulator, CancelInsideSharedInstantKeepsOrder) {
+  Simulator simulator;
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 6; ++i) {
+    ids.push_back(
+        simulator.schedule_at(10, [&order, i] { order.push_back(i); }));
+  }
+  // The ring's head, a member in the middle, and its tail.
+  EXPECT_TRUE(simulator.cancel(ids[0]));
+  EXPECT_TRUE(simulator.cancel(ids[3]));
+  EXPECT_TRUE(simulator.cancel(ids[5]));
+  EXPECT_FALSE(simulator.cancel(ids[3]));  // double cancel no-ops
+  EXPECT_EQ(simulator.pending(), 3u);
+  EXPECT_EQ(simulator.queued_instants(), 1u);
+  // A later event for the same instant still queues behind the survivors.
+  simulator.schedule_at(10, [&order] { order.push_back(6); });
+  simulator.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 4, 6}));
+  EXPECT_FALSE(simulator.cancel(ids[1]));  // already fired
+  // Cancelling every event of an instant drops its queue entry.
+  const EventId a = simulator.schedule_at(20, [] {});
+  const EventId b = simulator.schedule_at(20, [] {});
+  EXPECT_EQ(simulator.queued_instants(), 1u);
+  EXPECT_TRUE(simulator.cancel(b));
+  EXPECT_TRUE(simulator.cancel(a));
+  EXPECT_EQ(simulator.queued_instants(), 0u);
+  EXPECT_EQ(simulator.pending(), 0u);
+}
+
+TEST(Simulator, RecurrenceCancelsItselfBehindSharedInstant) {
+  // The recurrence re-arms onto instants that already hold a one-shot, so
+  // it waits behind that one-shot — and cancels itself from there.
+  Simulator simulator;
+  FireLog log;
+  for (Time t = 10; t <= 60; t += 10) {
+    simulator.schedule_at(
+        t, [&log, &simulator] { log.push_back({simulator.now(), 0}); });
+  }
+  int fires = 0;
+  EventId tick;
+  tick = simulator.schedule_every(10, 10, [&] {
+    log.push_back({simulator.now(), 1});
+    if (++fires == 3) {
+      EXPECT_TRUE(simulator.cancel(tick));
+    }
+  });
+  simulator.run();
+  EXPECT_EQ(fires, 3);
+  const FireLog expected = {{10, 0}, {10, 1}, {20, 0}, {20, 1}, {30, 0},
+                            {30, 1}, {40, 0}, {50, 0}, {60, 0}};
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(simulator.pending(), 0u);
+}
+
+TEST(Simulator, InterleavedInstantsFireInScheduleOrder) {
+  // Far more live instants than the recent-instant table holds, revisited
+  // in a different order each round: a revisit either joins the instant's
+  // latest ring or opens a new one, and neither may reorder the instant.
+  Simulator simulator;
+  FireLog log;
+  constexpr int kInstants = 1000;
+  constexpr int kRounds = 4;
+  for (int round = 0; round < kRounds; ++round) {
+    for (int t = 0; t < kInstants; ++t) {
+      const Time at = 1 + (t * 7919 + round * 104729) % kInstants;
+      simulator.schedule_at(at, [&log, &simulator, round] {
+        log.push_back({simulator.now(), round});
+      });
+    }
+  }
+  EXPECT_GT(simulator.queued_instants(), static_cast<std::size_t>(kInstants));
+  simulator.run();
+  ASSERT_EQ(log.size(), static_cast<std::size_t>(kInstants * kRounds));
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].first, static_cast<Time>(i / kRounds + 1));
+    EXPECT_EQ(log[i].second, static_cast<int>(i % kRounds));
+  }
+}
+
+namespace {
+
+// The kernel's contract with no coalescing: one (at, seq) entry per event
+// in an ordered map, recurrences re-keyed with a fresh seq before invoking.
+class ReferenceQueue {
+ public:
+  using Id = std::uint64_t;
+
+  Time now() const { return now_; }
+  std::size_t pending() const { return events_.size(); }
+
+  Id schedule_at(Time at, std::function<void()> fn) {
+    return add(at, 0, std::move(fn));
+  }
+  Id schedule_every(Time first, Duration period, std::function<void()> fn) {
+    return add(first, period, std::move(fn));
+  }
+  bool cancel(Id id) {
+    const auto it = events_.find(id);
+    if (it == events_.end()) return false;
+    order_.erase({it->second.at, it->second.seq});
+    events_.erase(it);
+    return true;
+  }
+  void run_until(Time until) {
+    while (!order_.empty() && order_.begin()->first.first <= until) {
+      const Id id = order_.begin()->second;
+      order_.erase(order_.begin());
+      Event& event = events_.at(id);
+      now_ = event.at;
+      const std::shared_ptr<std::function<void()>> fn = event.fn;
+      if (event.period > 0) {
+        event.at += event.period;
+        event.seq = next_seq_++;
+        order_.emplace(std::make_pair(event.at, event.seq), id);
+      } else {
+        events_.erase(id);
+      }
+      (*fn)();
+    }
+    if (now_ < until) now_ = until;
+  }
+
+ private:
+  struct Event {
+    Time at;
+    std::uint64_t seq;
+    Duration period;
+    std::shared_ptr<std::function<void()>> fn;
+  };
+
+  Id add(Time at, Duration period, std::function<void()> fn) {
+    const Id id = next_id_++;
+    events_.emplace(id, Event{at, next_seq_, period,
+                              std::make_shared<std::function<void()>>(
+                                  std::move(fn))});
+    order_.emplace(std::make_pair(at, next_seq_++), id);
+    return id;
+  }
+
+  Time now_ = 0;
+  std::uint64_t next_seq_ = 0;
+  Id next_id_ = 1;
+  std::map<std::pair<Time, std::uint64_t>, Id> order_;
+  std::unordered_map<Id, Event> events_;
+};
+
+// Randomized, tie-heavy workload: instants on a 1 ms grid (several events
+// per instant), chained arms from inside callbacks including zero-delay
+// ones that join the firing instant, immediate and deferred cancels of
+// ring heads and members, and recurrences sharing instants that cancel
+// themselves mid-flight. Cancel results and pending() are logged too.
+template <typename Queue>
+FireLog run_tie_heavy_workload(Queue& q) {
+  using Id = decltype(q.schedule_at(Time{0}, [] {}));
+  FireLog log;
+  auto rng = Random::stream(0xA11CE, 7);
+  auto cancellable = std::make_shared<std::vector<Id>>();
+  for (int i = 0; i < 400; ++i) {
+    const int tag = i;
+    const Time at = rng.uniform_int(0, 200) * kMillisecond;
+    if (i % 7 == 3) {
+      q.schedule_at(at, [&log, &q, tag] {
+        log.push_back({q.now(), tag});
+        auto follow = Random::stream(0xF0110, static_cast<std::uint64_t>(tag));
+        q.schedule_at(q.now() + follow.uniform_int(0, 20) * kMillisecond,
+                      [&log, &q, tag] {
+                        log.push_back({q.now(), 10'000 + tag});
+                      });
+      });
+    } else {
+      cancellable->push_back(q.schedule_at(
+          at, [&log, &q, tag] { log.push_back({q.now(), tag}); }));
+    }
+  }
+  for (std::size_t i = 0; i < cancellable->size(); i += 5) {
+    log.push_back({-1, q.cancel((*cancellable)[i]) ? 1 : 0});
+  }
+  q.schedule_at(50 * kMillisecond, [&log, &q, cancellable] {
+    for (std::size_t i = 2; i < cancellable->size(); i += 5) {
+      log.push_back({q.now(), q.cancel((*cancellable)[i]) ? -1 : -2});
+    }
+  });
+  constexpr int kPeriodics = 8;
+  auto counts = std::make_shared<std::array<int, kPeriodics>>();
+  counts->fill(0);
+  auto ids = std::make_shared<std::array<Id, kPeriodics>>();
+  for (int p = 0; p < kPeriodics; ++p) {
+    const Time first = rng.uniform_int(0, 20) * kMillisecond;
+    const Duration period = rng.uniform_int(3, 12) * kMillisecond;
+    (*ids)[p] = q.schedule_every(first, period, [&log, &q, counts, ids, p] {
+      log.push_back({q.now(), 20'000 + p});
+      if (++(*counts)[p] == 4 + p % 3) q.cancel((*ids)[p]);
+    });
+  }
+  log.push_back({-2, static_cast<int>(q.pending())});
+  q.run_until(100 * kMillisecond);
+  log.push_back({-3, static_cast<int>(q.pending())});
+  q.run_until(2 * kSecond);
+  log.push_back({-4, static_cast<int>(q.pending())});
+  return log;
+}
+
+}  // namespace
+
+TEST(Simulator, RandomWorkloadMatchesReferenceOrder) {
+  ReferenceQueue reference;
+  const FireLog expected = run_tie_heavy_workload(reference);
+  Simulator simulator;
+  const FireLog actual = run_tie_heavy_workload(simulator);
+  ASSERT_GT(expected.size(), 500u);
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i], expected[i]) << "divergence at entry " << i;
+  }
 }
 
 // --- ScenarioSweep ----------------------------------------------------------
