@@ -20,9 +20,10 @@
 // re-validated against the backend *before* state listeners fire, so
 // degradation is only lifted once the vehicle is back on fresh artifacts.
 //
-// Determinism: jitter comes from sim::Random::stream(jitter_seed,
-// jitter_stream) — give every client a distinct stream id (e.g. the
-// session index) or healed fleets retry in lockstep again.
+// The chain itself is backend::ClientEngine run for one session. Jitter
+// draw k comes from Random::stream(jitter_seed, jitter_stream << 32 | k) —
+// give every client a distinct jitter_stream (e.g. the session index) or
+// healed fleets retry in lockstep again.
 #pragma once
 
 #include <cstdint>
@@ -30,69 +31,18 @@
 #include <map>
 #include <vector>
 
+#include "backend/client_engine.hpp"
 #include "backend/service.hpp"
-#include "sim/random.hpp"
 
 namespace dynaplat::backend {
 
-enum class BreakerState : std::uint8_t { kClosed, kOpen, kHalfOpen };
-
-const char* to_string(BreakerState state);
-
-struct ClientConfig {
-  /// Async request timeout (per attempt).
-  sim::Duration request_timeout = 100 * sim::kMillisecond;
-  /// Total attempts per request() (first try + retries).
-  int max_attempts = 4;
-  /// Exponential backoff between attempts: base, factor, cap.
-  sim::Duration backoff_base = 50 * sim::kMillisecond;
-  double backoff_factor = 2.0;
-  sim::Duration max_backoff = 800 * sim::kMillisecond;
-  /// Symmetric jitter fraction applied to every backoff delay (0.2 = +/-20%).
-  double jitter = 0.2;
-  std::uint64_t jitter_seed = 0x0DDB10C5ull;
-  std::uint64_t jitter_stream = 0;
-  /// Consecutive comms failures (timeout / unreachable) that trip the
-  /// breaker CLOSED -> OPEN.
-  int breaker_threshold = 3;
-  /// OPEN hold time before a HALF_OPEN probe is allowed.
-  sim::Duration breaker_open_for = 500 * sim::kMillisecond;
-  /// Allow the ECU-local admission fast path as the last fallback rung.
-  bool local_fallback = true;
-  /// Vehicle-local artifact cache entries (drop-oldest).
-  std::size_t artifact_cache_capacity = 64;
-};
-
-struct BackendOutcome {
-  enum class Source : std::uint8_t {
-    kBackend,        ///< fresh artifact from the backend
-    kCache,          ///< vehicle-local cached artifact (stale while down)
-    kLocalFallback,  ///< ECU-local admission fast path, no table
-    kNone,           ///< nothing worked: caller must degrade and retry
-  };
-  Source source = Source::kNone;
-  /// The caller can proceed safely (feasible artifact or local admission).
-  bool ok = false;
-  /// Served from the vehicle cache while the backend was unreachable.
-  bool stale = false;
-  /// ok via dse::AdmissionController, no synthesized table attached.
-  bool locally_admitted = false;
-  /// Backend-side memo-cache hit (reporting only).
-  bool cache_hit = false;
-  ResponseStatus status = ResponseStatus::kUnreachable;
-  dse::ScheduleServer::Artifact artifact;
-};
-
-const char* to_string(BackendOutcome::Source source);
-
-class BackendClient {
+class BackendClient : private ClientEngine::Host {
  public:
   using Callback = std::function<void(const BackendOutcome&)>;
   /// (previous, next) breaker transition, fired after any re-validation.
   using Listener = std::function<void(BreakerState, BreakerState)>;
 
   explicit BackendClient(sim::Simulator& simulator, ClientConfig config = {});
-  ~BackendClient();
   BackendClient(const BackendClient&) = delete;
   BackendClient& operator=(const BackendClient&) = delete;
 
@@ -103,7 +53,6 @@ class BackendClient {
   /// failure surface. This is the compatibility default inside
   /// platform::DynamicPlatform, which owns its own dse::ScheduleServer.
   void set_loopback(dse::ScheduleServer* server);
-  bool connected() const { return service_ != nullptr; }
 
   /// Synchronous facade for in-vehicle control flow (node resync, recovery
   /// planning): one control-plane query per call — shed/backpressure
@@ -119,7 +68,7 @@ class BackendClient {
   /// outcome (backend, cache, local fallback, or kNone).
   void request(SynthesisRequest request, Callback done);
 
-  BreakerState breaker() const { return state_; }
+  BreakerState breaker() const { return engine_.breaker(0); }
   void add_listener(Listener listener) {
     listeners_.push_back(std::move(listener));
   }
@@ -128,20 +77,21 @@ class BackendClient {
   void set_coverage(obs::CoverageMap* coverage);
 
   // --- Introspection --------------------------------------------------------
-  std::uint64_t attempts() const { return attempts_; }
-  std::uint64_t timeouts() const { return timeouts_; }
-  std::uint64_t breaker_opens() const { return breaker_opens_; }
-  std::uint64_t breaker_fast_fails() const { return breaker_fast_fails_; }
-  std::uint64_t stale_served() const { return stale_served_; }
-  std::uint64_t local_admissions() const { return local_admissions_; }
+  std::uint64_t attempts() const {
+    return engine_.attempts() + loopback_attempts_;
+  }
+  std::uint64_t timeouts() const { return engine_.timeouts(); }
+  std::uint64_t breaker_opens() const { return engine_.breaker_opens(); }
+  std::uint64_t breaker_fast_fails() const {
+    return engine_.breaker_fast_fails();
+  }
+  std::uint64_t stale_served() const { return engine_.stale_served(); }
+  std::uint64_t local_admissions() const { return engine_.local_admissions(); }
   std::uint64_t revalidated() const { return revalidated_; }
-  std::uint64_t exhausted() const { return exhausted_; }
-  std::size_t inflight() const { return pending_.size(); }
+  std::uint64_t exhausted() const { return engine_.exhausted(); }
   std::size_t cached_artifacts() const { return cache_.size(); }
 
-  std::uint64_t fingerprint() const;
-
-  const ClientConfig& config() const { return config_; }
+  const ClientConfig& config() const { return engine_.config(); }
 
  private:
   struct CacheEntry {
@@ -151,72 +101,49 @@ class BackendClient {
     bool stale_used = false;
     std::uint64_t order = 0;  ///< insertion order, drop-oldest
   };
-  struct Pending {
+  /// A request the engine is working on: the stored wire request and the
+  /// caller's callback, keyed by the engine tag.
+  struct Inflight {
     SynthesisRequest request;
     Callback done;
-    int attempt = 0;
-    sim::Duration backoff = 0;
-    /// Bumped per attempt: a response from a timed-out attempt is ignored.
-    std::uint64_t attempt_token = 0;
-    sim::EventId timeout;
-    sim::EventId resubmit;
   };
 
-  // Breaker.
-  bool allow_request();
-  void record_success();
-  void record_failure();
-  void to_state(BreakerState next);
+  // ClientEngine::Host.
+  void build_request(std::uint32_t session, std::uint32_t tag,
+                     SynthesisRequest& request) override;
+  void store_artifact(std::uint32_t session, std::uint32_t tag,
+                      const dse::ScheduleServer::Artifact& artifact) override;
+  const dse::ScheduleServer::Artifact* serve_stale(std::uint32_t session,
+                                                   std::uint32_t tag) override;
+  void on_breaker(std::uint32_t session, BreakerState prev,
+                  BreakerState next) override;
+  void on_outcome(std::uint32_t session, std::uint32_t tag, sim::Time issued,
+                  const BackendOutcome& outcome,
+                  const dse::ScheduleServer::Artifact* artifact) override;
+
+  /// Stores `request` under a fresh tag and hands it to the engine: one
+  /// sync query or the async attempt loop.
+  void start(SynthesisRequest request, Callback done, bool sync);
   void revalidate_stale();
-
-  // Async plumbing.
-  void start_attempt(std::uint64_t id);
-  void on_response(std::uint64_t id, std::uint64_t token,
-                   const SynthesisResponse& response);
-  void on_timeout(std::uint64_t id);
-  void retry_or_fail(std::uint64_t id, sim::Duration floor_delay);
-  void finish(std::uint64_t id, const BackendOutcome& outcome);
-  sim::Duration next_backoff(Pending& pending);
-
-  BackendOutcome from_response(const SynthesisRequest& request,
-                               const SynthesisResponse& response);
-  BackendOutcome fallback(const std::vector<dse::AnalysisTask>& tasks,
-                          std::uint64_t ecu_mips);
   void cache_store(const std::vector<dse::AnalysisTask>& tasks,
                    std::uint64_t ecu_mips,
                    const dse::ScheduleServer::Artifact& artifact);
 
-  sim::Simulator& sim_;
-  ClientConfig config_;
   FleetScheduleService* service_ = nullptr;
   dse::ScheduleServer* loopback_ = nullptr;
-  dse::AdmissionController admission_;
-  sim::Random rng_;
-
-  BreakerState state_ = BreakerState::kClosed;
-  int consecutive_failures_ = 0;
-  sim::Time open_until_ = 0;
+  std::uint64_t loopback_attempts_ = 0;
+  ClientEngine engine_;
 
   std::map<std::uint64_t, CacheEntry> cache_;
   std::uint64_t next_order_ = 1;
 
-  std::map<std::uint64_t, Pending> pending_;
-  std::uint64_t next_id_ = 1;
+  std::map<std::uint32_t, Inflight> inflight_;
+  std::uint32_t next_tag_ = 0;
 
   std::vector<Listener> listeners_;
-
-  std::uint64_t attempts_ = 0;
-  std::uint64_t timeouts_ = 0;
-  std::uint64_t breaker_opens_ = 0;
-  std::uint64_t breaker_fast_fails_ = 0;
-  std::uint64_t stale_served_ = 0;
-  std::uint64_t local_admissions_ = 0;
   std::uint64_t revalidated_ = 0;
-  std::uint64_t exhausted_ = 0;
 
-  obs::MetricsRegistry* metrics_ = nullptr;
   obs::Gauge* state_gauge_ = nullptr;
-  obs::Counter* timeout_counter_ = nullptr;
   obs::Counter* fallback_counter_ = nullptr;
   obs::CoverageMap* coverage_ = nullptr;
   std::uint32_t cov_open_ = 0;

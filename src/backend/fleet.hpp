@@ -18,23 +18,24 @@
 // recovery synthesis on a fixed cadence until the backend delivers a
 // fresh artifact.
 //
-// Million-session scaling (ISSUE 10, DESIGN.md §15): the driver stores
-// sessions as structure-of-arrays — 8/16-bit enums and flags, indices
-// instead of pointers, per-class task sets and artifacts shared through a
-// topology-class table — at ~35 hot bytes per session, and implements the
-// BackendClient resilience semantics (per-attempt timeout, capped jittered
-// backoff, circuit breaker, stale-cache / local-admission fallback ladder,
-// stale revalidation on reconnect) over that compact state instead of
-// embedding a fat client object per vehicle. Jitter draws derive from
-// sim::Random::stream(jitter_seed, session·2^32 + draw#) so no generator
-// state is stored. Timers (OTA cadences, timeouts, backoff, recovery
-// retry) are plain kernel events, so they interleave with the service's
-// deliveries in the kernel's one (time, seq) order.
+// Million-session scaling (DESIGN.md §15): the driver stores sessions as
+// structure-of-arrays — 8/16-bit enums and flags, indices instead of
+// pointers, per-class task sets and artifacts shared through a
+// topology-class table — at ~35 hot bytes per session. The resilience
+// chain (per-attempt timeout, capped jittered backoff, circuit breaker,
+// stale-cache / local-admission fallback ladder, stale revalidation on
+// reconnect) is one backend::ClientEngine for all N sessions, the same
+// engine BackendClient runs for one; the driver only supplies the wire
+// request and the artifact cache from its class table. Session s draws
+// its jitter from stream client.jitter_stream + s. Timers (OTA cadences,
+// timeouts, backoff, recovery retry) are plain kernel events, so they
+// interleave with the service's deliveries in the kernel's one
+// (time, seq) order.
 //
-// Multi-region: with N services, session i's home region is i % N. While
-// the home breaker is OPEN, attempts fail over to the sibling region (a
-// cold memo cache there re-runs synthesis); the HALF_OPEN probe returns
-// traffic home after heal and revalidates stale artifacts.
+// Multi-region: with N services, session i's home region is i % N; the
+// engine fails attempts over to the sibling region while the home breaker
+// is OPEN (a cold memo cache there re-runs synthesis) and probes home again
+// after the open window.
 //
 // The driver can inject its own backend outage window (crash/restart or
 // uplink partition, hitting region 0) so the bench and tests don't need
@@ -49,7 +50,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "backend/client.hpp"
+#include "backend/client_engine.hpp"
 #include "backend/service.hpp"
 #include "sim/simulator.hpp"
 
@@ -78,7 +79,7 @@ struct FleetConfig {
   /// the backend delivers a fresh artifact.
   sim::Duration recovery_retry = 250 * sim::kMillisecond;
   /// Vehicle-side resilience knobs (timeout/backoff/breaker/fallback);
-  /// jitter_stream is implicitly the session index.
+  /// session s draws its retry jitter from stream jitter_stream + s.
   ClientConfig client;
   /// Fraction of sessions whose task set drifts from its class (a
   /// per-vehicle mutation): each drifted vehicle becomes its own
@@ -99,7 +100,7 @@ struct FleetConfig {
   bool record_latencies = true;
 };
 
-class FleetDriver {
+class FleetDriver : private ClientEngine::Host {
  public:
   FleetDriver(sim::Simulator& simulator, FleetScheduleService& service,
               FleetConfig config);
@@ -144,20 +145,21 @@ class FleetDriver {
   const std::vector<sim::Duration>& latencies() const { return latencies_; }
   /// Requests measured into the latency histogram (always maintained).
   std::uint64_t latency_count() const { return lat_count_; }
-  sim::Duration latency_max() const { return lat_max_; }
   /// Approximate quantile (log-bucket resolution, ±~12%) in milliseconds.
   double latency_quantile_ms(double q) const;
 
-  // --- Compact-engine surface ----------------------------------------------
-  std::uint64_t client_timeouts() const { return timeouts_; }
-  std::uint64_t client_breaker_opens() const { return breaker_opens_; }
-  std::uint64_t attempts() const { return attempts_; }
-  std::uint64_t breaker_fast_fails() const { return breaker_fast_fails_; }
-  std::uint64_t stale_served() const { return stale_served_; }
-  std::uint64_t local_admissions() const { return local_admissions_; }
+  // --- Client-engine surface -----------------------------------------------
+  std::uint64_t client_timeouts() const { return engine_.timeouts(); }
+  std::uint64_t client_breaker_opens() const { return engine_.breaker_opens(); }
+  std::uint64_t attempts() const { return engine_.attempts(); }
+  std::uint64_t breaker_fast_fails() const {
+    return engine_.breaker_fast_fails();
+  }
+  std::uint64_t stale_served() const { return engine_.stale_served(); }
+  std::uint64_t local_admissions() const { return engine_.local_admissions(); }
   std::uint64_t revalidated() const { return revalidated_; }
   /// Attempts redirected to a sibling region while home was OPEN.
-  std::uint64_t failovers() const { return failovers_; }
+  std::uint64_t failovers() const { return engine_.failovers(); }
   std::size_t regions() const { return services_.size(); }
   /// Topology classes actually built (base classes + drifted singletons).
   std::size_t topology_class_count() const { return classes_.size(); }
@@ -175,6 +177,11 @@ class FleetDriver {
 
   const FleetConfig& config() const { return config_; }
 
+  /// Task set of base topology class `topology` under `seed`: the
+  /// generator the driver builds its class table from.
+  static std::vector<dse::AnalysisTask> make_tasks(std::uint64_t seed,
+                                                   std::size_t topology);
+
  private:
   enum class SessionState : std::uint8_t {
     kNominal,
@@ -185,8 +192,9 @@ class FleetDriver {
   static constexpr std::uint8_t kFlagRecoveryInflight = 1u << 0;
   static constexpr std::uint8_t kFlagHasArtifact = 1u << 1;
   static constexpr std::uint8_t kFlagStaleUsed = 1u << 2;
-  // breaker_ packing: low 2 bits state, high 6 bits consecutive failures.
-  static constexpr std::uint8_t kBreakerStateMask = 0x03;
+  // Engine tags: what a request is for.
+  static constexpr std::uint32_t kKindOta = 0;
+  static constexpr std::uint32_t kKindRecovery = 1;
 
   struct TopologyClass {
     std::vector<dse::AnalysisTask> tasks;
@@ -197,34 +205,8 @@ class FleetDriver {
     /// here; per-session kFlagHasArtifact says whether *this* vehicle
     /// holds a copy, kFlagStaleUsed whether it served it stale.
     dse::ScheduleServer::Artifact artifact;
-    bool artifact_valid = false;
   };
 
-  /// In-flight request slab entry, sized O(in-flight), not O(sessions).
-  struct Pending {
-    std::uint32_t session = 0;
-    std::uint8_t kind = 0;  // 0 = ota, 1 = recovery
-    std::uint8_t target_region = 0;
-    std::uint8_t attempt = 0;
-    std::uint32_t gen = 1;
-    std::uint32_t attempt_token = 0;
-    std::uint32_t next_free = 0xFFFFFFFFu;
-    bool in_use = false;
-    sim::Duration backoff = 0;
-    sim::Time issued = 0;
-    sim::EventId timeout;
-    sim::EventId resubmit;
-  };
-
-  /// Final outcome of a request, artifact elided (it lives in the class
-  /// table) — the driver only dispatches on source/ok.
-  struct Outcome {
-    BackendOutcome::Source source = BackendOutcome::Source::kNone;
-    bool ok = false;
-  };
-
-  static std::vector<dse::AnalysisTask> make_tasks(std::uint64_t seed,
-                                                   std::size_t topology);
   void build_classes();
   void reset_sessions();
   /// Cancels a timer (a no-op for a fired or empty one) and clears it.
@@ -232,72 +214,56 @@ class FleetDriver {
   /// Cancels every kernel event the driver has queued.
   void cancel_timers();
 
-  // Session helpers.
-  std::uint8_t home_region(std::uint32_t s) const {
-    return static_cast<std::uint8_t>(s % services_.size());
-  }
   SessionState state_of(std::uint32_t s) const {
     return static_cast<SessionState>(state_[s]);
   }
-  BreakerState breaker_of(std::uint32_t s) const {
-    return static_cast<BreakerState>(breaker_[s] & kBreakerStateMask);
-  }
-  int failures_of(std::uint32_t s) const { return breaker_[s] >> 2; }
-  void set_breaker(std::uint32_t s, BreakerState state, int failures);
-  double jitter_draw(std::uint32_t s);
 
-  // Compact client engine (BackendClient semantics over SoA state).
-  void record_success(std::uint32_t s);
-  void record_failure(std::uint32_t s);
+  // ClientEngine::Host: the class table is the wire request and the
+  // artifact cache.
+  void build_request(std::uint32_t s, std::uint32_t kind,
+                     SynthesisRequest& request) override;
+  void store_artifact(std::uint32_t s, std::uint32_t kind,
+                      const dse::ScheduleServer::Artifact& artifact) override;
+  const dse::ScheduleServer::Artifact* serve_stale(std::uint32_t s,
+                                                   std::uint32_t kind) override;
+  void on_breaker(std::uint32_t s, BreakerState prev,
+                  BreakerState next) override;
+  void on_outcome(std::uint32_t s, std::uint32_t kind, sim::Time issued,
+                  const BackendOutcome& outcome,
+                  const dse::ScheduleServer::Artifact* artifact) override;
   void revalidate_stale(std::uint32_t s);
-  std::uint64_t begin_request(std::uint32_t s, std::uint8_t kind);
-  Pending* lookup(std::uint64_t id);
-  void free_pending(std::uint64_t id);
-  void start_attempt(std::uint64_t id);
-  void on_response(std::uint64_t id, std::uint32_t token,
-                   const SynthesisResponse& response);
-  void on_timeout(std::uint64_t id);
-  void retry_or_fail(std::uint64_t id, sim::Duration floor_delay);
-  sim::Duration next_backoff(Pending& pending);
-  void finish_with_fallback(std::uint64_t id);
-  void finish(std::uint64_t id, const Outcome& outcome);
 
   // Fleet behaviour.
   void issue_ota(std::uint32_t s);
   void hit_with_wave(std::uint32_t s);
   void issue_recovery(std::uint32_t s);
-  void on_recovery_outcome(std::uint32_t s, const Outcome& outcome);
   void mark_safe(std::uint32_t s, bool recovered);
   void record_latency(sim::Duration latency);
 
   sim::Simulator& sim_;
   std::vector<FleetScheduleService*> services_;
   FleetConfig config_;
-  dse::AdmissionController admission_;
 
   std::vector<TopologyClass> classes_;
 
   // --- Per-session SoA state (hot_bytes_per_session() total) ---------------
   std::vector<std::uint8_t> state_;
   std::vector<std::uint8_t> flags_;
-  std::vector<std::uint8_t> breaker_;
   std::vector<std::uint32_t> class_of_;
-  std::vector<std::uint32_t> jitter_draws_;
-  std::vector<sim::Time> open_until_;
   std::vector<sim::Time> unsafe_since_;
   std::vector<sim::Time> recovery_issued_;
 
-  // Every kernel event the driver queues is held here or in pending_, so a
-  // re-run or the destructor can cancel it before the state it captures
+  /// Breaker, backoff, retries and the fallback ladder for every session.
+  ClientEngine engine_;
+
+  // Every kernel event the driver queues is held here or in the engine, so
+  // a re-run or the destructor can cancel it before the state it captures
   // goes away.
   std::vector<sim::EventId> ota_timers_;
   /// Per session: its pending wave hit or recovery retry (never both).
   std::vector<sim::EventId> wake_;
   /// Driver-injected outage: start and heal.
   std::array<sim::EventId, 2> outage_events_{};
-
-  std::vector<Pending> pending_;
-  std::uint32_t pending_free_ = 0xFFFFFFFFu;
 
   std::size_t unsafe_now_ = 0;
   std::size_t peak_unsafe_ = 0;
@@ -312,18 +278,7 @@ class FleetDriver {
   std::uint64_t fallback_cache_ = 0;
   std::uint64_t fallback_local_ = 0;
   std::uint64_t fallback_none_ = 0;
-
-  // Aggregated client-engine counters (the per-client counters of PR 9,
-  // fleet-wide).
-  std::uint64_t attempts_ = 0;
-  std::uint64_t timeouts_ = 0;
-  std::uint64_t breaker_opens_ = 0;
-  std::uint64_t breaker_fast_fails_ = 0;
-  std::uint64_t stale_served_ = 0;
-  std::uint64_t local_admissions_ = 0;
   std::uint64_t revalidated_ = 0;
-  std::uint64_t exhausted_ = 0;
-  std::uint64_t failovers_ = 0;
 
   // Latency record: bounded log-scale histogram always; exact vector only
   // when config_.record_latencies.

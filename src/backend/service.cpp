@@ -2,28 +2,20 @@
 
 #include <algorithm>
 
+#include "obs/fnv.hpp"
+
 namespace dynaplat::backend {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a(std::uint64_t hash, const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
+using obs::fnv1a;
 
 /// Secondary topology hash from an independent basis. A primary-key match
 /// whose signature disagrees is a detected collision: the cached artifact
 /// belongs to a different task set.
 std::uint64_t topology_sig(const std::vector<dse::AnalysisTask>& tasks,
                            std::uint64_t ecu_mips) {
-  std::uint64_t hash = kFnvOffset ^ 0x5DEECE66Dull;
+  std::uint64_t hash = obs::kFingerprintOffset ^ 0x5DEECE66Dull;
   const std::uint64_t count = tasks.size();
   hash = fnv1a(hash, &count, sizeof(count));
   hash = fnv1a(hash, &ecu_mips, sizeof(ecu_mips));
@@ -63,7 +55,7 @@ const char* to_string(ResponseStatus status) {
 
 std::uint64_t topology_key(const std::vector<dse::AnalysisTask>& tasks,
                            std::uint64_t ecu_mips) {
-  std::uint64_t hash = kFnvOffset;
+  std::uint64_t hash = obs::kFingerprintOffset;
   hash = fnv1a(hash, &ecu_mips, sizeof(ecu_mips));
   for (const dse::AnalysisTask& task : tasks) {
     hash = fnv1a(hash, task.name.data(), task.name.size());
@@ -480,7 +472,7 @@ std::size_t FleetScheduleService::cache_entries() const {
 }
 
 std::uint64_t FleetScheduleService::fingerprint() const {
-  std::uint64_t hash = kFnvOffset;
+  std::uint64_t hash = obs::kFingerprintOffset;
   const std::uint64_t fields[] = {
       requests_total_,    completed_,     shed_total_,
       shed_[0],           shed_[1],       shed_[2],
@@ -489,11 +481,9 @@ std::uint64_t FleetScheduleService::fingerprint() const {
       synthesis_runs_,    crashes_,       max_queue_depth_,
       outstanding_.size(), dequeues_,     batches_,
       coalesced_,         cache_collisions_, cache_evictions_};
-  for (const std::uint64_t field : fields) {
-    hash = fnv1a(hash, &field, sizeof(field));
-  }
+  for (const std::uint64_t field : fields) hash = obs::fnv1a_u64(hash, field);
   for (const std::uint64_t bucket : batch_hist_) {
-    hash = fnv1a(hash, &bucket, sizeof(bucket));
+    hash = obs::fnv1a_u64(hash, bucket);
   }
   return hash;
 }

@@ -2,22 +2,11 @@
 
 #include <algorithm>
 
+#include "obs/fnv.hpp"
+
 namespace dynaplat::fault {
 
 namespace {
-
-// FNV-1a 64-bit, folded incrementally over the injected log.
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a(std::uint64_t hash, const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
 
 /// Node id used as the source of babbling-idiot flood frames. Outside the
 /// normal allocation range, so the flood is attributable in traces.
@@ -501,12 +490,13 @@ void FaultCampaign::stop_babble(const std::string& medium_name) {
 }
 
 std::uint64_t FaultCampaign::fingerprint() const {
-  std::uint64_t hash = kFnvOffset;
+  using obs::fnv1a;
+  std::uint64_t hash = obs::kFingerprintOffset;
   for (const FaultEvent& event : injected_) {
     hash = fnv1a(hash, &event.at, sizeof(event.at));
     const auto kind = static_cast<std::uint8_t>(event.kind);
     hash = fnv1a(hash, &kind, sizeof(kind));
-    hash = fnv1a(hash, event.target.data(), event.target.size());
+    hash = fnv1a(hash, event.target);
     hash = fnv1a(hash, &event.magnitude, sizeof(event.magnitude));
     for (const net::NodeId node : event.island) {
       hash = fnv1a(hash, &node, sizeof(node));

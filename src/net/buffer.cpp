@@ -256,13 +256,9 @@ void Payload::ensure_owned() {
 }
 
 std::uint64_t payload_fnv1a(const Payload& payload, std::uint64_t hash) {
-  constexpr std::uint64_t kPrime = 0x100000001B3ULL;
   for (std::size_t i = 0; i < payload.slice_count(); ++i) {
     const BufferSlice& s = payload.slice(i);
-    const std::uint8_t* data = s.data();
-    for (std::uint32_t j = 0; j < s.size; ++j) {
-      hash = (hash ^ data[j]) * kPrime;
-    }
+    hash = obs::fnv1a(hash, s.data(), s.size);
   }
   return hash;
 }

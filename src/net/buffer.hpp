@@ -42,6 +42,8 @@
 #include <new>
 #include <vector>
 
+#include "obs/fnv.hpp"
+
 namespace dynaplat::net {
 
 class BufferArena;
@@ -395,6 +397,6 @@ class Payload {
 /// FNV-1a over a payload chain without linearizing (bench cross-checks,
 /// wire-format parity fingerprints).
 std::uint64_t payload_fnv1a(const Payload& payload,
-                            std::uint64_t hash = 0xCBF29CE484222325ULL);
+                            std::uint64_t hash = obs::kFnvOffset);
 
 }  // namespace dynaplat::net

@@ -19,6 +19,7 @@
 #include <string>
 
 #include "net/frame.hpp"
+#include "obs/fnv.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
@@ -274,12 +275,7 @@ class Medium {
   /// types on one bus) draw from independent deterministic streams.
   std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t salt) const {
     if (seed != 0) return seed;
-    std::uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a 64
-    for (const char c : name_) {
-      h ^= static_cast<std::uint8_t>(c);
-      h *= 0x100000001B3ULL;
-    }
-    return h ^ salt;
+    return obs::fnv1a(obs::kFnvOffset, name_) ^ salt;
   }
 
   std::string name_;

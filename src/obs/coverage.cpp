@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "obs/fnv.hpp"
 #include "obs/json.hpp"
 
 namespace dynaplat::obs {
@@ -37,17 +38,10 @@ std::uint64_t CoverageMap::fingerprint() const {
   std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
     return names_[a] < names_[b];
   });
-  std::uint64_t hash = 1469598103934665603ull;
-  auto fold = [&hash](const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const std::uint8_t*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash ^= bytes[i];
-      hash *= 1099511628211ull;
-    }
-  };
+  std::uint64_t hash = kFingerprintOffset;
   for (std::size_t i : order) {
-    fold(names_[i].data(), names_[i].size());
-    fold(&counts_[i], sizeof(counts_[i]));
+    hash = fnv1a(hash, names_[i]);
+    hash = fnv1a(hash, &counts_[i], sizeof(counts_[i]));
   }
   return hash;
 }

@@ -1,7 +1,8 @@
 #include "sim/random.hpp"
 
 #include <cmath>
-#include <initializer_list>
+
+#include "obs/fnv.hpp"
 
 namespace dynaplat::sim {
 namespace {
@@ -92,20 +93,13 @@ Random Random::stream(std::uint64_t seed, std::uint64_t stream_id) {
   // then a splitmix64 scramble (the Random constructor runs its own
   // splitmix chain on top, so stream(s, 0) also differs from Random(s)
   // and from fork()s of it). The offset basis is distinct from the
-  // campaign-fingerprint fold, so stream derivation and log hashing can
-  // never alias. Hashing the pair jointly replaces the old additive
+  // fingerprint fold's, so stream derivation and log hashing can never
+  // alias. Hashing the pair jointly replaces the old additive
   // golden-ratio stride, which collided for *related* seeds:
   // seed + γ·(i+1) made stream(s + γ, i) identical to stream(s, i + 1) —
   // exactly the family the fuzzer's seed splicing walks through.
-  constexpr std::uint64_t kStreamFnvOffset = 0xCBF29CE484222325ULL;
-  constexpr std::uint64_t kStreamFnvPrime = 0x100000001B3ULL;
-  std::uint64_t h = kStreamFnvOffset;
-  for (const std::uint64_t word : {seed, stream_id}) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (word >> (8 * i)) & 0xFF;
-      h *= kStreamFnvPrime;
-    }
-  }
+  std::uint64_t h =
+      obs::fnv1a_u64(obs::fnv1a_u64(obs::kFnvOffset, seed), stream_id);
   return Random(splitmix64(h));
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "concurrency/thread_pool.hpp"
+#include "obs/fnv.hpp"
 
 namespace dynaplat::sim {
 
@@ -32,15 +33,9 @@ void ScenarioSweep::for_each(std::size_t n,
 
 std::uint64_t ScenarioSweep::merge_fingerprints(
     const std::vector<std::uint64_t>& fingerprints) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(fingerprints.size());
-  for (std::uint64_t fp : fingerprints) mix(fp);
+  std::uint64_t h = obs::fnv1a_u64(obs::kFingerprintOffset,
+                                   fingerprints.size());
+  for (const std::uint64_t fp : fingerprints) h = obs::fnv1a_u64(h, fp);
   return h;
 }
 

@@ -997,6 +997,40 @@ TEST(FleetDriverScale, KernelTimersReproducePinnedFingerprints) {
   EXPECT_EQ(fingerprint_of(grid, batched), 0x2e785d4a398bee74ull);
 }
 
+TEST(FleetDriverScale, FailoverAndAblationArmsReproducePinnedFingerprints) {
+  // Two more goldens, captured before FleetDriver and BackendClient shared
+  // one client engine: the two-region failover drill (breaker-driven
+  // redirects to the sibling region, then the probe home), and the
+  // ladder-ablated arm (no stale cache, no local admission) whose
+  // recoveries fall through to kNone.
+  {
+    sim::Simulator simulator;
+    FleetScheduleService region0(simulator);
+    FleetScheduleService region1(simulator);
+    FleetConfig config = small_fleet(41);
+    config.sessions = 60;
+    config.outage_at = 900 * sim::kMillisecond;
+    config.outage_duration = 2 * sim::kSecond;
+    FleetDriver driver(simulator, {&region0, &region1}, config);
+    driver.run();
+    EXPECT_GT(driver.failovers(), 0u);
+    EXPECT_EQ(driver.fingerprint(), 0x5397ab59d56cf70dull);
+  }
+  {
+    sim::Simulator simulator;
+    FleetScheduleService service(simulator);
+    FleetConfig config = small_fleet(11);
+    config.outage_at = 900 * sim::kMillisecond;
+    config.outage_duration = 2 * sim::kSecond;
+    config.client.local_fallback = false;
+    config.client.artifact_cache_capacity = 0;
+    FleetDriver driver(simulator, service, config);
+    driver.run();
+    EXPECT_GT(driver.fallback_none(), 0u);
+    EXPECT_EQ(driver.fingerprint(), 0x8649c94696c4c15eull);
+  }
+}
+
 TEST(FleetDriverScale, RerunRebuildsSessionsWithoutDanglingTimers) {
   // Regression: the driver once captured raw Session pointers in wave and
   // retry lambdas; a second run() rebuilt the session vector and left the
