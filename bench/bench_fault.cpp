@@ -447,7 +447,6 @@ int sweep_main(std::size_t seeds, std::size_t threads) {
   std::fprintf(f, "  \"experiment\": \"E13s_parallel_seed_sweep\",\n");
   bench::fprint_host_json(f);
   std::fprintf(f, "  \"seeds\": %zu,\n", seeds);
-  std::fprintf(f, "  \"hardware_threads\": %zu,\n", hw);
   std::fprintf(f, "  \"parallel_workers\": %zu,\n", threads);
   // An A/B on a box with fewer hardware threads than the parallel arm
   // measures pool/fork overhead, not speedup -- flag it so readers don't
@@ -661,7 +660,6 @@ int fuzz_main() {
     std::fclose(journal);
   }
 
-  const std::size_t hw = concurrency::ThreadPool::hardware_threads();
   std::FILE* f = std::fopen("BENCH_fuzz.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_fuzz.json\n");
@@ -673,7 +671,6 @@ int fuzz_main() {
   std::fprintf(f, "  \"master_seed\": %llu,\n",
                static_cast<unsigned long long>(fuzz_config.master_seed));
   std::fprintf(f, "  \"budget_scenarios\": %zu,\n", budget);
-  std::fprintf(f, "  \"hardware_threads\": %zu,\n", hw);
   std::fprintf(f, "  \"blind\": {\"unique_keys\": %zu, \"violations\": %zu, "
                "\"wall_ms\": %.1f},\n", blind_keys, blind_violations,
                blind_ms);

@@ -43,6 +43,13 @@
 //                 artifacts, cold-cache synthesis in region 1, zero
 //                 stranded).
 //
+//   alloc audit   the 100k drill run twice on one simulator, service and
+//                 driver, counting global operator-new calls from the
+//                 first kernel event to the end of each run(). The re-run
+//                 reuses the slabs and pools the first run grew, so the
+//                 request path must allocate nothing: 0 allocations per
+//                 backend request, or the bench fails.
+//
 // Machine-readable results go to BENCH_fleet.json. --ci caps the tier
 // ladder at 100k sessions and enforces a sessions/sec floor against the
 // 10k baseline so CI catches per-session cost regressions.
@@ -51,9 +58,11 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "backend/fleet.hpp"
+#include "bench/alloc_counter.hpp"
 #include "bench/common.hpp"
 #include "fault/invariants.hpp"
 #include "sim/sweep.hpp"
@@ -464,6 +473,56 @@ RegionDrill two_region_drill(std::size_t sessions) {
   return drill;
 }
 
+struct AllocRun {
+  std::uint64_t requests = 0;
+  std::uint64_t allocs = 0;
+  double per_request() const {
+    return requests == 0 ? 0.0
+                         : static_cast<double>(allocs) /
+                               static_cast<double>(requests);
+  }
+};
+
+struct AllocAudit {
+  AllocRun first;
+  AllocRun rerun;
+  bool ok = false;
+};
+
+/// Heap allocations per backend request on the scale drill, for a first
+/// run and a re-run of the same simulator, service and driver. Counting
+/// starts at the run's first kernel event, after the driver's set-up.
+AllocAudit alloc_audit(std::size_t sessions) {
+  sim::Simulator simulator;
+  backend::FleetScheduleService service(simulator,
+                                        scale_service_config(sessions, true));
+  backend::FleetDriver driver(simulator, service, scale_config(sessions, 10));
+  const auto counted_run = [&] {
+    AllocRun run;
+    const std::uint64_t requests_before = service.requests_total();
+    std::uint64_t allocs_before = 0;
+    simulator.schedule_at(simulator.now(), [&allocs_before] {
+      allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
+    });
+    driver.run();
+    run.allocs = g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
+    run.requests = service.requests_total() - requests_before;
+    return run;
+  };
+  AllocAudit audit;
+  audit.first = counted_run();
+  audit.rerun = counted_run();
+  audit.ok = audit.rerun.requests > 0 && audit.rerun.allocs == 0;
+  if (!audit.ok) {
+    std::fprintf(stderr,
+                 "allocation audit FAILED: re-run made %llu heap "
+                 "allocations over %llu requests\n",
+                 static_cast<unsigned long long>(audit.rerun.allocs),
+                 static_cast<unsigned long long>(audit.rerun.requests));
+  }
+  return audit;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -557,7 +616,16 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(drill.region1_synthesis),
       drill.unsafe_now, drill.ok ? "PASS" : "FAIL");
 
-  bool ok = deterministic && batch_gate.ok && drill.ok;
+  const AllocAudit audit = alloc_audit(100'000);
+  std::printf(
+      "allocation audit (100k): %.2f allocs/request first run, %llu "
+      "allocations over %llu requests on the re-run %s\n",
+      audit.first.per_request(),
+      static_cast<unsigned long long>(audit.rerun.allocs),
+      static_cast<unsigned long long>(audit.rerun.requests),
+      audit.ok ? "PASS" : "FAIL");
+
+  bool ok = deterministic && batch_gate.ok && drill.ok && audit.ok;
   for (const StampedeRow& row : stampede) ok = ok && row.invariants_ok;
   for (const ScaleRow& row : scale) ok = ok && row.invariants_ok;
   // The resilient arm carries the headline; the ablation arm must actually
@@ -715,6 +783,20 @@ int main(int argc, char** argv) {
   std::fprintf(f, "    \"recoveries_completed\": %llu,\n",
                static_cast<unsigned long long>(drill.recoveries));
   std::fprintf(f, "    \"pass\": %s\n", drill.ok ? "true" : "false");
+  std::fprintf(f, "  },\n");
+  std::fprintf(f, "  \"alloc_audit\": {\n");
+  std::fprintf(f, "    \"sessions\": 100000,\n");
+  const std::pair<const char*, const AllocRun*> runs[] = {
+      {"first_run", &audit.first}, {"rerun", &audit.rerun}};
+  for (const auto& [name, run] : runs) {
+    std::fprintf(f,
+                 "    \"%s\": {\"requests\": %llu, \"allocs\": %llu, "
+                 "\"allocs_per_request\": %.4f},\n",
+                 name, static_cast<unsigned long long>(run->requests),
+                 static_cast<unsigned long long>(run->allocs),
+                 run->per_request());
+  }
+  std::fprintf(f, "    \"pass\": %s\n", audit.ok ? "true" : "false");
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"sweep_deterministic\": %s\n",
                deterministic ? "true" : "false");

@@ -32,65 +32,22 @@
 // determinism failure (and on a grossly regressed speedup) so CI gates on it.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <functional>
 #include <map>
-#include <new>
 #include <set>
 #include <vector>
 
+#include "bench/alloc_counter.hpp"
 #include "bench/common.hpp"
-#include "concurrency/thread_pool.hpp"
 #include "middleware/payload.hpp"
 #include "middleware/transport.hpp"
 #include "net/buffer.hpp"
 #include "net/frame.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
-
-// --- Global allocation counter ----------------------------------------------
-// Counts every operator-new in the process; the allocation section reads the
-// delta around a steady-state publish loop. Atomic because the sweep section
-// runs scenarios on pool threads.
-static std::atomic<std::uint64_t> g_heap_allocs{0};
-
-static void* counted_alloc(std::size_t n) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(n != 0 ? n : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-static void* counted_aligned_alloc(std::size_t n, std::size_t align) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, align, n != 0 ? n : align) != 0) throw std::bad_alloc();
-  return p;
-}
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, std::align_val_t al) {
-  return counted_aligned_alloc(n, static_cast<std::size_t>(al));
-}
-void* operator new[](std::size_t n, std::align_val_t al) {
-  return counted_aligned_alloc(n, static_cast<std::size_t>(al));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 using namespace dynaplat;
 
@@ -674,8 +631,6 @@ int main() {
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"experiment\": \"E18_zero_copy_middleware\",\n");
   bench::fprint_host_json(f);
-  std::fprintf(f, "  \"hardware_threads\": %zu,\n",
-               concurrency::ThreadPool::hardware_threads());
   std::fprintf(f, "  \"workloads\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];

@@ -22,6 +22,7 @@
 //
 // Usage: fleet_backend
 #include <cstdio>
+#include <memory>
 
 #include "backend/client.hpp"
 #include "backend/fleet.hpp"
@@ -72,8 +73,9 @@ void breaker_walkthrough() {
 
   const auto request = [&client](backend::Criticality criticality) {
     backend::SynthesisRequest req;
+    req.task_set =
+        std::make_shared<const backend::TaskSet>(demo_tasks(), 1'000);
     req.criticality = criticality;
-    req.tasks = demo_tasks();
     return req;
   };
   const auto report = [&simulator](const char* what) {

@@ -47,20 +47,17 @@ void BackendClient::build_request(std::uint32_t, std::uint32_t tag,
   request = inflight_.at(tag).request;
 }
 
-void BackendClient::store_artifact(
-    std::uint32_t, std::uint32_t tag,
-    const dse::ScheduleServer::Artifact& artifact) {
-  const SynthesisRequest& request = inflight_.at(tag).request;
-  cache_store(request.tasks, request.ecu_mips, artifact);
+void BackendClient::store_artifact(std::uint32_t, std::uint32_t tag,
+                                   const ArtifactHandle& artifact) {
+  cache_store(inflight_.at(tag).request.task_set, artifact);
 }
 
 const dse::ScheduleServer::Artifact* BackendClient::serve_stale(
     std::uint32_t, std::uint32_t tag) {
-  const SynthesisRequest& request = inflight_.at(tag).request;
-  auto it = cache_.find(topology_key(request.tasks, request.ecu_mips));
-  if (it == cache_.end() || !it->second.artifact.feasible) return nullptr;
+  auto it = cache_.find(inflight_.at(tag).request.task_set->key());
+  if (it == cache_.end() || !it->second.artifact->feasible) return nullptr;
   it->second.stale_used = true;
-  return &it->second.artifact;
+  return it->second.artifact.get();
 }
 
 void BackendClient::on_breaker(std::uint32_t, BreakerState prev,
@@ -106,9 +103,8 @@ void BackendClient::revalidate_stale() {
   for (auto& [key, entry] : cache_) {
     if (!entry.stale_used) continue;
     SynthesisRequest request;
+    request.task_set = entry.task_set;
     request.criticality = Criticality::kResync;
-    request.tasks = entry.tasks;
-    request.ecu_mips = entry.ecu_mips;
     const SynthesisResponse response = service_->query(request);
     if (response.status == ResponseStatus::kOk ||
         response.status == ResponseStatus::kInfeasible) {
@@ -120,14 +116,13 @@ void BackendClient::revalidate_stale() {
   }
 }
 
-void BackendClient::cache_store(const std::vector<dse::AnalysisTask>& tasks,
-                                std::uint64_t ecu_mips,
-                                const dse::ScheduleServer::Artifact& artifact) {
+void BackendClient::cache_store(std::shared_ptr<const TaskSet> task_set,
+                                ArtifactHandle artifact) {
   if (engine_.config().artifact_cache_capacity == 0) return;
-  const std::uint64_t key = topology_key(tasks, ecu_mips);
+  const std::uint64_t key = task_set->key();
   auto it = cache_.find(key);
   if (it != cache_.end()) {
-    it->second.artifact = artifact;
+    it->second.artifact = std::move(artifact);
     it->second.stale_used = false;
     return;
   }
@@ -139,9 +134,8 @@ void BackendClient::cache_store(const std::vector<dse::AnalysisTask>& tasks,
     cache_.erase(oldest);
   }
   CacheEntry entry;
-  entry.artifact = artifact;
-  entry.tasks = tasks;
-  entry.ecu_mips = ecu_mips;
+  entry.artifact = std::move(artifact);
+  entry.task_set = std::move(task_set);
   entry.order = next_order_++;
   cache_.emplace(key, std::move(entry));
 }
@@ -170,13 +164,16 @@ BackendOutcome BackendClient::synthesize(
     outcome.ok = outcome.artifact.feasible;
     outcome.status = outcome.ok ? ResponseStatus::kOk
                                 : ResponseStatus::kInfeasible;
-    if (outcome.ok) cache_store(tasks, ecu_mips, outcome.artifact);
+    if (outcome.ok) {
+      cache_store(std::make_shared<const TaskSet>(tasks, ecu_mips),
+                  std::make_shared<const dse::ScheduleServer::Artifact>(
+                      outcome.artifact));
+    }
     return outcome;
   }
   SynthesisRequest request;
+  request.task_set = std::make_shared<const TaskSet>(tasks, ecu_mips);
   request.criticality = criticality;
-  request.tasks = tasks;
-  request.ecu_mips = ecu_mips;
   BackendOutcome result;
   start(std::move(request),
         [&result](const BackendOutcome& outcome) { result = outcome; },

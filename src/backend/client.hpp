@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "backend/client_engine.hpp"
@@ -55,7 +56,8 @@ class BackendClient : private ClientEngine::Host {
   void set_loopback(dse::ScheduleServer* server);
 
   /// Synchronous facade for in-vehicle control flow (node resync, recovery
-  /// planning): one control-plane query per call — shed/backpressure
+  /// planning), building the call's TaskSet from `tasks`: one
+  /// control-plane query per call — shed/backpressure
   /// verdicts are not retried inline (the caller's own retry cadence
   /// handles that), comms failures feed the breaker, and the fallback
   /// ladder runs before returning.
@@ -95,9 +97,8 @@ class BackendClient : private ClientEngine::Host {
 
  private:
   struct CacheEntry {
-    dse::ScheduleServer::Artifact artifact;
-    std::vector<dse::AnalysisTask> tasks;  ///< kept for re-validation
-    std::uint64_t ecu_mips = 0;
+    ArtifactHandle artifact;
+    std::shared_ptr<const TaskSet> task_set;  ///< kept for re-validation
     bool stale_used = false;
     std::uint64_t order = 0;  ///< insertion order, drop-oldest
   };
@@ -112,7 +113,7 @@ class BackendClient : private ClientEngine::Host {
   void build_request(std::uint32_t session, std::uint32_t tag,
                      SynthesisRequest& request) override;
   void store_artifact(std::uint32_t session, std::uint32_t tag,
-                      const dse::ScheduleServer::Artifact& artifact) override;
+                      const ArtifactHandle& artifact) override;
   const dse::ScheduleServer::Artifact* serve_stale(std::uint32_t session,
                                                    std::uint32_t tag) override;
   void on_breaker(std::uint32_t session, BreakerState prev,
@@ -125,9 +126,8 @@ class BackendClient : private ClientEngine::Host {
   /// sync query or the async attempt loop.
   void start(SynthesisRequest request, Callback done, bool sync);
   void revalidate_stale();
-  void cache_store(const std::vector<dse::AnalysisTask>& tasks,
-                   std::uint64_t ecu_mips,
-                   const dse::ScheduleServer::Artifact& artifact);
+  void cache_store(std::shared_ptr<const TaskSet> task_set,
+                   ArtifactHandle artifact);
 
   FleetScheduleService* service_ = nullptr;
   dse::ScheduleServer* loopback_ = nullptr;

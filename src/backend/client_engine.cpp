@@ -6,6 +6,16 @@
 
 namespace dynaplat::backend {
 
+namespace {
+
+/// What the local-admission rung hands on: a verdict, never a table.
+const dse::ScheduleServer::Artifact& no_table() {
+  static const dse::ScheduleServer::Artifact empty;
+  return empty;
+}
+
+}  // namespace
+
 const char* to_string(BreakerState state) {
   switch (state) {
     case BreakerState::kClosed: return "closed";
@@ -186,8 +196,7 @@ void ClientEngine::start_attempt(std::uint64_t id) {
   SynthesisRequest request;
   host_.build_request(s, pending->tag, request);
   regions_[region]->submit(
-      std::move(request),
-      [this, id, token](const SynthesisResponse& response) {
+      request, [this, id, token](const SynthesisResponse& response) {
         on_response(id, token, response);
       });
   pending->timeout = sim_.schedule_in(config_.request_timeout,
@@ -271,11 +280,11 @@ void ClientEngine::deliver(std::uint32_t s, std::uint32_t tag,
   outcome.status = response.status;
   outcome.cache_hit = response.cache_hit;
   outcome.ok =
-      response.status == ResponseStatus::kOk && response.artifact.feasible;
+      response.status == ResponseStatus::kOk && response.artifact->feasible;
   if (outcome.ok && config_.artifact_cache_capacity > 0) {
     host_.store_artifact(s, tag, response.artifact);
   }
-  host_.on_outcome(s, tag, issued, outcome, &response.artifact);
+  host_.on_outcome(s, tag, issued, outcome, response.artifact.get());
 }
 
 void ClientEngine::fall_back(std::uint32_t s, std::uint32_t tag,
@@ -293,17 +302,13 @@ void ClientEngine::fall_back(std::uint32_t s, std::uint32_t tag,
   if (config_.local_fallback) {
     SynthesisRequest request;
     host_.build_request(s, tag, request);
-    dse::AdmissionDecision decision = admission_.admit({}, request.tasks);
-    if (decision.admitted) {
+    if (request.task_set->locally_admitted()) {
       // Rung 2: ECU-local admission — safe to keep running, no fresh table.
       ++local_admissions_;
       outcome.source = BackendOutcome::Source::kLocalFallback;
       outcome.ok = outcome.locally_admitted = true;
       outcome.status = ResponseStatus::kOk;
-      dse::ScheduleServer::Artifact local;
-      local.feasible = decision.table.has_value();
-      if (local.feasible) local.table = std::move(*decision.table);
-      host_.on_outcome(s, tag, issued, outcome, &local);
+      host_.on_outcome(s, tag, issued, outcome, &no_table());
       return;
     }
   }

@@ -93,14 +93,14 @@ class ClientEngine {
   /// passed to request()/query() and handed back to every hook.
   class Host {
    public:
-    /// Fills the wire request for `tag` (also read by local admission).
+    /// Fills the wire request for `tag`; the local rung reads the task
+    /// set's admission verdict from it.
     virtual void build_request(std::uint32_t session, std::uint32_t tag,
                                SynthesisRequest& request) = 0;
     /// Keeps a fresh feasible artifact in the vehicle-local cache (only
     /// called while artifact_cache_capacity > 0).
-    virtual void store_artifact(
-        std::uint32_t session, std::uint32_t tag,
-        const dse::ScheduleServer::Artifact& artifact) = 0;
+    virtual void store_artifact(std::uint32_t session, std::uint32_t tag,
+                                const ArtifactHandle& artifact) = 0;
     /// Ladder rung 1: the cached feasible artifact for this request, now
     /// marked as served stale; nullptr when there is none.
     virtual const dse::ScheduleServer::Artifact* serve_stale(
@@ -111,8 +111,9 @@ class ClientEngine {
                             BreakerState next) = 0;
     /// The request ended, issued at `issued`; fires exactly once, possibly
     /// before request() returns. `outcome.artifact` is left empty: the
-    /// artifact behind the outcome (backend, cache or local table) is
-    /// `artifact`, nullptr for kNone.
+    /// artifact behind the outcome is `artifact` — the backend's, the
+    /// cached one, or for local admission one shared empty artifact (no
+    /// table) — and nullptr for kNone.
     virtual void on_outcome(std::uint32_t session, std::uint32_t tag,
                             sim::Time issued, const BackendOutcome& outcome,
                             const dse::ScheduleServer::Artifact* artifact) = 0;
@@ -234,7 +235,6 @@ class ClientEngine {
   ClientConfig config_;
   Host& host_;
   std::vector<FleetScheduleService*> regions_;
-  dse::AdmissionController admission_;
 
   // --- Per-session state ---------------------------------------------------
   /// Low 2 bits breaker state, high kFailureBits consecutive failures.

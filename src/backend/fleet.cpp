@@ -93,12 +93,11 @@ void FleetDriver::build_classes() {
   classes_.clear();
   classes_.reserve(config_.topology_classes);
   for (std::size_t c = 0; c < config_.topology_classes; ++c) {
-    TopologyClass cls;
-    cls.tasks = make_tasks(config_.seed, c);
     // Two ECU speed grades, aligned with the topology class so cache keys
     // stay shared within a class.
-    cls.ecu_mips = (c % 2 == 0) ? 1'000 : 2'000;
-    cls.key = topology_key(cls.tasks, cls.ecu_mips);
+    TopologyClass cls;
+    cls.task_set = std::make_shared<const TaskSet>(
+        make_tasks(config_.seed, c), (c % 2 == 0) ? 1'000 : 2'000);
     classes_.push_back(std::move(cls));
   }
 }
@@ -127,14 +126,13 @@ void FleetDriver::reset_sessions() {
     // Drifted vehicle: its task set mutated away from the class (a local
     // calibration tweak), so it keys alone — a singleton topology class
     // fragmenting the backend memo cache.
-    TopologyClass cls;
-    const TopologyClass& base = classes_[class_of_[i]];
-    cls.tasks = base.tasks;
-    cls.ecu_mips = base.ecu_mips;
-    dse::AnalysisTask& mutated = cls.tasks[i % cls.tasks.size()];
-    mutated.wcet +=
+    const TaskSet& base = *classes_[class_of_[i]].task_set;
+    std::vector<dse::AnalysisTask> tasks = base.tasks();
+    tasks[i % tasks.size()].wcet +=
         static_cast<sim::Duration>(1 + i % 7) * sim::kMicrosecond;
-    cls.key = topology_key(cls.tasks, cls.ecu_mips);
+    TopologyClass cls;
+    cls.task_set =
+        std::make_shared<const TaskSet>(std::move(tasks), base.ecu_mips());
     class_of_[i] = static_cast<std::uint32_t>(classes_.size());
     classes_.push_back(std::move(cls));
   }
@@ -218,34 +216,30 @@ static_assert(FleetDriver::hot_bytes_per_session() <= 64,
 
 void FleetDriver::build_request(std::uint32_t s, std::uint32_t kind,
                                 SynthesisRequest& request) {
-  const TopologyClass& cls = classes_[class_of_[s]];
+  request.task_set = classes_[class_of_[s]].task_set;
   request.criticality =
       kind == kKindRecovery ? Criticality::kRecovery : Criticality::kOta;
-  request.tasks = cls.tasks;
-  request.ecu_mips = cls.ecu_mips;
   request.session = s;
-  request.key_hint = cls.key;
 }
 
-void FleetDriver::store_artifact(
-    std::uint32_t s, std::uint32_t,
-    const dse::ScheduleServer::Artifact& artifact) {
-  // Artifact bytes are shared per class, presence is tracked per session;
-  // a fresh store clears the stale marker.
-  TopologyClass& cls = classes_[class_of_[s]];
-  cls.artifact = artifact;
+void FleetDriver::store_artifact(std::uint32_t s, std::uint32_t,
+                                 const ArtifactHandle& artifact) {
+  // The artifact is shared per class, presence is tracked per session; a
+  // fresh store clears the stale marker.
+  classes_[class_of_[s]].artifact = artifact;
   flags_[s] = static_cast<std::uint8_t>((flags_[s] | kFlagHasArtifact) &
                                         ~kFlagStaleUsed);
 }
 
 const dse::ScheduleServer::Artifact* FleetDriver::serve_stale(std::uint32_t s,
                                                               std::uint32_t) {
-  const TopologyClass& cls = classes_[class_of_[s]];
-  if ((flags_[s] & kFlagHasArtifact) == 0 || !cls.artifact.feasible) {
+  const dse::ScheduleServer::Artifact* artifact =
+      classes_[class_of_[s]].artifact.get();
+  if ((flags_[s] & kFlagHasArtifact) == 0 || !artifact->feasible) {
     return nullptr;
   }
   flags_[s] |= kFlagStaleUsed;
-  return &cls.artifact;
+  return artifact;
 }
 
 void FleetDriver::on_breaker(std::uint32_t s, BreakerState,

@@ -20,7 +20,7 @@
 //
 // Million-session scaling (DESIGN.md §15): the driver stores sessions as
 // structure-of-arrays — 8/16-bit enums and flags, indices instead of
-// pointers, per-class task sets and artifacts shared through a
+// pointers, per-class TaskSet and artifact handles shared through a
 // topology-class table — at ~35 hot bytes per session. The resilience
 // chain (per-attempt timeout, capped jittered backoff, circuit breaker,
 // stale-cache / local-admission fallback ladder, stale revalidation on
@@ -48,6 +48,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "backend/client_engine.hpp"
@@ -197,14 +198,14 @@ class FleetDriver : private ClientEngine::Host {
   static constexpr std::uint32_t kKindRecovery = 1;
 
   struct TopologyClass {
-    std::vector<dse::AnalysisTask> tasks;
-    std::uint64_t ecu_mips = 1'000;
-    std::uint64_t key = 0;  ///< precomputed topology_key (request key_hint)
-    /// Vehicle-local artifact cache, compressed: the artifact bytes are
-    /// identical for every vehicle of the class, so they are stored once
-    /// here; per-session kFlagHasArtifact says whether *this* vehicle
-    /// holds a copy, kFlagStaleUsed whether it served it stale.
-    dse::ScheduleServer::Artifact artifact;
+    /// Interned once per class: every request of the class carries this
+    /// handle, key and local-admission verdict included.
+    std::shared_ptr<const TaskSet> task_set;
+    /// Vehicle-local artifact cache, compressed: the artifact is identical
+    /// for every vehicle of the class, so one handle is kept here;
+    /// per-session kFlagHasArtifact says whether *this* vehicle holds it,
+    /// kFlagStaleUsed whether it served it stale.
+    ArtifactHandle artifact;
   };
 
   void build_classes();
@@ -223,7 +224,7 @@ class FleetDriver : private ClientEngine::Host {
   void build_request(std::uint32_t s, std::uint32_t kind,
                      SynthesisRequest& request) override;
   void store_artifact(std::uint32_t s, std::uint32_t kind,
-                      const dse::ScheduleServer::Artifact& artifact) override;
+                      const ArtifactHandle& artifact) override;
   const dse::ScheduleServer::Artifact* serve_stale(std::uint32_t s,
                                                    std::uint32_t kind) override;
   void on_breaker(std::uint32_t s, BreakerState prev,

@@ -10,6 +10,23 @@ namespace {
 
 using obs::fnv1a;
 
+/// Stable hash of (task set, ECU speed): the cross-vehicle cache key.
+std::uint64_t topology_key(const std::vector<dse::AnalysisTask>& tasks,
+                           std::uint64_t ecu_mips) {
+  std::uint64_t hash = obs::kFingerprintOffset;
+  hash = fnv1a(hash, &ecu_mips, sizeof(ecu_mips));
+  for (const dse::AnalysisTask& task : tasks) {
+    hash = fnv1a(hash, task.name.data(), task.name.size());
+    hash = fnv1a(hash, &task.period, sizeof(task.period));
+    hash = fnv1a(hash, &task.deadline, sizeof(task.deadline));
+    hash = fnv1a(hash, &task.wcet, sizeof(task.wcet));
+    hash = fnv1a(hash, &task.priority, sizeof(task.priority));
+    const std::uint8_t det = task.deterministic ? 1 : 0;
+    hash = fnv1a(hash, &det, sizeof(det));
+  }
+  return hash;
+}
+
 /// Secondary topology hash from an independent basis. A primary-key match
 /// whose signature disagrees is a detected collision: the cached artifact
 /// belongs to a different task set.
@@ -33,6 +50,20 @@ std::uint64_t topology_sig(const std::vector<dse::AnalysisTask>& tasks,
 
 }  // namespace
 
+TaskSet::TaskSet(std::vector<dse::AnalysisTask> tasks, std::uint64_t ecu_mips)
+    : TaskSet(std::move(tasks), ecu_mips, 0) {
+  key_ = topology_key(tasks_, ecu_mips_);
+}
+
+TaskSet::TaskSet(std::vector<dse::AnalysisTask> tasks, std::uint64_t ecu_mips,
+                 std::uint64_t key)
+    : tasks_(std::move(tasks)),
+      ecu_mips_(ecu_mips),
+      key_(key),
+      sig_(topology_sig(tasks_, ecu_mips_)),
+      locally_admitted_(dse::AdmissionController{}.admit({}, tasks_).admitted) {
+}
+
 const char* to_string(Criticality criticality) {
   switch (criticality) {
     case Criticality::kRecovery: return "recovery";
@@ -53,22 +84,6 @@ const char* to_string(ResponseStatus status) {
   return "?";
 }
 
-std::uint64_t topology_key(const std::vector<dse::AnalysisTask>& tasks,
-                           std::uint64_t ecu_mips) {
-  std::uint64_t hash = obs::kFingerprintOffset;
-  hash = fnv1a(hash, &ecu_mips, sizeof(ecu_mips));
-  for (const dse::AnalysisTask& task : tasks) {
-    hash = fnv1a(hash, task.name.data(), task.name.size());
-    hash = fnv1a(hash, &task.period, sizeof(task.period));
-    hash = fnv1a(hash, &task.deadline, sizeof(task.deadline));
-    hash = fnv1a(hash, &task.wcet, sizeof(task.wcet));
-    hash = fnv1a(hash, &task.priority, sizeof(task.priority));
-    const std::uint8_t det = task.deterministic ? 1 : 0;
-    hash = fnv1a(hash, &det, sizeof(det));
-  }
-  return hash;
-}
-
 FleetScheduleService::FleetScheduleService(sim::Simulator& simulator,
                                            ServiceConfig config)
     : sim_(simulator), config_(config) {
@@ -80,7 +95,9 @@ FleetScheduleService::FleetScheduleService(sim::Simulator& simulator,
 }
 
 FleetScheduleService::~FleetScheduleService() {
-  for (auto& [id, out] : outstanding_) sim_.cancel(out.completion);
+  for (const Outstanding& out : outstanding_) {
+    if (out.in_use) sim_.cancel(out.completion);
+  }
 }
 
 void FleetScheduleService::set_metrics(obs::MetricsRegistry* metrics,
@@ -134,15 +151,16 @@ bool FleetScheduleService::preempt_routine() {
   // worker — only then can its reserved service window be reclaimed
   // exactly (later arrivals would have stacked behind it otherwise).
   const sim::Time now = sim_.now();
-  std::uint64_t victim_id = 0;
-  const Outstanding* victim = nullptr;
-  for (const auto& [id, out] : outstanding_) {
-    if (out.criticality == Criticality::kRecovery) continue;
+  Outstanding* victim = nullptr;
+  std::uint32_t victim_slot = 0;
+  for (std::uint32_t slot = 0; slot < outstanding_.size(); ++slot) {
+    Outstanding& out = outstanding_[slot];
+    if (!out.in_use || out.criticality == Criticality::kRecovery) continue;
     if (out.start <= now) continue;  // already in service
     if (worker_last_token_[out.worker] != out.last_on_worker_token) continue;
-    if (victim == nullptr || id > victim_id) {
-      victim_id = id;
+    if (victim == nullptr || out.seq > victim->seq) {
       victim = &out;
+      victim_slot = slot;
     }
   }
   if (victim == nullptr) return false;
@@ -152,11 +170,12 @@ bool FleetScheduleService::preempt_routine() {
   if (shed_counter_ != nullptr) shed_counter_->add();
   if (coverage_ != nullptr) coverage_->hit(cov_preempt_);
   worker_free_[victim->worker] = victim->start;
-  sim_.cancel(outstanding_[victim_id].completion);
+  sim_.cancel(victim->completion);
   SynthesisResponse shed;
   shed.status = ResponseStatus::kShed;
   shed.retry_after = retry_hint();
-  respond(victim_id, std::move(shed));
+  respond((static_cast<std::uint64_t>(victim_slot) + 1) << 32 | victim->gen,
+          shed);
   return true;
 }
 
@@ -194,23 +213,14 @@ bool FleetScheduleService::admit(Criticality criticality,
   return true;
 }
 
-std::uint64_t FleetScheduleService::request_key(
-    const SynthesisRequest& request) const {
-  if (config_.key_fn != nullptr) {
-    return config_.key_fn(request.tasks, request.ecu_mips);
-  }
-  if (request.key_hint != 0) return request.key_hint;
-  return topology_key(request.tasks, request.ecu_mips);
-}
-
-dse::ScheduleServer::Artifact FleetScheduleService::resolve(
-    std::uint64_t key, const SynthesisRequest& request, bool* cache_hit) {
-  const std::uint64_t sig = topology_sig(request.tasks, request.ecu_mips);
+ArtifactHandle FleetScheduleService::resolve(const TaskSet& task_set,
+                                             bool* cache_hit) {
+  const std::uint64_t key = task_set.key();
   CacheShard& shard = cache_[key % cache_.size()];
   auto it = shard.entries.find(key);
   bool collided = false;
   if (it != shard.entries.end()) {
-    if (it->second.sig == sig) {
+    if (it->second.sig == task_set.sig()) {
       *cache_hit = true;
       ++cache_hits_;
       if (cache_hit_counter_ != nullptr) cache_hit_counter_->add();
@@ -225,12 +235,13 @@ dse::ScheduleServer::Artifact FleetScheduleService::resolve(
   ++cache_misses_;
   ++synthesis_runs_;
   if (cache_miss_counter_ != nullptr) cache_miss_counter_->add();
-  dse::ScheduleServer::Artifact artifact =
-      server_.synthesize(request.tasks, request.ecu_mips);
+  ArtifactHandle artifact =
+      std::make_shared<const dse::ScheduleServer::Artifact>(
+          server_.synthesize(task_set.tasks(), task_set.ecu_mips()));
   if (collided) {
     // Last-writer-wins on a contested key; the key stays at its original
     // position in the eviction order.
-    it->second = CacheEntry{artifact, sig};
+    it->second = CacheEntry{artifact, task_set.sig()};
     return artifact;
   }
   const std::size_t per_shard =
@@ -240,7 +251,7 @@ dse::ScheduleServer::Artifact FleetScheduleService::resolve(
     shard.order.pop_front();
     ++cache_evictions_;
   }
-  shard.entries.emplace(key, CacheEntry{artifact, sig});
+  shard.entries.emplace(key, CacheEntry{artifact, task_set.sig()});
   shard.order.push_back(key);
   return artifact;
 }
@@ -255,31 +266,33 @@ sim::Duration FleetScheduleService::service_time(
   return std::max(compute, config_.min_service_time);
 }
 
-void FleetScheduleService::submit(SynthesisRequest request, Callback done) {
+void FleetScheduleService::submit(const SynthesisRequest& request,
+                                  Callback done) {
   ++requests_total_;
   if (crashed_ || partitioned_) {
     // Lost on the wire: the vehicle's timeout is the only signal.
     ++lost_unreachable_;
     return;
   }
-  const std::uint64_t key = request_key(request);
+  const TaskSet& task_set = *request.task_set;
+  const std::uint64_t key = task_set.key();
   if (config_.batching) {
-    auto open = open_cohorts_.find(key);
-    if (open != open_cohorts_.end()) {
-      auto leader = outstanding_.find(open->second);
-      if (leader != outstanding_.end() && leader->second.start > sim_.now()) {
+    if (OpenCohort* open = find_open(key)) {
+      Outstanding* leader = lookup(open->id);
+      if (leader != nullptr && leader->start > sim_.now()) {
         // Same topology, cohort not yet in service: ride the leader's
         // slot. No admission check, no worker dequeue — this is the
         // entire stampede win.
-        leader->second.extra.push_back(std::move(done));
-        leader->second.criticality =
-            std::min(leader->second.criticality, request.criticality);
+        add_member(*leader, std::move(done));
+        leader->criticality =
+            std::min(leader->criticality, request.criticality);
         ++coalesced_;
         return;
       }
       // Stale registration (cohort already started): close it to joiners.
-      if (leader != outstanding_.end()) leader->second.open = false;
-      open_cohorts_.erase(open);
+      if (leader != nullptr) leader->open = false;
+      *open = open_cohorts_.back();
+      open_cohorts_.pop_back();
     }
   }
   SynthesisResponse reject;
@@ -287,23 +300,19 @@ void FleetScheduleService::submit(SynthesisRequest request, Callback done) {
     // Shed / backpressure verdicts do reach the vehicle (the backend is
     // alive, just refusing work) after the uplink round trip.
     const sim::Time deliver_at = sim_.now() + config_.uplink_rtt;
-    const std::uint64_t id = next_id_++;
-    Outstanding out;
-    out.done = std::move(done);
-    out.criticality = request.criticality;
-    out.start = sim_.now();  // not preemptible: no reservation to reclaim
-    out.end = deliver_at;
-    out.completion = sim_.schedule_at(
+    const std::uint64_t id = acquire(std::move(done), request.criticality);
+    Outstanding* out = lookup(id);
+    out->start = sim_.now();  // not preemptible: no reservation to reclaim
+    out->completion = sim_.schedule_at(
         deliver_at, [this, id, reject] { respond(id, reject); });
-    outstanding_.emplace(id, std::move(out));
     update_depth_gauge();
     return;
   }
 
   bool cache_hit = false;
-  dse::ScheduleServer::Artifact artifact = resolve(key, request, &cache_hit);
+  ArtifactHandle artifact = resolve(task_set, &cache_hit);
   const sim::Duration svc = static_cast<sim::Duration>(
-      static_cast<double>(service_time(artifact, cache_hit)) * slow_factor_);
+      static_cast<double>(service_time(*artifact, cache_hit)) * slow_factor_);
 
   const auto worker_it =
       std::min_element(worker_free_.begin(), worker_free_.end());
@@ -317,83 +326,162 @@ void FleetScheduleService::submit(SynthesisRequest request, Callback done) {
   worker_last_token_[worker] = token;
   ++dequeues_;
 
-  const std::uint64_t id = next_id_++;
-  Outstanding out;
-  out.done = std::move(done);
-  out.criticality = request.criticality;
-  out.key = key;
-  out.worker = worker;
-  out.start = start;
-  out.end = end;
-  out.last_on_worker_token = token;
-  out.admitted = true;
+  const std::uint64_t id = acquire(std::move(done), request.criticality);
+  Outstanding* out = lookup(id);
+  out->key = key;
+  out->worker = static_cast<std::uint32_t>(worker);
+  out->start = start;
+  out->last_on_worker_token = token;
+  out->admitted = true;
   ++queued_;
   if (config_.batching) {
     ++batches_;
-    out.open = true;
-    open_cohorts_[key] = id;
+    out->open = true;
+    if (OpenCohort* open = find_open(key)) {
+      open->id = id;
+    } else {
+      open_cohorts_.push_back(OpenCohort{key, id});
+    }
   }
 
   SynthesisResponse response;
-  response.status = artifact.feasible ? ResponseStatus::kOk
-                                      : ResponseStatus::kInfeasible;
+  response.status = artifact->feasible ? ResponseStatus::kOk
+                                       : ResponseStatus::kInfeasible;
   response.artifact = std::move(artifact);
   response.cache_hit = cache_hit;
   const sim::Time deliver_at = end + config_.uplink_rtt / 2;
-  out.completion = sim_.schedule_at(
+  out->completion = sim_.schedule_at(
       deliver_at, [this, id, response = std::move(response)] {
         if (partitioned_) {
           // The work completed but the response cannot reach the
           // vehicle(s); the whole cohort's downlink copies are lost.
-          auto it = outstanding_.find(id);
-          if (it != outstanding_.end()) {
-            responses_dropped_ += 1 + it->second.extra.size();
+          if (const Outstanding* cohort = lookup(id)) {
+            responses_dropped_ += cohort->members;
           }
           close_entry(id);
           return;
         }
         completed_ += respond(id, response);
       });
-  outstanding_.emplace(id, std::move(out));
   max_queue_depth_ = std::max(max_queue_depth_, queued_);
   update_depth_gauge();
 }
 
+// --- Outstanding slab, member pool, open cohorts ---------------------------
+
+std::uint64_t FleetScheduleService::acquire(Callback done,
+                                            Criticality criticality) {
+  std::uint32_t slot = outstanding_free_;
+  if (slot != kNone) {
+    outstanding_free_ = outstanding_[slot].next_free;
+  } else {
+    slot = static_cast<std::uint32_t>(outstanding_.size());
+    outstanding_.emplace_back();
+  }
+  Outstanding& out = outstanding_[slot];
+  add_member(out, std::move(done));
+  out.criticality = criticality;
+  out.in_use = true;
+  out.seq = next_seq_++;
+  ++live_entries_;
+  return (static_cast<std::uint64_t>(slot) + 1) << 32 | out.gen;
+}
+
+FleetScheduleService::Outstanding* FleetScheduleService::lookup(
+    std::uint64_t id) {
+  const std::uint64_t slot = (id >> 32) - 1;
+  if (slot >= outstanding_.size()) return nullptr;
+  Outstanding& out = outstanding_[slot];
+  if (!out.in_use || out.gen != static_cast<std::uint32_t>(id)) {
+    return nullptr;
+  }
+  return &out;
+}
+
+void FleetScheduleService::add_member(Outstanding& cohort, Callback done) {
+  std::uint32_t member = member_free_;
+  if (member != kNone) {
+    member_free_ = members_[member].next;
+  } else {
+    member = static_cast<std::uint32_t>(members_.size());
+    members_.emplace_back();
+  }
+  members_[member].done = std::move(done);
+  members_[member].next = kNone;
+  if (cohort.last_member == kNone) {
+    cohort.first_member = member;
+  } else {
+    members_[cohort.last_member].next = member;
+  }
+  cohort.last_member = member;
+  ++cohort.members;
+}
+
+void FleetScheduleService::free_members(std::uint32_t member) {
+  while (member != kNone) {
+    Member& m = members_[member];
+    const std::uint32_t next = m.next;
+    m.done.reset();
+    m.next = member_free_;
+    member_free_ = member;
+    member = next;
+  }
+}
+
+void FleetScheduleService::release(std::uint32_t slot) {
+  Outstanding& out = outstanding_[slot];
+  free_members(out.first_member);
+  const std::uint32_t gen = out.gen + 1;  // outstanding ids go stale
+  out = Outstanding{};
+  out.gen = gen;
+  out.next_free = outstanding_free_;
+  outstanding_free_ = slot;
+  --live_entries_;
+}
+
+FleetScheduleService::OpenCohort* FleetScheduleService::find_open(
+    std::uint64_t key) {
+  for (OpenCohort& open : open_cohorts_) {
+    if (open.key == key) return &open;
+  }
+  return nullptr;
+}
+
 std::size_t FleetScheduleService::respond(std::uint64_t id,
-                                          SynthesisResponse response) {
-  auto it = outstanding_.find(id);
-  if (it == outstanding_.end()) return 0;
-  Callback done = std::move(it->second.done);
-  std::vector<Callback> extra = std::move(it->second.extra);
-  if (it->second.admitted) record_batch(1 + extra.size());
-  if (it->second.open) {
-    auto open = open_cohorts_.find(it->second.key);
-    if (open != open_cohorts_.end() && open->second == id) {
-      open_cohorts_.erase(open);
-    }
-  }
-  if (it->second.admitted) --queued_;
-  outstanding_.erase(it);
-  update_depth_gauge();
+                                          const SynthesisResponse& response) {
+  Outstanding* out = lookup(id);
+  if (out == nullptr) return 0;
+  const std::size_t size = out->members;
+  if (out->admitted) record_batch(size);
+  // Detach the chain before closing: a member may submit again, and that
+  // can reuse this slot and grow the pools.
+  std::uint32_t member = out->first_member;
+  out->first_member = kNone;
+  close_entry(id);
   // Fan-out: the leader hears first, joiners in arrival order.
-  if (done) done(response);
-  for (Callback& member : extra) {
-    if (member) member(response);
+  while (member != kNone) {
+    Callback done = std::move(members_[member].done);
+    const std::uint32_t next = members_[member].next;
+    members_[member].next = member_free_;
+    member_free_ = member;
+    if (done) done(response);
+    member = next;
   }
-  return 1 + extra.size();
+  return size;
 }
 
 void FleetScheduleService::close_entry(std::uint64_t id) {
-  auto it = outstanding_.find(id);
-  if (it == outstanding_.end()) return;
-  if (it->second.open) {
-    auto open = open_cohorts_.find(it->second.key);
-    if (open != open_cohorts_.end() && open->second == id) {
-      open_cohorts_.erase(open);
+  Outstanding* out = lookup(id);
+  if (out == nullptr) return;
+  if (out->open) {
+    OpenCohort* open = find_open(out->key);
+    if (open != nullptr && open->id == id) {
+      *open = open_cohorts_.back();
+      open_cohorts_.pop_back();
     }
   }
-  if (it->second.admitted) --queued_;
-  outstanding_.erase(it);
+  if (out->admitted) --queued_;
+  release(static_cast<std::uint32_t>((id >> 32) - 1));
   update_depth_gauge();
 }
 
@@ -417,12 +505,10 @@ SynthesisResponse FleetScheduleService::query(
   }
   if (!admit(request.criticality, &response)) return response;
   bool cache_hit = false;
-  dse::ScheduleServer::Artifact artifact =
-      resolve(request_key(request), request, &cache_hit);
+  response.artifact = resolve(*request.task_set, &cache_hit);
   ++completed_;
-  response.status = artifact.feasible ? ResponseStatus::kOk
-                                      : ResponseStatus::kInfeasible;
-  response.artifact = std::move(artifact);
+  response.status = response.artifact->feasible ? ResponseStatus::kOk
+                                                : ResponseStatus::kInfeasible;
   response.cache_hit = cache_hit;
   return response;
 }
@@ -434,11 +520,13 @@ void FleetScheduleService::crash() {
   if (coverage_ != nullptr) coverage_->hit(cov_crash_);
   // Outstanding work dies with the process; clients time out. Every
   // coalesced cohort member was a caller in its own right.
-  for (auto& [id, out] : outstanding_) {
+  for (std::uint32_t slot = 0; slot < outstanding_.size(); ++slot) {
+    Outstanding& out = outstanding_[slot];
+    if (!out.in_use) continue;
     sim_.cancel(out.completion);
-    lost_unreachable_ += 1 + out.extra.size();
+    lost_unreachable_ += out.members;
+    release(slot);
   }
-  outstanding_.clear();
   open_cohorts_.clear();
   queued_ = 0;
   update_depth_gauge();
@@ -479,7 +567,7 @@ std::uint64_t FleetScheduleService::fingerprint() const {
       backpressured_,     preempted_,     lost_unreachable_,
       responses_dropped_, cache_hits_,    cache_misses_,
       synthesis_runs_,    crashes_,       max_queue_depth_,
-      outstanding_.size(), dequeues_,     batches_,
+      live_entries_,      dequeues_,      batches_,
       coalesced_,         cache_collisions_, cache_evictions_};
   for (const std::uint64_t field : fields) hash = obs::fnv1a_u64(hash, field);
   for (const std::uint64_t bucket : batch_hist_) {

@@ -17,11 +17,15 @@
 //   * Backpressure: above the watermark, routine requests are deferred
 //     with an explicit retry-after hint scaled by queue depth, so the
 //     fleet's retries spread out instead of hammering a saturated queue.
-//   * A sharded cross-vehicle memo cache keyed by (topology-hash,
-//     app-set): two vehicles with the same task topology and ECU speed
-//     share one synthesis. This is the PR 1 DSE memo-cache shape applied
+//   * A sharded cross-vehicle memo cache keyed by TaskSet::key(): two
+//     vehicles with the same task topology and ECU speed share one
+//     synthesis. This is the DSE memo-cache shape (DESIGN.md §6) applied
 //     fleet-wide — the cache is what turns 10k sessions into ~dozens of
 //     real synthesis runs.
+//   * By-handle request path: a request carries its interned TaskSet, a
+//     response the cache's shared ArtifactHandle, and callbacks live
+//     inline in pooled request slots, so a steady-state request allocates
+//     nothing.
 //   * Seed-deterministic failure modes injectable by fault::FaultCampaign:
 //     backend crash/restart (outstanding work lost), uplink partition
 //     (requests and responses silently dropped — vehicles see timeouts),
@@ -35,14 +39,15 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "dse/admission.hpp"
 #include "obs/coverage.hpp"
 #include "obs/metrics.hpp"
+#include "sim/inline_function.hpp"
 #include "sim/simulator.hpp"
 
 namespace dynaplat::backend {
@@ -67,28 +72,67 @@ enum class ResponseStatus : std::uint8_t {
 
 const char* to_string(ResponseStatus status);
 
+/// Shared, immutable synthesis artifact. The memo cache, every member of a
+/// cohort and the vehicles' artifact caches hold the same object.
+using ArtifactHandle = std::shared_ptr<const dse::ScheduleServer::Artifact>;
+
+/// One ECU's analysis task set, immutable, with everything the backend
+/// derives from it computed once at construction: the cross-vehicle cache
+/// key, the secondary collision signature and the ECU-local admission
+/// verdict. Requests carry it by shared handle, so a fleet driver interns
+/// one per topology class and a stampede neither copies nor re-hashes a
+/// task set per request.
+class TaskSet {
+ public:
+  /// Two vehicles whose app set compiles to the same analysis tasks on the
+  /// same ECU speed get the same key() and share one synthesis.
+  TaskSet(std::vector<dse::AnalysisTask> tasks, std::uint64_t ecu_mips);
+  /// Same, with the cache key forced to `key` (collision tests).
+  TaskSet(std::vector<dse::AnalysisTask> tasks, std::uint64_t ecu_mips,
+          std::uint64_t key);
+
+  const std::vector<dse::AnalysisTask>& tasks() const { return tasks_; }
+  std::uint64_t ecu_mips() const { return ecu_mips_; }
+  /// Cross-vehicle memo-cache and cohort key (FNV-1a over the task fields
+  /// and ECU speed, unless forced).
+  std::uint64_t key() const { return key_; }
+  /// Secondary hash of the same fields from an independent basis; a key
+  /// match with a signature mismatch is a detected collision.
+  std::uint64_t sig() const { return sig_; }
+  /// dse::AdmissionController::admit({}, tasks).admitted: the verdict of
+  /// the client's ECU-local fallback rung.
+  bool locally_admitted() const { return locally_admitted_; }
+
+ private:
+  std::vector<dse::AnalysisTask> tasks_;
+  std::uint64_t ecu_mips_;
+  std::uint64_t key_;
+  std::uint64_t sig_;
+  bool locally_admitted_;
+};
+
 struct SynthesisRequest {
+  std::shared_ptr<const TaskSet> task_set;
   Criticality criticality = Criticality::kResync;
-  std::vector<dse::AnalysisTask> tasks;
-  std::uint64_t ecu_mips = 1'000;
   /// Vehicle session tag (metrics / tracing only, not part of the cache
   /// key — the whole point is cross-vehicle sharing).
   std::uint32_t session = 0;
-  /// Precomputed topology_key(tasks, ecu_mips), 0 = compute on arrival. A
-  /// fleet driver that already knows its topology-class key passes it so a
-  /// million-session stampede doesn't re-hash the same task set per
-  /// request. Ignored when ServiceConfig::key_fn is set.
-  std::uint64_t key_hint = 0;
 };
 
+/// Packed into 32 bytes (handle first, flags last): the service's delivery
+/// event captures one beside `this` and an entry id and must stay within
+/// sim::InlineFunction's inline capacity.
 struct SynthesisResponse {
-  ResponseStatus status = ResponseStatus::kUnreachable;
-  dse::ScheduleServer::Artifact artifact;
-  bool cache_hit = false;
+  /// The memo cache's artifact (feasible or not) for kOk / kInfeasible;
+  /// null for every other status.
+  ArtifactHandle artifact;
   /// Backpressure hint: earliest useful re-submission delay (kShed /
   /// kRetryAfter).
   sim::Duration retry_after = 0;
+  ResponseStatus status = ResponseStatus::kUnreachable;
+  bool cache_hit = false;
 };
+static_assert(sizeof(SynthesisResponse) <= 32);
 
 struct ServiceConfig {
   /// Outstanding (accepted, not yet responded) request cap. Beyond it,
@@ -127,23 +171,13 @@ struct ServiceConfig {
   /// and shedding are then accounted per cohort, not per request (a
   /// stampede of identical vehicles costs one queue slot).
   bool batching = false;
-  /// Test seam: overrides the cache/batch key derivation so collision
-  /// tests can force distinct topologies onto one key. Null uses
-  /// topology_key().
-  std::uint64_t (*key_fn)(const std::vector<dse::AnalysisTask>&,
-                          std::uint64_t) = nullptr;
 };
-
-/// Stable hash of (task set, ECU speed): the cross-vehicle cache key. Two
-/// vehicles whose app set compiles to the same analysis tasks on the same
-/// ECU speed share one synthesis. Exposed so the vehicle-side client can
-/// key its local artifact cache identically.
-std::uint64_t topology_key(const std::vector<dse::AnalysisTask>& tasks,
-                           std::uint64_t ecu_mips);
 
 class FleetScheduleService {
  public:
-  using Callback = std::function<void(const SynthesisResponse&)>;
+  /// Stored inline in the request's slot: captures up to
+  /// sim::BasicInlineFunction's inline capacity never allocate.
+  using Callback = sim::BasicInlineFunction<void(const SynthesisResponse&)>;
 
   explicit FleetScheduleService(sim::Simulator& simulator,
                                 ServiceConfig config = {});
@@ -155,7 +189,7 @@ class FleetScheduleService {
   /// simulator after queueing + service + uplink time. While the backend
   /// is crashed or the uplink partitioned the request is silently lost —
   /// the vehicle-side timeout is the only signal, as in the field.
-  void submit(SynthesisRequest request, Callback done);
+  void submit(const SynthesisRequest& request, Callback done);
 
   /// Synchronous control-plane query used by in-vehicle callers that
   /// cannot park their control flow on a sim event (node resync, recovery
@@ -241,31 +275,52 @@ class FleetScheduleService {
   const ServiceConfig& config() const { return config_; }
 
  private:
+  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+
+  /// One slot of the outstanding-request slab: an admitted cohort (leader
+  /// plus joiners) or a rejection verdict riding the downlink. Ids are
+  /// (slot + 1) << 32 | generation, so a stale id looks up nothing.
   struct Outstanding {
-    Callback done;
-    /// Cohort members coalesced onto this entry after the leader; they
-    /// share the leader's slot, reservation and response.
-    std::vector<Callback> extra;
+    /// Every caller of the entry, chained through members_ in arrival
+    /// order: the leader, then cohort members coalesced onto it, who share
+    /// its slot, reservation and response.
+    std::uint32_t first_member = kNone;
+    std::uint32_t last_member = kNone;
+    std::uint32_t members = 0;
+    std::uint32_t gen = 1;
+    std::uint32_t next_free = kNone;
+    std::uint32_t worker = 0;
     /// Most critical member of the cohort (joiners upgrade it, so a
     /// cohort carrying a recovery request is never a preemption victim).
     Criticality criticality = Criticality::kOta;
-    std::uint64_t key = 0;
-    std::size_t worker = 0;
-    sim::Time start = 0;  ///< service start (preemptible while > now)
-    sim::Time end = 0;
-    sim::EventId completion;
-    std::uint64_t last_on_worker_token = 0;
+    bool in_use = false;
     /// true: holds a queue slot + worker reservation; false: a shed /
     /// backpressure verdict riding the downlink (no admission weight).
     bool admitted = false;
     /// true while registered in open_cohorts_ (batched, joinable).
     bool open = false;
+    /// Acceptance order: preemption picks the most recent.
+    std::uint64_t seq = 0;
+    std::uint64_t key = 0;
+    sim::Time start = 0;  ///< service start (preemptible while > now)
+    sim::EventId completion;
+    std::uint64_t last_on_worker_token = 0;
+  };
+  /// Pooled storage for callers' callbacks.
+  struct Member {
+    Callback done;
+    std::uint32_t next = kNone;
+  };
+  /// A joinable cohort (batched mode): its key and leader entry id.
+  struct OpenCohort {
+    std::uint64_t key = 0;
+    std::uint64_t id = 0;
   };
   struct CacheEntry {
-    dse::ScheduleServer::Artifact artifact;
-    /// Secondary hash of the same topology fields from an independent
-    /// basis; a key match with a signature mismatch is a detected
-    /// collision, served as a miss instead of a wrong artifact.
+    ArtifactHandle artifact;
+    /// TaskSet::sig() of the task set the artifact was synthesized for; a
+    /// key match with a signature mismatch is a detected collision,
+    /// served as a miss instead of a wrong artifact.
     std::uint64_t sig = 0;
   };
   struct CacheShard {
@@ -280,19 +335,28 @@ class FleetScheduleService {
   /// that is still last on its worker (its reservation can be reclaimed
   /// exactly). Returns true when a slot was freed.
   bool preempt_routine();
-  /// Cache/batch key for a request (key_fn seam or topology_key).
-  std::uint64_t request_key(const SynthesisRequest& request) const;
   /// Cache lookup + synthesis on miss. Returns the artifact and whether it
   /// was a hit; accounts cache metrics and collision/eviction counters.
-  dse::ScheduleServer::Artifact resolve(std::uint64_t key,
-                                        const SynthesisRequest& request,
-                                        bool* cache_hit);
+  ArtifactHandle resolve(const TaskSet& task_set, bool* cache_hit);
   sim::Duration service_time(const dse::ScheduleServer::Artifact& artifact,
                              bool cache_hit) const;
   sim::Duration retry_hint() const;
+
+  // Outstanding slab, member pool and open-cohort table.
+  /// Takes a free slot with `done` as its leader; returns its id.
+  std::uint64_t acquire(Callback done, Criticality criticality);
+  Outstanding* lookup(std::uint64_t id);
+  /// Appends a caller's callback to an entry's chain.
+  void add_member(Outstanding& cohort, Callback done);
+  /// Returns a member chain starting at `member` to the pool.
+  void free_members(std::uint32_t member);
+  /// Frees a slot and whatever it still holds.
+  void release(std::uint32_t slot);
+  OpenCohort* find_open(std::uint64_t key);
+
   /// Delivers `response` to every cohort member and closes the entry.
   /// Returns the member count (0 when the id is stale).
-  std::size_t respond(std::uint64_t id, SynthesisResponse response);
+  std::size_t respond(std::uint64_t id, const SynthesisResponse& response);
   /// Drops a closing entry without delivering (partition, crash paths).
   void close_entry(std::uint64_t id);
   void record_batch(std::size_t size);
@@ -308,14 +372,19 @@ class FleetScheduleService {
   /// it — only that reservation can be reclaimed exactly on preemption.
   std::vector<std::uint64_t> worker_last_token_;
   std::uint64_t next_token_ = 1;
-  std::map<std::uint64_t, Outstanding> outstanding_;
-  /// Joinable cohort per topology key (batched mode): key -> outstanding
-  /// id of the cohort leader entry.
-  std::map<std::uint64_t, std::uint64_t> open_cohorts_;
+  std::vector<Outstanding> outstanding_;
+  std::uint32_t outstanding_free_ = kNone;
+  /// Slots in use in outstanding_.
+  std::size_t live_entries_ = 0;
+  std::vector<Member> members_;
+  std::uint32_t member_free_ = kNone;
+  /// Joinable cohorts, at most one per key. Each is an admitted entry, so
+  /// the table never outgrows the queue capacity plus recovery reserve.
+  std::vector<OpenCohort> open_cohorts_;
   /// Admitted entries in outstanding_ (the admission-control depth; a
   /// whole cohort weighs one).
   std::size_t queued_ = 0;
-  std::uint64_t next_id_ = 1;
+  std::uint64_t next_seq_ = 1;
 
   bool crashed_ = false;
   bool partitioned_ = false;

@@ -9,7 +9,6 @@
 // schedule management.
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "dse/schedulability.hpp"
@@ -22,8 +21,6 @@ struct AdmissionDecision {
   /// Instruction estimate of the analysis that produced the decision — what
   /// the deciding CPU must spend (ECU-local admission vs backend synthesis).
   std::uint64_t analysis_instructions = 0;
-  /// New TT table when one was synthesized.
-  std::optional<TtTable> table;
 };
 
 /// ECU-local admission control: a fast utilization + RTA test without table

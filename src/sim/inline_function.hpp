@@ -4,11 +4,15 @@
 // std::function heap-allocates any callable bigger than ~2 pointers and
 // demands copyability; the event kernel schedules millions of lambdas that
 // capture a handful of pointers and values, so both costs land on the
-// hottest path in the whole codebase. InlineFunction stores callables up to
-// kInlineCapacity bytes directly inside the event slab node (no allocation,
-// no pointer chase on invoke) and falls back to the heap only for oversized
-// captures. Move-only: the kernel never copies a callback — recurrences
-// re-arm in place (DESIGN.md §10).
+// hottest path in the whole codebase. BasicInlineFunction stores callables
+// up to kInlineCapacity bytes directly inside its owner (the event slab
+// node, a service request slot) — no allocation, no pointer chase on
+// invoke — and falls back to the heap only for oversized captures.
+// Move-only: the kernel never copies a callback — recurrences re-arm in
+// place (DESIGN.md §10).
+//
+// InlineFunction is the kernel's void() form; other signatures (the fleet
+// service's response callback) use BasicInlineFunction<R(Args...)>.
 #pragma once
 
 #include <cstddef>
@@ -18,24 +22,30 @@
 
 namespace dynaplat::sim {
 
-class InlineFunction {
+template <typename Signature>
+class BasicInlineFunction;
+
+template <typename R, typename... Args>
+class BasicInlineFunction<R(Args...)> {
  public:
-  /// Captures up to this many bytes live inline in the event node. Sized so
-  /// a typical kernel callback — a `this` pointer plus a few ids/values —
-  /// never allocates.
+  /// Captures up to this many bytes live inline. Sized so a typical kernel
+  /// callback — a `this` pointer plus a few ids/values — never allocates.
   static constexpr std::size_t kInlineCapacity = 48;
 
-  InlineFunction() = default;
+  BasicInlineFunction() = default;
 
   template <typename F,
             typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, InlineFunction> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  InlineFunction(F&& f) {  // NOLINT(google-explicit-constructor)
+                !std::is_same_v<std::decay_t<F>, BasicInlineFunction> &&
+                std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
+  BasicInlineFunction(F&& f) {  // NOLINT(google-explicit-constructor)
     using Fn = std::decay_t<F>;
     if constexpr (fits_inline<Fn>()) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-      invoke_ = [](void* s) { (*std::launder(reinterpret_cast<Fn*>(s)))(); };
+      invoke_ = [](void* s, Args... args) -> R {
+        return (*std::launder(reinterpret_cast<Fn*>(s)))(
+            std::forward<Args>(args)...);
+      };
       manage_ = [](Op op, void* s, void* dst) {
         Fn* fn = std::launder(reinterpret_cast<Fn*>(s));
         if (op == Op::kMove) ::new (dst) Fn(std::move(*fn));
@@ -43,7 +53,10 @@ class InlineFunction {
       };
     } else {
       ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(f)));
-      invoke_ = [](void* s) { (**std::launder(reinterpret_cast<Fn**>(s)))(); };
+      invoke_ = [](void* s, Args... args) -> R {
+        return (**std::launder(reinterpret_cast<Fn**>(s)))(
+            std::forward<Args>(args)...);
+      };
       manage_ = [](Op op, void* s, void* dst) {
         Fn** slot = std::launder(reinterpret_cast<Fn**>(s));
         if (op == Op::kMove) {
@@ -56,9 +69,11 @@ class InlineFunction {
     }
   }
 
-  InlineFunction(InlineFunction&& other) noexcept { move_from(other); }
+  BasicInlineFunction(BasicInlineFunction&& other) noexcept {
+    move_from(other);
+  }
 
-  InlineFunction& operator=(InlineFunction&& other) noexcept {
+  BasicInlineFunction& operator=(BasicInlineFunction&& other) noexcept {
     if (this != &other) {
       reset();
       move_from(other);
@@ -66,12 +81,14 @@ class InlineFunction {
     return *this;
   }
 
-  InlineFunction(const InlineFunction&) = delete;
-  InlineFunction& operator=(const InlineFunction&) = delete;
+  BasicInlineFunction(const BasicInlineFunction&) = delete;
+  BasicInlineFunction& operator=(const BasicInlineFunction&) = delete;
 
-  ~InlineFunction() { reset(); }
+  ~BasicInlineFunction() { reset(); }
 
-  void operator()() { invoke_(storage_); }
+  R operator()(Args... args) {
+    return invoke_(storage_, std::forward<Args>(args)...);
+  }
 
   explicit operator bool() const { return invoke_ != nullptr; }
 
@@ -95,7 +112,7 @@ class InlineFunction {
  private:
   enum class Op { kMove, kDestroy };
 
-  void move_from(InlineFunction& other) noexcept {
+  void move_from(BasicInlineFunction& other) noexcept {
     if (other.manage_ != nullptr) {
       other.manage_(Op::kMove, other.storage_, storage_);
       invoke_ = other.invoke_;
@@ -106,8 +123,11 @@ class InlineFunction {
   }
 
   alignas(std::max_align_t) unsigned char storage_[kInlineCapacity];
-  void (*invoke_)(void*) = nullptr;
+  R (*invoke_)(void*, Args...) = nullptr;
   void (*manage_)(Op, void* src, void* move_dst) = nullptr;
 };
+
+/// The event kernel's callback type.
+using InlineFunction = BasicInlineFunction<void()>;
 
 }  // namespace dynaplat::sim

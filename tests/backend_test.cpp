@@ -38,6 +38,7 @@ using backend::ResponseStatus;
 using backend::ServiceConfig;
 using backend::SynthesisRequest;
 using backend::SynthesisResponse;
+using backend::TaskSet;
 
 dse::AnalysisTask analysis_task(const std::string& name, sim::Duration period,
                                 sim::Duration wcet, int priority) {
@@ -61,6 +62,11 @@ std::vector<dse::AnalysisTask> infeasible_set() {
           analysis_task("y", 10 * sim::kMillisecond, 6 * sim::kMillisecond, 2)};
 }
 
+std::shared_ptr<const TaskSet> task_set(
+    std::vector<dse::AnalysisTask> tasks) {
+  return std::make_shared<const TaskSet>(std::move(tasks), 1'000);
+}
+
 // --- FleetScheduleService -----------------------------------------------------
 
 TEST(FleetBackend, SubmitDeliversFeasibleArtifactAfterSimLatency) {
@@ -68,7 +74,7 @@ TEST(FleetBackend, SubmitDeliversFeasibleArtifactAfterSimLatency) {
   FleetScheduleService service(simulator, {});
   SynthesisRequest request;
   request.criticality = Criticality::kResync;
-  request.tasks = feasible_set();
+  request.task_set = task_set(feasible_set());
   SynthesisResponse seen;
   sim::Time delivered_at = 0;
   service.submit(request, [&](const SynthesisResponse& response) {
@@ -77,8 +83,9 @@ TEST(FleetBackend, SubmitDeliversFeasibleArtifactAfterSimLatency) {
   });
   simulator.run_until(sim::seconds(2));
   EXPECT_EQ(seen.status, ResponseStatus::kOk);
-  EXPECT_TRUE(seen.artifact.feasible);
-  EXPECT_TRUE(seen.artifact.validated);
+  ASSERT_NE(seen.artifact, nullptr);
+  EXPECT_TRUE(seen.artifact->feasible);
+  EXPECT_TRUE(seen.artifact->validated);
   EXPECT_FALSE(seen.cache_hit);
   // At least the round trip plus the service-time floor elapsed.
   EXPECT_GE(delivered_at, service.config().uplink_rtt +
@@ -91,7 +98,7 @@ TEST(FleetBackend, CrossVehicleCacheSharesOneSynthesis) {
   sim::Simulator simulator;
   FleetScheduleService service(simulator, {});
   SynthesisRequest request;
-  request.tasks = feasible_set();
+  request.task_set = task_set(feasible_set());
   int ok = 0;
   int hits = 0;
   for (std::uint32_t session = 0; session < 5; ++session) {
@@ -121,7 +128,7 @@ TEST(FleetBackend, SaturatedQueueShedsRoutineAndPreemptsForRecovery) {
   std::vector<ResponseStatus> ota_status(3, ResponseStatus::kUnreachable);
   SynthesisRequest ota;
   ota.criticality = Criticality::kOta;
-  ota.tasks = feasible_set();
+  ota.task_set = task_set(feasible_set());
   for (int i = 0; i < 3; ++i) {
     service.submit(ota, [&ota_status, i](const SynthesisResponse& response) {
       ota_status[static_cast<std::size_t>(i)] = response.status;
@@ -129,7 +136,7 @@ TEST(FleetBackend, SaturatedQueueShedsRoutineAndPreemptsForRecovery) {
   }
   SynthesisRequest recovery;
   recovery.criticality = Criticality::kRecovery;
-  recovery.tasks = feasible_set();
+  recovery.task_set = task_set(feasible_set());
   ResponseStatus recovery_status = ResponseStatus::kUnreachable;
   service.submit(recovery, [&](const SynthesisResponse& response) {
     recovery_status = response.status;
@@ -166,7 +173,7 @@ TEST(FleetBackend, RejectTrafficCarriesNoAdmissionWeight) {
   // A recovery occupies the single real queue slot (not preemptible).
   SynthesisRequest recovery;
   recovery.criticality = Criticality::kRecovery;
-  recovery.tasks = feasible_set();
+  recovery.task_set = task_set(feasible_set());
   ResponseStatus first_status = ResponseStatus::kUnreachable;
   service.submit(recovery, [&](const SynthesisResponse& response) {
     first_status = response.status;
@@ -176,7 +183,7 @@ TEST(FleetBackend, RejectTrafficCarriesNoAdmissionWeight) {
   // is now in flight on the downlink for 10 ms.
   SynthesisRequest ota;
   ota.criticality = Criticality::kOta;
-  ota.tasks = feasible_set();
+  ota.task_set = task_set(feasible_set());
   for (int i = 0; i < 8; ++i) {
     service.submit(ota, [](const SynthesisResponse&) {});
   }
@@ -208,7 +215,7 @@ TEST(FleetBackend, BackpressureDefersRoutineWithGrowingHint) {
 
   SynthesisRequest ota;
   ota.criticality = Criticality::kOta;
-  ota.tasks = feasible_set();
+  ota.task_set = task_set(feasible_set());
   std::vector<SynthesisResponse> rejected;
   for (int i = 0; i < 2; ++i) {
     service.submit(ota, [](const SynthesisResponse&) {});
@@ -241,7 +248,7 @@ TEST(FleetBackend, CrashLosesOutstandingAndPartitionDropsResponses) {
   sim::Simulator simulator;
   FleetScheduleService service(simulator, {});
   SynthesisRequest request;
-  request.tasks = feasible_set();
+  request.task_set = task_set(feasible_set());
 
   int callbacks = 0;
   service.submit(request, [&](const SynthesisResponse&) { ++callbacks; });
@@ -277,15 +284,15 @@ TEST(ScheduleServerErrors, InfeasibleUnderConcurrentCallers) {
   sim::Simulator simulator;
   FleetScheduleService service(simulator, {});
   SynthesisRequest request;
-  request.tasks = infeasible_set();
+  request.task_set = task_set(infeasible_set());
   int infeasible = 0;
   std::set<std::string> reasons;
   for (std::uint32_t session = 0; session < 8; ++session) {
     request.session = session;
     service.submit(request, [&](const SynthesisResponse& response) {
       if (response.status == ResponseStatus::kInfeasible) ++infeasible;
-      EXPECT_FALSE(response.artifact.feasible);
-      reasons.insert(response.artifact.reason);
+      EXPECT_FALSE(response.artifact->feasible);
+      reasons.insert(response.artifact->reason);
     });
   }
   simulator.run_until(sim::seconds(2));
@@ -300,7 +307,7 @@ TEST(ScheduleServerErrors, CacheHitMatchesFreshRecompute) {
   sim::Simulator simulator;
   FleetScheduleService service(simulator, {});
   SynthesisRequest request;
-  request.tasks = feasible_set();
+  request.task_set = task_set(feasible_set());
   const SynthesisResponse first = service.query(request);
   const SynthesisResponse second = service.query(request);
   ASSERT_EQ(first.status, ResponseStatus::kOk);
@@ -309,8 +316,9 @@ TEST(ScheduleServerErrors, CacheHitMatchesFreshRecompute) {
   EXPECT_TRUE(second.cache_hit);
 
   const dse::ScheduleServer reference;
-  const auto fresh = reference.synthesize(request.tasks, request.ecu_mips);
-  for (const auto* artifact : {&first.artifact, &second.artifact}) {
+  const auto fresh = reference.synthesize(request.task_set->tasks(),
+                                          request.task_set->ecu_mips());
+  for (const auto* artifact : {first.artifact.get(), second.artifact.get()}) {
     EXPECT_EQ(artifact->feasible, fresh.feasible);
     EXPECT_EQ(artifact->validated, fresh.validated);
     EXPECT_EQ(artifact->synthesis_instructions, fresh.synthesis_instructions);
@@ -503,7 +511,7 @@ TEST(CircuitBreaker, AsyncRetriesAreCappedJitteredAndDeterministic) {
     BackendClient client(simulator, config);
     client.connect(&service);
     SynthesisRequest request;
-    request.tasks = feasible_set();
+    request.task_set = task_set(feasible_set());
     int finished = 0;
     sim::Time finished_at = 0;
     BackendOutcome last;
@@ -788,7 +796,7 @@ TEST(FleetBatching, CohortSharesOneDequeueAndResponse) {
   FleetScheduleService service(simulator, config);
   SynthesisRequest request;
   request.criticality = Criticality::kResync;
-  request.tasks = feasible_set();
+  request.task_set = task_set(feasible_set());
   int ok = 0;
   for (std::uint32_t session = 0; session < 8; ++session) {
     request.session = session;
@@ -808,6 +816,33 @@ TEST(FleetBatching, CohortSharesOneDequeueAndResponse) {
   EXPECT_EQ(service.batch_size_histogram()[3], 1u);
 }
 
+TEST(FleetBatching, CohortMembersAndMemoCacheShareOneArtifact) {
+  sim::Simulator simulator;
+  ServiceConfig config;
+  config.batching = true;
+  FleetScheduleService service(simulator, config);
+  SynthesisRequest request;
+  request.task_set = task_set(feasible_set());
+  std::vector<const dse::ScheduleServer::Artifact*> seen;
+  for (std::uint32_t session = 0; session < 8; ++session) {
+    request.session = session;
+    service.submit(request, [&](const SynthesisResponse& response) {
+      seen.push_back(response.artifact.get());
+    });
+  }
+  simulator.run_until(sim::seconds(2));
+  ASSERT_EQ(seen.size(), 8u);
+  EXPECT_EQ(service.coalesced(), 7u);
+  // A later hit hands out the memo-cache entry itself: the one artifact
+  // every cohort member was given, never a copy.
+  const SynthesisResponse hit = service.query(request);
+  ASSERT_TRUE(hit.cache_hit);
+  ASSERT_NE(hit.artifact, nullptr);
+  for (const dse::ScheduleServer::Artifact* artifact : seen) {
+    EXPECT_EQ(artifact, hit.artifact.get());
+  }
+}
+
 TEST(FleetBatching, AdmissionChargesCohortsNotMembers) {
   sim::Simulator simulator;
   ServiceConfig config;
@@ -819,7 +854,7 @@ TEST(FleetBatching, AdmissionChargesCohortsNotMembers) {
   FleetScheduleService service(simulator, config);
   SynthesisRequest request;
   request.criticality = Criticality::kResync;
-  request.tasks = feasible_set();
+  request.task_set = task_set(feasible_set());
   int ok = 0;
   // Six identical requests ride one queue slot...
   for (std::uint32_t session = 0; session < 6; ++session) {
@@ -832,7 +867,7 @@ TEST(FleetBatching, AdmissionChargesCohortsNotMembers) {
   // ...while a distinct topology needs a second slot and is shed.
   SynthesisRequest other;
   other.criticality = Criticality::kResync;
-  other.tasks = infeasible_set();
+  other.task_set = task_set(infeasible_set());
   ResponseStatus other_status = ResponseStatus::kOk;
   service.submit(other, [&](const SynthesisResponse& response) {
     other_status = response.status;
@@ -858,20 +893,20 @@ TEST(FleetBatching, RecoveryJoinerShieldsCohortFromPreemption) {
   // preemption scan must no longer see it as a routine victim.
   SynthesisRequest leader;
   leader.criticality = Criticality::kOta;
-  leader.tasks = feasible_set();
+  leader.task_set = task_set(feasible_set());
   int cohort_ok = 0;
   service.submit(leader, [&](const SynthesisResponse& response) {
     if (response.status == ResponseStatus::kOk) ++cohort_ok;
   });
   SynthesisRequest joiner;
   joiner.criticality = Criticality::kRecovery;
-  joiner.tasks = feasible_set();
+  joiner.task_set = task_set(feasible_set());
   service.submit(joiner, [&](const SynthesisResponse& response) {
     if (response.status == ResponseStatus::kOk) ++cohort_ok;
   });
   SynthesisRequest rival;
   rival.criticality = Criticality::kRecovery;
-  rival.tasks = infeasible_set();
+  rival.task_set = task_set(infeasible_set());
   ResponseStatus rival_status = ResponseStatus::kOk;
   service.submit(rival, [&](const SynthesisResponse& response) {
     rival_status = response.status;
@@ -890,7 +925,7 @@ TEST(FleetBatching, CrashLosesEveryCohortMember) {
   FleetScheduleService service(simulator, config);
   SynthesisRequest request;
   request.criticality = Criticality::kResync;
-  request.tasks = feasible_set();
+  request.task_set = task_set(feasible_set());
   int delivered = 0;
   for (std::uint32_t session = 0; session < 4; ++session) {
     request.session = session;
@@ -908,17 +943,14 @@ TEST(FleetBatching, CrashLosesEveryCohortMember) {
 
 TEST(FleetCache, ForcedKeyCollisionResynthesizesInsteadOfWrongArtifact) {
   sim::Simulator simulator;
-  ServiceConfig config;
-  // Force every topology onto one key: only the secondary signature can
+  FleetScheduleService service(simulator, {});
+  // Two topologies forced onto one key: only the secondary signature can
   // tell the cached artifact belongs to a different task set.
-  config.key_fn = [](const std::vector<dse::AnalysisTask>&, std::uint64_t) {
-    return std::uint64_t{42};
-  };
-  FleetScheduleService service(simulator, config);
   SynthesisRequest first;
-  first.tasks = feasible_set();
+  first.task_set = std::make_shared<const TaskSet>(feasible_set(), 1'000, 42);
   SynthesisRequest second;
-  second.tasks = infeasible_set();
+  second.task_set =
+      std::make_shared<const TaskSet>(infeasible_set(), 1'000, 42);
 
   EXPECT_EQ(service.query(first).status, ResponseStatus::kOk);
   EXPECT_EQ(service.cache_collisions(), 0u);
@@ -936,6 +968,58 @@ TEST(FleetCache, ForcedKeyCollisionResynthesizesInsteadOfWrongArtifact) {
   EXPECT_EQ(service.cache_entries(), 1u);
 }
 
+TEST(FleetCache, ClearedCacheLeavesDriverArtifactsServedStale) {
+  sim::Simulator simulator;
+  ServiceConfig service_config;
+  service_config.crash_clears_cache = true;
+  FleetScheduleService service(simulator, service_config);
+  FleetConfig config = small_fleet(11);
+  config.outage_at = 900 * sim::kMillisecond;
+  config.outage_duration = 2 * sim::kSecond;
+  FleetDriver driver(simulator, service, config);
+  // Mid-outage the memo cache is empty, so the driver's class table holds
+  // the only handles to the artifacts its vehicles serve stale.
+  std::size_t entries_mid = 1;
+  std::uint64_t stale_mid = 0;
+  std::uint64_t runs_mid = 0;
+  simulator.schedule_at(2'500 * sim::kMillisecond, [&] {
+    entries_mid = service.cache_entries();
+    stale_mid = driver.stale_served();
+    runs_mid = service.synthesis_runs();
+  });
+  driver.run();
+  EXPECT_EQ(entries_mid, 0u);
+  EXPECT_GT(stale_mid, 0u);
+  EXPECT_EQ(runs_mid, config.topology_classes);
+  // After the restart each class's first request misses and re-synthesizes.
+  EXPECT_EQ(service.synthesis_runs(), 2 * config.topology_classes);
+  EXPECT_EQ(driver.fallback_none(), 0u);
+}
+
+TEST(FleetCache, TaskSetDerivesKeyAndLocalVerdictOnce) {
+  const TaskSet a(feasible_set(), 1'000);
+  const TaskSet b(feasible_set(), 1'000);
+  const TaskSet faster(feasible_set(), 2'000);
+  const TaskSet overloaded(infeasible_set(), 1'000);
+  const TaskSet forced(infeasible_set(), 1'000, a.key());
+  // Equal task sets share key and signature; the ECU speed is part of both.
+  EXPECT_EQ(a.key(), b.key());
+  EXPECT_EQ(a.sig(), b.sig());
+  EXPECT_NE(a.key(), faster.key());
+  EXPECT_NE(a.sig(), faster.sig());
+  // A forced key keeps the real signature, so a collision stays visible.
+  EXPECT_EQ(forced.key(), a.key());
+  EXPECT_EQ(forced.sig(), overloaded.sig());
+  EXPECT_NE(forced.sig(), a.sig());
+  // The local rung's verdict is AdmissionController's.
+  const dse::AdmissionController admission;
+  EXPECT_TRUE(a.locally_admitted());
+  EXPECT_EQ(a.locally_admitted(), admission.admit({}, feasible_set()).admitted);
+  EXPECT_FALSE(overloaded.locally_admitted());
+  EXPECT_EQ(overloaded.locally_admitted(),
+            admission.admit({}, infeasible_set()).admitted);
+}
+
 TEST(FleetCache, EvictionUnderTopologyChurn) {
   sim::Simulator simulator;
   ServiceConfig config;
@@ -949,7 +1033,7 @@ TEST(FleetCache, EvictionUnderTopologyChurn) {
   };
   SynthesisRequest request;
   for (int salt = 0; salt < 4; ++salt) {
-    request.tasks = churn_set(salt);
+    request.task_set = task_set(churn_set(salt));
     EXPECT_EQ(service.query(request).status, ResponseStatus::kOk);
   }
   // Capacity 2, four distinct topologies: two drop-oldest evictions.
@@ -957,7 +1041,7 @@ TEST(FleetCache, EvictionUnderTopologyChurn) {
   EXPECT_EQ(service.cache_entries(), 2u);
   EXPECT_EQ(service.synthesis_runs(), 4u);
   // The evicted topology is a miss again.
-  request.tasks = churn_set(0);
+  request.task_set = task_set(churn_set(0));
   EXPECT_EQ(service.query(request).status, ResponseStatus::kOk);
   EXPECT_EQ(service.synthesis_runs(), 5u);
 }

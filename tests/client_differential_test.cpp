@@ -137,19 +137,18 @@ class ReferenceFleet {
   };
 
   void build_vehicles() {
-    std::vector<std::vector<dse::AnalysisTask>> classes;
+    // One task set per class, shared by every vehicle of the class.
+    std::vector<std::shared_ptr<const backend::TaskSet>> classes;
     for (std::size_t c = 0; c < config_.topology_classes; ++c) {
-      classes.push_back(FleetDriver::make_tasks(config_.seed, c));
+      classes.push_back(std::make_shared<const backend::TaskSet>(
+          FleetDriver::make_tasks(config_.seed, c),
+          c % 2 == 0 ? 1'000 : 2'000));
     }
     vehicles_.resize(config_.sessions);
     for (std::size_t i = 0; i < config_.sessions; ++i) {
-      const std::size_t c = i % config_.topology_classes;
       Vehicle& v = vehicles_[i];
-      v.request.tasks = classes[c];
-      v.request.ecu_mips = c % 2 == 0 ? 1'000 : 2'000;
+      v.request.task_set = classes[i % config_.topology_classes];
       v.request.session = static_cast<std::uint32_t>(i);
-      v.request.key_hint = backend::topology_key(v.request.tasks,
-                                                 v.request.ecu_mips);
       ClientConfig client = config_.client;
       client.jitter_stream = i;
       v.client = std::make_unique<BackendClient>(sim_, client);
