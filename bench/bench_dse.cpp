@@ -12,14 +12,14 @@
 // E5b additionally measures the parallel/memoized evaluation path against
 // the legacy serial always-reverify baseline and emits machine-readable
 // results to BENCH_dse.json (candidates/sec, speedup, cache hit rate) so
-// successive PRs accumulate a perf trajectory.
+// successive PRs accumulate a perf trajectory. The exit status is nonzero
+// when the threaded genetic run's cost differs from the serial one.
 #include <cstdio>
 #include <string>
 
 #include <cmath>
 
 #include "bench/common.hpp"
-#include "concurrency/thread_pool.hpp"
 #include "dse/exploration.hpp"
 #include "model/parser.hpp"
 #include "sim/random.hpp"
@@ -97,7 +97,8 @@ void json_sample(std::FILE* f, const char* key, const ThroughputSample& s,
 
 /// E5b: serial always-reverify baseline (cache off, threads 0 — the legacy
 /// evaluation path) vs. the parallel memoized path, on the largest E5 case.
-void throughput_experiment() {
+/// Returns whether the threaded genetic cost equals the serial one.
+bool throughput_experiment() {
   constexpr std::size_t kApps = 20;
   constexpr std::size_t kEcus = 8;
   constexpr std::size_t kThreads = 8;
@@ -167,26 +168,26 @@ void throughput_experiment() {
           : 0.0;
   std::printf("genetic speedup: %.2fx   annealing speedup: %.2fx\n",
               genetic_speedup, anneal_speedup);
+  const bool deterministic = genetic_serial.cost == genetic_parallel.cost;
+  std::printf("genetic cost serial vs threads=%zu: %s\n", kThreads,
+              deterministic ? "identical" : "DIVERGED");
 
   std::FILE* f = std::fopen("BENCH_dse.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_dse.json\n");
-    return;
+    return deterministic;
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"experiment\": \"E5b_parallel_dse\",\n");
   bench::fprint_host_json(f);
   std::fprintf(f, "  \"apps\": %zu,\n  \"ecus\": %zu,\n", kApps, kEcus);
   std::fprintf(f, "  \"threads\": %zu,\n", kThreads);
-  std::fprintf(f, "  \"host_threads\": %zu,\n",
-               dynaplat::concurrency::ThreadPool::hardware_threads());
   std::fprintf(f, "  \"genetic\": {\n");
   json_sample(f, "serial_baseline", genetic_serial, true);
   json_sample(f, "parallel_memoized", genetic_parallel, true);
   std::fprintf(f, "    \"speedup\": %.3f,\n", genetic_speedup);
   std::fprintf(f, "    \"deterministic\": %s\n",
-               genetic_serial.cost == genetic_parallel.cost ? "true"
-                                                            : "false");
+               deterministic ? "true" : "false");
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"annealing\": {\n");
   json_sample(f, "serial_baseline", anneal_serial, true);
@@ -196,6 +197,7 @@ void throughput_experiment() {
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote BENCH_dse.json\n");
+  return deterministic;
 }
 
 }  // namespace
@@ -252,6 +254,5 @@ int main() {
                  bench::fmt(stopwatch.elapsed_ms(), 1)});
     }
   }
-  throughput_experiment();
-  return 0;
+  return throughput_experiment() ? 0 : 1;
 }

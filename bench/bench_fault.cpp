@@ -14,17 +14,17 @@
 // BENCH_monitor.json pattern so successive PRs accumulate a trajectory.
 //
 // `bench_fault --sweep [--threads=N] [--seeds=K]` runs a K-seed campaign
-// sweep three ways -- serial, thread-pooled (sim::ScenarioSweep) and
-// process-sharded (fault::ProcessSweep with fork()ed workers pulling from a
-// work-stealing queue) -- checks that every per-seed fingerprint and the
-// index-ordered merge is bit-identical across all drivers, reports
-// per-shard job counts and busy times, and writes BENCH_fault_sweep.json.
+// sweep through sim::ScenarioSweep twice -- serially, then on N executing
+// threads (the caller plus N - 1 workers, default 4) -- checks that every
+// per-seed fingerprint and the index-ordered merge is bit-identical, and
+// writes BENCH_fault_sweep.json. It exits nonzero if a seed fails that is
+// not in the expected-failure table, or a seed in the table passes.
 //
 // `bench_fault --fuzz` is experiment E20: an equal-budget A/B of the
 // coverage-guided chaos fuzzer (fault::FuzzScheduler) against a blind seed
-// sweep from the same base config, a shard-count determinism check (the
-// same search at 0/2/3 worker processes must produce bit-identical
-// journals and coverage), and a delta-debugging minimization demo that
+// sweep from the same base config, a thread-count determinism check (the
+// same search at 0/2/3 sweep workers must produce bit-identical journals
+// and coverage), and a delta-debugging minimization demo that
 // shrinks a known-failing campaign to a replayable JSON repro and verifies
 // the repro trips the same invariant. Results go to BENCH_fuzz.json; the
 // journal and repro land in fuzz_coverage.json / fuzz_repro.json. Exit
@@ -39,12 +39,10 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "concurrency/thread_pool.hpp"
 #include "fault/campaign.hpp"
 #include "fault/fuzz.hpp"
 #include "fault/invariants.hpp"
 #include "fault/minimize.hpp"
-#include "fault/shard.hpp"
 #include "middleware/transport.hpp"
 #include "model/parser.hpp"
 #include "net/ethernet.hpp"
@@ -180,6 +178,8 @@ struct CampaignOutcome {
   std::size_t failovers = 0;
   double worst_outage_ms = 0.0;
   bool invariants_passed = false;
+  std::string violated;   ///< first violated invariant, empty when passed
+  std::string violation;  ///< its detail
   std::string report;
   std::uint64_t fingerprint = 0;
   double wall_ms = 0.0;
@@ -307,25 +307,51 @@ CampaignOutcome run_campaign(sim::Simulator& simulator, std::uint64_t seed) {
   }
   const fault::InvariantReport report = checker.run();
   outcome.invariants_passed = report.passed;
+  for (const fault::InvariantResult& r : report.results) {
+    if (!r.passed) {
+      outcome.violated = r.name;
+      outcome.violation = r.detail;
+      break;
+    }
+  }
   outcome.report = report.summary();
   outcome.fingerprint = campaign.fingerprint();
   outcome.wall_ms = watch.elapsed_ms();
   return outcome;
 }
 
-// --- Sweep mode: serial vs thread pool vs process shards ----------------------
+// --- Sweep mode (E13s): serial vs threaded ScenarioSweep ---------------------
+
+/// Seeds of the sweep that fail one invariant, and the invariant they fail.
+/// Seed 21 crashes the Pilot replica on ECU A and no failover follows; its
+/// root cause (platform bug or too tight a bound) is not yet known. The
+/// sweep gate fails on any other failing seed, and on seed 21 passing.
+struct ExpectedFailure {
+  std::uint64_t seed;
+  const char* invariant;
+};
+constexpr ExpectedFailure kExpectedFailures[] = {
+    {21, "injected_faults_detected"},
+};
+
+/// The invariant `seed` is expected to fail, or nullptr.
+const char* expected_failure(std::uint64_t seed) {
+  for (const ExpectedFailure& e : kExpectedFailures) {
+    if (e.seed == seed) return e.invariant;
+  }
+  return nullptr;
+}
 
 struct SweepRun {
-  std::size_t threads = 0;
   double wall_ms = 0.0;
   std::vector<CampaignOutcome> outcomes;
   std::uint64_t merged = 0;
 };
 
-SweepRun run_seed_sweep(std::size_t threads, std::size_t seeds) {
+/// Runs seeds 1..`seeds` on the caller plus `workers` sweep workers.
+SweepRun run_seed_sweep(std::size_t workers, std::size_t seeds) {
   SweepRun result;
-  result.threads = threads;
-  sim::ScenarioSweep sweep({.seed = 1, .threads = threads});
+  sim::ScenarioSweep sweep({.seed = 1, .threads = workers});
   bench::Stopwatch watch;
   result.outcomes = sweep.run<CampaignOutcome>(
       seeds, [](sim::ScenarioRun& run) {
@@ -341,101 +367,80 @@ SweepRun run_seed_sweep(std::size_t threads, std::size_t seeds) {
   return result;
 }
 
-struct ProcessRun {
-  std::size_t shards = 0;  ///< 0 = inline serial baseline
-  double wall_ms = 0.0;
-  std::vector<std::uint64_t> fingerprints;
-  std::size_t passed = 0;
-  std::uint64_t merged = 0;
-  fault::ShardStats stats;
-};
-
-ProcessRun run_process_sweep(std::size_t shards, std::size_t seeds) {
-  ProcessRun result;
-  result.shards = shards;
-  fault::ProcessSweep sweep({shards});
-  bench::Stopwatch watch;
-  const std::vector<std::string> blobs =
-      sweep.run(seeds, [](std::size_t index) {
-        sim::Simulator simulator;
-        const CampaignOutcome outcome = run_campaign(simulator, index + 1);
-        char buf[96];
-        std::snprintf(buf, sizeof buf, "{\"fp\":\"%016llx\",\"passed\":%s}",
-                      static_cast<unsigned long long>(outcome.fingerprint),
-                      outcome.invariants_passed ? "true" : "false");
-        return std::string(buf);
-      });
-  result.wall_ms = watch.elapsed_ms();
-  result.stats = sweep.stats();
-  for (const std::string& blob : blobs) {
-    obs::json::Value doc;
-    if (!obs::json::parse(blob, &doc)) continue;
-    result.fingerprints.push_back(
-        std::strtoull(doc.at("fp").string.c_str(), nullptr, 16));
-    if (doc.at("passed").boolean) ++result.passed;
+void fprint_failures(std::FILE* f, const char* key,
+                     const std::vector<const CampaignOutcome*>& failures) {
+  std::fprintf(f, "  \"%s\": [", key);
+  for (std::size_t i = 0; i < failures.size(); ++i) {
+    const CampaignOutcome& o = *failures[i];
+    std::fprintf(f, "%s\n    {\"seed\": %llu, \"invariant\": \"%s\", "
+                 "\"detail\": \"%s\"}", i == 0 ? "" : ",",
+                 static_cast<unsigned long long>(o.seed),
+                 obs::json::escape(o.violated).c_str(),
+                 obs::json::escape(o.violation).c_str());
   }
-  result.merged = sim::ScenarioSweep::merge_fingerprints(result.fingerprints);
-  return result;
+  std::fprintf(f, "%s],\n", failures.empty() ? "" : "\n  ");
 }
 
+/// `threads` counts executing threads: the serial arm runs on the caller
+/// alone, the parallel arm on the caller plus threads - 1 workers.
 int sweep_main(std::size_t seeds, std::size_t threads) {
-  bench::banner("E13s", "parallel campaign sweep: threads vs process shards");
-  std::printf("seeds=%zu  parallel arm=%zu workers\n\n", seeds, threads);
+  bench::banner("E13s", "parallel campaign sweep: serial vs threaded");
+  std::printf("seeds=%zu  parallel arm=%zu threads (caller + %zu workers)\n\n",
+              seeds, threads, threads - 1);
 
-  const SweepRun serial = run_seed_sweep(1, seeds);
-  const SweepRun pooled = run_seed_sweep(threads, seeds);
-  const ProcessRun forked_serial = run_process_sweep(0, seeds);
-  const ProcessRun forked = run_process_sweep(threads, seeds);
+  const SweepRun serial = run_seed_sweep(0, seeds);
+  const SweepRun threaded = run_seed_sweep(threads - 1, seeds);
 
-  bool identical = serial.merged == pooled.merged &&
-                   serial.merged == forked_serial.merged &&
-                   serial.merged == forked.merged &&
-                   serial.outcomes.size() == pooled.outcomes.size() &&
-                   forked.fingerprints.size() == serial.outcomes.size();
+  bool identical = serial.merged == threaded.merged &&
+                   serial.outcomes.size() == threaded.outcomes.size();
   for (std::size_t i = 0; identical && i < serial.outcomes.size(); ++i) {
-    identical = serial.outcomes[i].fingerprint ==
-                    pooled.outcomes[i].fingerprint &&
-                serial.outcomes[i].fingerprint == forked.fingerprints[i] &&
-                serial.outcomes[i].invariants_passed ==
-                    pooled.outcomes[i].invariants_passed;
+    const CampaignOutcome& a = serial.outcomes[i];
+    const CampaignOutcome& b = threaded.outcomes[i];
+    identical = a.fingerprint == b.fingerprint &&
+                a.invariants_passed == b.invariants_passed &&
+                a.violated == b.violated;
   }
 
   std::size_t passed = 0;
+  std::size_t expected_passes = 0;
+  std::vector<const CampaignOutcome*> expected;
+  std::vector<const CampaignOutcome*> unexpected;
   for (const CampaignOutcome& o : serial.outcomes) {
-    if (o.invariants_passed) ++passed;
+    const char* invariant = expected_failure(o.seed);
+    if (o.invariants_passed) {
+      ++passed;
+      if (invariant != nullptr) {
+        ++expected_passes;
+        std::printf("seed %llu PASS, but is listed as failing %s\n",
+                    static_cast<unsigned long long>(o.seed), invariant);
+      }
+      continue;
+    }
+    const bool as_expected = invariant != nullptr && o.violated == invariant;
+    std::printf("seed %llu FAIL %s: %s (%s)\n",
+                static_cast<unsigned long long>(o.seed), o.violated.c_str(),
+                o.violation.c_str(), as_expected ? "expected" : "UNEXPECTED");
+    (as_expected ? expected : unexpected).push_back(&o);
   }
 
-  bench::Table table({"driver", "workers", "wall_ms", "merged_fingerprint"});
+  bench::Table table({"arm", "threads", "wall_ms", "merged_fingerprint"});
   char fp[32];
   std::snprintf(fp, sizeof fp, "%016llx",
                 static_cast<unsigned long long>(serial.merged));
-  table.row({"threads", "1", bench::fmt(serial.wall_ms, 1), fp});
+  table.row({"serial", "1", bench::fmt(serial.wall_ms, 1), fp});
   std::snprintf(fp, sizeof fp, "%016llx",
-                static_cast<unsigned long long>(pooled.merged));
-  table.row({"threads", bench::fmt(threads), bench::fmt(pooled.wall_ms, 1),
-             fp});
-  std::snprintf(fp, sizeof fp, "%016llx",
-                static_cast<unsigned long long>(forked_serial.merged));
-  table.row({"fork-inline", "1", bench::fmt(forked_serial.wall_ms, 1), fp});
-  std::snprintf(fp, sizeof fp, "%016llx",
-                static_cast<unsigned long long>(forked.merged));
-  table.row({"fork", bench::fmt(forked.shards), bench::fmt(forked.wall_ms, 1),
+                static_cast<unsigned long long>(threaded.merged));
+  table.row({"threaded", bench::fmt(threads), bench::fmt(threaded.wall_ms, 1),
              fp});
 
-  std::printf("\nper-shard distribution (fork, %zu workers):\n",
-              forked.stats.jobs.size());
-  for (std::size_t w = 0; w < forked.stats.jobs.size(); ++w) {
-    std::printf("  shard %zu: %zu jobs, %.1f ms busy\n", w,
-                forked.stats.jobs[w], forked.stats.busy_ms[w]);
-  }
-  const std::size_t hw = concurrency::ThreadPool::hardware_threads();
-  const double thread_speedup = serial.wall_ms / pooled.wall_ms;
-  const double fork_speedup = forked_serial.wall_ms / forked.wall_ms;
-  std::printf("\nfingerprints %s across all four drivers; invariants %zu/%zu; "
-              "thread speedup %.2fx, fork speedup %.2fx (host has %zu "
-              "hardware threads)\n",
-              identical ? "bit-identical" : "DIVERGED", passed,
-              serial.outcomes.size(), thread_speedup, fork_speedup, hw);
+  const unsigned hw = bench::host_info().hardware_threads;
+  const double speedup = serial.wall_ms / threaded.wall_ms;
+  std::printf("\nfingerprints %s serial vs %zu threads; invariants %zu/%zu "
+              "(%zu expected failures, %zu unexpected); speedup %.2fx "
+              "(host has %u hardware threads)\n",
+              identical ? "bit-identical" : "DIVERGED", threads, passed,
+              serial.outcomes.size(), expected.size(), unexpected.size(),
+              speedup, hw);
   if (!identical) return 1;
 
   std::FILE* f = std::fopen("BENCH_fault_sweep.json", "w");
@@ -447,41 +452,33 @@ int sweep_main(std::size_t seeds, std::size_t threads) {
   std::fprintf(f, "  \"experiment\": \"E13s_parallel_seed_sweep\",\n");
   bench::fprint_host_json(f);
   std::fprintf(f, "  \"seeds\": %zu,\n", seeds);
-  std::fprintf(f, "  \"parallel_workers\": %zu,\n", threads);
+  std::fprintf(f, "  \"threads\": %zu,\n", threads);
   // An A/B on a box with fewer hardware threads than the parallel arm
-  // measures pool/fork overhead, not speedup -- flag it so readers don't
+  // measures scheduling overhead, not speedup -- flag it so readers don't
   // quote the number as a parallelism result.
   std::fprintf(f, "  \"speedup_meaningful\": %s,\n",
                hw >= threads ? "true" : "false");
   std::fprintf(f, "  \"bit_identical\": %s,\n", identical ? "true" : "false");
   std::fprintf(f, "  \"invariants_passed\": %zu,\n", passed);
+  fprint_failures(f, "expected_failures", expected);
+  fprint_failures(f, "unexpected_failures", unexpected);
   std::fprintf(f, "  \"merged_fingerprint\": \"%016llx\",\n",
                static_cast<unsigned long long>(serial.merged));
-  std::fprintf(f, "  \"wall_ms_1_thread\": %.2f,\n", serial.wall_ms);
+  std::fprintf(f, "  \"wall_ms_serial\": %.2f,\n", serial.wall_ms);
   std::fprintf(f, "  \"wall_ms_%zu_threads\": %.2f,\n", threads,
-               pooled.wall_ms);
-  std::fprintf(f, "  \"thread_speedup\": %.2f,\n", thread_speedup);
-  std::fprintf(f, "  \"wall_ms_fork_inline\": %.2f,\n", forked_serial.wall_ms);
-  std::fprintf(f, "  \"wall_ms_fork_%zu_shards\": %.2f,\n", forked.shards,
-               forked.wall_ms);
-  std::fprintf(f, "  \"fork_speedup\": %.2f,\n", fork_speedup);
-  std::fprintf(f, "  \"per_shard\": [");
-  for (std::size_t w = 0; w < forked.stats.jobs.size(); ++w) {
-    std::fprintf(f, "%s\n    {\"shard\": %zu, \"jobs\": %zu, "
-                 "\"busy_ms\": %.2f}", w == 0 ? "" : ",", w,
-                 forked.stats.jobs[w], forked.stats.busy_ms[w]);
-  }
-  std::fprintf(f, "\n  ]\n}\n");
+               threaded.wall_ms);
+  std::fprintf(f, "  \"thread_speedup\": %.2f\n", speedup);
+  std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote BENCH_fault_sweep.json\n");
-  return 0;
+  return unexpected.empty() && expected_passes == 0 ? 0 : 1;
 }
 
 // --- Fuzz mode (E20): coverage-guided search vs blind sweep -------------------
 
 /// One fuzz scenario: fresh rig, campaign from `config`, loose invariants,
 /// coverage snapshot out. A pure function of the config -- the scheduler's
-/// replay/shard contract.
+/// replay and thread-count contract.
 fault::FuzzRunResult run_fuzz_scenario(const fault::CampaignConfig& config) {
   sim::Simulator simulator;
   Rig rig(simulator);
@@ -591,20 +588,20 @@ int fuzz_main() {
               static_cast<std::ptrdiff_t>(fuzz_keys) -
                   static_cast<std::ptrdiff_t>(blind_keys));
 
-  // --- Shard determinism: same search at 2 and 3 worker processes ------------
-  bool shards_identical = true;
+  // --- Thread determinism: same search at 2 and 3 sweep workers -------------
+  bool threads_identical = true;
   const std::string serial_journal = fuzzer.journal_json();
   const std::uint64_t serial_cov_fp = fuzzer.coverage().fingerprint();
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{3}}) {
-    fault::FuzzConfig sharded_config = fuzz_config;
-    sharded_config.shards = shards;
-    fault::FuzzScheduler sharded(sharded_config, run_fuzz_scenario);
-    sharded.run();
-    const bool same = sharded.journal_json() == serial_journal &&
-                      sharded.coverage().fingerprint() == serial_cov_fp;
-    std::printf("shards=%zu: journal+coverage %s serial\n", shards,
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{3}}) {
+    fault::FuzzConfig threaded_config = fuzz_config;
+    threaded_config.threads = threads;
+    fault::FuzzScheduler threaded(threaded_config, run_fuzz_scenario);
+    threaded.run();
+    const bool same = threaded.journal_json() == serial_journal &&
+                      threaded.coverage().fingerprint() == serial_cov_fp;
+    std::printf("threads=%zu: journal+coverage %s serial\n", threads,
                 same ? "bit-identical to" : "DIVERGED from");
-    shards_identical = shards_identical && same;
+    threads_identical = threads_identical && same;
   }
 
   // --- Minimization demo: shrink a known-failing campaign --------------------
@@ -693,9 +690,9 @@ int fuzz_main() {
     std::fprintf(f, "%s%zu", i == 0 ? "" : ", ", fuzzer.timeline()[i]);
   }
   std::fprintf(f, "],\n");
-  std::fprintf(f, "  \"shard_determinism\": {\"counts\": [0, 2, 3], "
+  std::fprintf(f, "  \"thread_determinism\": {\"threads\": [0, 2, 3], "
                "\"bit_identical\": %s, \"coverage_fingerprint\": "
-               "\"%016llx\"},\n", shards_identical ? "true" : "false",
+               "\"%016llx\"},\n", threads_identical ? "true" : "false",
                static_cast<unsigned long long>(serial_cov_fp));
   std::fprintf(f, "  \"minimization_demo\": {\"failing\": %s, "
                "\"invariant\": \"%s\", \"original_events\": %zu, "
@@ -721,7 +718,7 @@ int fuzz_main() {
                  fuzzer.failures()[0].detail.c_str());
     return 2;
   }
-  if (!more_coverage || !shards_identical || !repro_retrips) return 1;
+  if (!more_coverage || !threads_identical || !repro_retrips) return 1;
   return 0;
 }
 
@@ -731,7 +728,7 @@ int main(int argc, char** argv) {
   bool sweep = false;
   bool fuzz = false;
   std::size_t seeds = 32;
-  std::size_t threads = 8;
+  std::size_t threads = 4;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--sweep") == 0) {
       sweep = true;

@@ -502,7 +502,7 @@ struct SweepResult {
 };
 
 SweepResult run_sweep(std::size_t threads) {
-  sim::ScenarioSweep sweep({.seed = 0xE18, .threads = threads, .grain = 1});
+  sim::ScenarioSweep sweep({.seed = 0xE18, .threads = threads});
   std::vector<std::uint64_t> fingerprints(kSweepScenarios, 0);
   bench::Stopwatch watch;
   sweep.for_each(kSweepScenarios, [&](sim::ScenarioRun& r) {
@@ -599,7 +599,7 @@ int main() {
   const SweepResult parallel = run_sweep(4);
   const bool sweep_identical = serial.merged == parallel.merged;
   std::printf(
-      "scenarios=%zu merged=%016llx (serial %.2f ms, 4 threads %.2f ms) -> "
+      "scenarios=%zu merged=%016llx (serial %.2f ms, 4 workers %.2f ms) -> "
       "%s\n",
       kSweepScenarios, static_cast<unsigned long long>(serial.merged),
       serial.wall_ms, parallel.wall_ms,

@@ -5,11 +5,10 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <optional>
 #include <utility>
 
-#include "concurrency/thread_pool.hpp"
 #include "dse/schedulability.hpp"
+#include "sim/sweep.hpp"
 
 namespace dynaplat::dse {
 
@@ -725,10 +724,8 @@ ExplorationResult Explorer::exhaustive(std::uint64_t max_candidates,
     bests[chunk] = std::move(best);
   };
 
-  std::optional<concurrency::ThreadPool> pool;
-  if (threads > 0) pool.emplace(threads);
-  concurrency::parallel_for(pool ? &*pool : nullptr, 0,
-                            static_cast<std::size_t>(chunks), 1, sweep_chunk);
+  sim::ScenarioSweep sweep({.threads = threads});
+  sweep.for_each_index(static_cast<std::size_t>(chunks), sweep_chunk);
 
   result.candidates_evaluated = total;
   const ChunkBest* winner = nullptr;
@@ -823,11 +820,11 @@ ExplorationResult Explorer::simulated_annealing(std::uint64_t iterations,
   };
   std::vector<ChainOutcome> outcomes(chains);
 
-  const auto run_chain = [&](std::size_t chain) {
-    // Derived, non-overlapping stream per chain: the outcome depends only
-    // on (iterations, seed, chain), never on which thread runs it.
-    sim::Random rng = sim::Random::stream(seed, chain);
-    ChainOutcome& out = outcomes[chain];
+  const auto run_chain = [&](sim::ScenarioRun& run) {
+    // The run's stream is Random::stream(seed, chain): the outcome depends
+    // only on (iterations, seed, chain), never on which thread runs it.
+    sim::Random& rng = run.rng;
+    ChainOutcome& out = outcomes[run.index];
     std::atomic<std::uint64_t> hits{0};
 
     SoftCostState state(*this, start);
@@ -875,9 +872,8 @@ ExplorationResult Explorer::simulated_annealing(std::uint64_t iterations,
     out.hits = hits.load();
   };
 
-  std::optional<concurrency::ThreadPool> pool;
-  if (threads > 0) pool.emplace(threads);
-  concurrency::parallel_for(pool ? &*pool : nullptr, 0, chains, 1, run_chain);
+  sim::ScenarioSweep sweep({.seed = seed, .threads = threads});
+  sweep.for_each(chains, run_chain);
 
   // Best-of-chains in chain index order (strict < keeps the lowest chain on
   // ties); the winner is re-scored with the full cost so the reported value
@@ -909,9 +905,8 @@ ExplorationResult Explorer::genetic(std::size_t population,
   if (apps_.empty() || ecus_.empty()) return result;
   const WallTimer wall;
 
-  std::optional<concurrency::ThreadPool> pool;
-  if (threads > 0) pool.emplace(threads);
-  concurrency::ThreadPool* executor = pool ? &*pool : nullptr;
+  // One sweep for every generation: its workers start once, not per batch.
+  sim::ScenarioSweep sweep({.threads = threads});
   std::atomic<std::uint64_t> hits{0};
 
   sim::Random rng(seed);
@@ -923,7 +918,7 @@ ExplorationResult Explorer::genetic(std::size_t population,
   }
   std::vector<double> fitness(population);
   result.candidates_evaluated += population;
-  concurrency::parallel_for(executor, 0, population, 1, [&](std::size_t i) {
+  sweep.for_each_index(population, [&](std::size_t i) {
     fitness[i] = cached_genome_cost(current[i], &hits);
   });
 
@@ -963,10 +958,9 @@ ExplorationResult Explorer::genetic(std::size_t population,
     }
     std::vector<double> child_fitness(children.size());
     result.candidates_evaluated += children.size();
-    concurrency::parallel_for(
-        executor, 0, children.size(), 1, [&](std::size_t i) {
-          child_fitness[i] = cached_genome_cost(children[i], &hits);
-        });
+    sweep.for_each_index(children.size(), [&](std::size_t i) {
+      child_fitness[i] = cached_genome_cost(children[i], &hits);
+    });
 
     // Elitism: the champion as of the start of this generation leads the
     // next pool; the champion update scans children in index order.

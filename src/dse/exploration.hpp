@@ -11,12 +11,12 @@
 //
 // Hot-path machinery (DESIGN.md "DSE performance & threading model"):
 //  * Exhaustive sweeps and genetic fitness evaluation fan out over a
-//    concurrency::ThreadPool; partial results live in index-addressed slots
-//    and are merged in index order, so any thread count (including 0 =
-//    inline serial) reproduces the same best assignment for the same seed.
-//  * Simulated annealing runs N independent chains on derived
-//    sim::Random::stream(seed, chain) generators; the best-of-chains merge
-//    walks chains in index order.
+//    sim::ScenarioSweep; partial results live in index-addressed slots and
+//    are merged in index order, so any thread count (including 0 = inline
+//    serial) reproduces the same best assignment for the same seed.
+//  * Simulated annealing runs N independent chains as sweep scenarios, each
+//    on its sim::Random::stream(seed, chain) generator; the best-of-chains
+//    merge walks chains in index order.
 //  * A genome-keyed memoization cache (sharded, per-shard mutex) remembers
 //    cost and feasibility so repeated candidates skip the verifier.
 //  * Annealing's single-gene moves use an incremental evaluator that only
@@ -68,8 +68,9 @@ class Explorer {
   bool feasible(const model::Assignment& assignment) const;
 
   /// Enumerates every mapping (|ecus|^|apps| candidates) — exact but only
-  /// viable for small systems. `threads` > 0 partitions the sweep across a
-  /// thread pool; the result is identical to the serial sweep.
+  /// viable for small systems. `threads` > 0 partitions the sweep across
+  /// that many sweep workers besides the caller; the result is identical to
+  /// the serial sweep.
   ExplorationResult exhaustive(std::uint64_t max_candidates = 2'000'000,
                                std::size_t threads = 0);
 
@@ -79,7 +80,7 @@ class Explorer {
 
   /// Simulated annealing from the greedy seed. `chains` independent chains
   /// run on sim::Random::stream(seed, chain) generators (across `threads`
-  /// pool workers when > 0) and the best result wins; the outcome depends
+  /// sweep workers when > 0) and the best result wins; the outcome depends
   /// only on (iterations, seed, chains), never on `threads`.
   ExplorationResult simulated_annealing(std::uint64_t iterations = 20'000,
                                         std::uint64_t seed = 1,
@@ -233,7 +234,7 @@ class Explorer {
   /// legacy decode-and-verify path (the bench baseline).
   double evaluate_genome(const Genome& genome) const;
 
-  /// Cache-backed variants; safe to call from pool workers. `hits` (may be
+  /// Cache-backed variants; safe to call from sweep workers. `hits` (may be
   /// null) is bumped when the verifier was skipped.
   double cached_genome_cost(const Genome& genome,
                             std::atomic<std::uint64_t>* hits) const;

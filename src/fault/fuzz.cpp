@@ -7,6 +7,7 @@
 #include <cstdlib>
 
 #include "obs/json.hpp"
+#include "sim/sweep.hpp"
 
 namespace dynaplat::fault {
 
@@ -38,42 +39,6 @@ std::string fmt_double(double value) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", value);
   return buf;
-}
-
-std::string encode_result(const FuzzRunResult& result) {
-  std::string out = "{\"fp\":\"" + u64_hex(result.fingerprint) +
-                    "\",\"passed\":";
-  out += result.invariants_passed ? "true" : "false";
-  out += ",\"violated\":\"" + obs::json::escape(result.violated) +
-         "\",\"detail\":\"" + obs::json::escape(result.detail) +
-         "\",\"cov\":" + result.coverage.snapshot_json() + "}";
-  return out;
-}
-
-bool decode_result(const std::string& blob, FuzzRunResult* out) {
-  obs::json::Value doc;
-  if (!obs::json::parse(blob, &doc) || !doc.is_object()) return false;
-  FuzzRunResult result;
-  result.fingerprint =
-      std::strtoull(doc.at("fp").string.c_str(), nullptr, 16);
-  result.invariants_passed = doc.at("passed").boolean;
-  result.violated = doc.at("violated").string;
-  result.detail = doc.at("detail").string;
-  const obs::json::Value& cov = doc.at("cov");
-  if (!cov.is_object()) return false;
-  // std::map iterates sorted by key — the same interning order
-  // merge_snapshot_json produces, so sharded and inline maps agree.
-  for (const auto& [name, value] : cov.object) {
-    if (!value.is_number()) return false;
-    const auto count = static_cast<std::uint64_t>(std::llround(value.number));
-    if (count == 0) {
-      result.coverage.key(name);
-    } else {
-      result.coverage.hit(result.coverage.key(name), count);
-    }
-  }
-  *out = std::move(result);
-  return true;
 }
 
 }  // namespace
@@ -114,7 +79,7 @@ std::size_t FuzzScheduler::pick_parent(sim::Random& rng) const {
 std::vector<FuzzScheduler::Candidate> FuzzScheduler::plan_round(int round) {
   // Candidate generation depends ONLY on (master seed, round, corpus state
   // at round start): this is what makes the search deterministic at any
-  // shard count — execution order inside the batch cannot feed back.
+  // thread count — execution order inside the batch cannot feed back.
   sim::Random rng = sim::Random::stream(config_.master_seed ^ kFuzzSalt,
                                         static_cast<std::uint64_t>(round));
   std::vector<Candidate> batch;
@@ -268,26 +233,13 @@ void FuzzScheduler::merge_result(int round, int index,
   journal_.push_back(std::move(record));
 }
 
-void FuzzScheduler::execute_batch(int round,
+void FuzzScheduler::execute_batch(sim::ScenarioSweep& sweep, int round,
                                   const std::vector<Candidate>& batch) {
-  if (config_.shards > 0 && ProcessSweep::supported()) {
-    ProcessSweep sweep({config_.shards});
-    const std::vector<std::string> blobs = sweep.run(
-        batch.size(), [&](std::size_t i) {
-          return encode_result(runner_(batch[i].config));
-        });
-    for (std::size_t i = 0; i < blobs.size(); ++i) {
-      FuzzRunResult result;
-      if (!decode_result(blobs[i], &result)) {
-        throw std::runtime_error("FuzzScheduler: undecodable shard result");
-      }
-      merge_result(round, static_cast<int>(i), batch[i], result);
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    merge_result(round, static_cast<int>(i), batch[i],
-                 runner_(batch[i].config));
+  const std::vector<FuzzRunResult> results = sweep.run<FuzzRunResult>(
+      batch.size(),
+      [&](sim::ScenarioRun& run) { return runner_(batch[run.index].config); });
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    merge_result(round, static_cast<int>(i), batch[i], results[i]);
   }
 }
 
@@ -299,10 +251,11 @@ void FuzzScheduler::run(double budget_ms) {
                std::chrono::steady_clock::now() - started)
                .count() >= budget_ms;
   };
+  sim::ScenarioSweep sweep({.threads = config_.threads});
   if (!bootstrapped_) {
     Candidate seed_entry;
     seed_entry.config = config_.base;
-    execute_batch(-1, {seed_entry});
+    execute_batch(sweep, -1, {seed_entry});
     if (corpus_.empty()) {
       // A run with no coverage wiring still needs a corpus to mutate from.
       CorpusEntry entry;
@@ -312,7 +265,7 @@ void FuzzScheduler::run(double budget_ms) {
     bootstrapped_ = true;
   }
   while (rounds_done_ < config_.rounds && !out_of_time()) {
-    execute_batch(rounds_done_, plan_round(rounds_done_));
+    execute_batch(sweep, rounds_done_, plan_round(rounds_done_));
     ++rounds_done_;
   }
 }

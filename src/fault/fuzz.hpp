@@ -13,11 +13,11 @@
 // states — AFL's loop, with campaign plans instead of byte buffers.
 //
 // The search is batch-synchronous so it stays seed-deterministic AND
-// shardable: each round derives its candidate batch from the corpus state
+// parallel: each round derives its candidate batch from the corpus state
 // at round start via Random::stream(master_seed, round) only, the batch
-// runs anywhere (inline, or fanned across ProcessSweep worker processes),
-// and results merge in index order. Same master seed => bit-identical
-// corpus, journal and coverage at any shard count. The journal serializes
+// runs on a sim::ScenarioSweep (inline, or across its worker threads), and
+// results merge in index order. Same master seed => bit-identical corpus,
+// journal and coverage at any thread count. The journal serializes
 // every candidate (parent, operator, full config, verdict), so a campaign
 // found at round 37 replays from the journal alone.
 //
@@ -31,14 +31,18 @@
 #include <vector>
 
 #include "fault/campaign.hpp"
-#include "fault/shard.hpp"
 #include "obs/coverage.hpp"
+
+namespace dynaplat::sim {
+class ScenarioSweep;
+}
 
 namespace dynaplat::fault {
 
 /// What one campaign run reports back to the scheduler. The runner must be
-/// a pure function of the config (the FaultCampaign determinism contract):
-/// the fuzzer replays, journals and process-shards on that assumption.
+/// a pure function of the config (the FaultCampaign determinism contract)
+/// and safe to call from several threads at once: the fuzzer replays,
+/// journals and runs batches in parallel on that assumption.
 struct FuzzRunResult {
   obs::CoverageMap coverage;
   std::uint64_t fingerprint = 0;
@@ -70,12 +74,13 @@ struct FuzzConfig {
   /// so fuzz-vs-blind A/Bs compare search, not starting points.
   CampaignConfig base;
   int rounds = 8;
-  int batch = 8;  ///< candidates per round (the shardable unit)
+  int batch = 8;  ///< candidates per round (the parallel unit)
   std::size_t max_corpus = 64;
   std::size_t max_failures = 16;  ///< failing configs retained for triage
-  /// ProcessSweep worker processes per round; 0 runs candidates inline.
-  /// Results are identical either way (index-ordered merge).
-  std::size_t shards = 0;
+  /// Sweep worker threads besides the caller (SweepConfig::threads); 0 runs
+  /// candidates inline. Results are identical either way (index-ordered
+  /// merge).
+  std::size_t threads = 0;
 };
 
 struct CorpusEntry {
@@ -143,7 +148,8 @@ class FuzzScheduler {
   };
 
   std::vector<Candidate> plan_round(int round);
-  void execute_batch(int round, const std::vector<Candidate>& batch);
+  void execute_batch(sim::ScenarioSweep& sweep, int round,
+                     const std::vector<Candidate>& batch);
   void merge_result(int round, int index, const Candidate& candidate,
                     const FuzzRunResult& result);
   std::size_t pick_parent(sim::Random& rng) const;

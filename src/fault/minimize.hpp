@@ -18,7 +18,7 @@
 // Every probe is a fresh scenario run through the caller's PlanRunner (a
 // pure function of the plan — the FaultCampaign determinism contract), so
 // the minimization itself is bit-reproducible: same failing campaign in,
-// bit-identical minimal repro out, independent of shard count or host.
+// bit-identical minimal repro out, independent of thread count or host.
 // The result serializes as a flight-recorder-style JSON bundle
 // (repro_json / write_repro_file) and loads back (load_repro) for replay.
 #pragma once

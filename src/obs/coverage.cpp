@@ -1,11 +1,9 @@
 #include "obs/coverage.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "obs/fnv.hpp"
-#include "obs/json.hpp"
 
 namespace dynaplat::obs {
 
@@ -44,23 +42,6 @@ std::uint64_t CoverageMap::fingerprint() const {
     hash = fnv1a(hash, &counts_[i], sizeof(counts_[i]));
   }
   return hash;
-}
-
-bool CoverageMap::merge_snapshot_json(std::string_view json_text) {
-  json::Value doc;
-  if (!json::parse(json_text, &doc) || !doc.is_object()) return false;
-  for (const auto& [name, value] : doc.object) {
-    if (!value.is_number() || value.number < 0.0) return false;
-  }
-  for (const auto& [name, value] : doc.object) {
-    const auto count = static_cast<std::uint64_t>(std::llround(value.number));
-    if (count == 0) {
-      key(name);  // preserve reached-key sets even at count 0
-    } else {
-      hit(key(name), count);
-    }
-  }
-  return true;
 }
 
 void CoverageMap::merge_from(const CoverageMap& other) {

@@ -4,7 +4,7 @@
 // just its latency profile).
 //
 // A CoverageMap is simulator-thread-only, like TraceBuffer: each scenario in
-// a sim::ScenarioSweep owns its own map, and the sweep merges the shards in
+// a sim::ScenarioSweep owns its own map, and the sweep merges the maps in
 // index order after the barrier (ScenarioSweep::merge_coverage), so the
 // merged snapshot is bit-identical at any thread count.
 //
@@ -46,20 +46,13 @@ class CoverageMap {
 
   /// Order-independent FNV-1a over the sorted (name, count) pairs: two maps
   /// with equal content fingerprint equally regardless of interning order,
-  /// so a process-sharded merge can be compared bit-for-bit against a
-  /// serial in-process one.
+  /// so a threaded merge can be compared bit-for-bit against a serial one.
   std::uint64_t fingerprint() const;
 
-  /// Merges a snapshot_json() document into this map (keys interned in the
-  /// document's sorted order) — the cross-process half of the shard-merge
-  /// protocol. Returns false (leaving the map untouched) on malformed
-  /// input.
-  bool merge_snapshot_json(std::string_view json);
-
   /// Adds every count in `other` into this map, interning keys as needed.
-  /// Iterates `other` in its own interning order, so merging a fixed shard
-  /// sequence in index order is deterministic regardless of how the shards
-  /// were produced.
+  /// Iterates `other` in its own interning order, so merging a fixed map
+  /// sequence in index order is deterministic regardless of which threads
+  /// produced the maps.
   void merge_from(const CoverageMap& other);
 
   /// Visits (name, count) pairs in interning order.

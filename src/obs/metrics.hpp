@@ -3,9 +3,9 @@
 //
 // Registration (name -> instrument) takes a mutex once; the returned
 // references are stable for the registry's lifetime (deque storage), so hot
-// paths cache them and update through relaxed atomics — safe under the
-// src/concurrency thread pool (DSE fitness workers, Monte-Carlo campaigns)
-// as well as on the simulator thread.
+// paths cache them and update through relaxed atomics — safe from
+// sim::ScenarioSweep workers (DSE fitness evaluation, campaign sweeps) as
+// well as on the simulator thread.
 //
 // snapshot_json() renders the whole registry as one JSON document, which
 // platform::DiagnosticsService surfaces next to the vehicle fault store.

@@ -50,7 +50,7 @@ class Random {
   /// without consuming state anywhere: stream(s, i) is a pure function of
   /// (s, i). Parallel workers each take their own stream so results stay
   /// reproducible regardless of thread count or scheduling (the seed-
-  /// splitting scheme of the concurrency subsystem, see DESIGN.md).
+  /// splitting scheme of sim::ScenarioSweep, see DESIGN.md).
   /// The pair is hashed jointly (FNV-1a, distinct offset basis), so
   /// streams stay decorrelated even across related seeds — e.g. the
   /// spliced seeds the chaos fuzzer derives from corpus parents.

@@ -1,7 +1,6 @@
 #include "sim/stats.hpp"
 
 #include <cmath>
-#include <limits>
 #include <sstream>
 
 namespace dynaplat::sim {
@@ -59,53 +58,6 @@ void Stats::clear() {
   sorted_.clear();
   sorted_valid_ = false;
   mean_ = m2_ = sum_ = min_ = max_ = 0.0;
-}
-
-Histogram Histogram::linear(double lo, double hi, std::size_t buckets) {
-  Histogram h;
-  h.edges_.resize(buckets + 2);
-  h.counts_.assign(buckets + 2, 0);
-  h.edges_[0] = -std::numeric_limits<double>::infinity();
-  const double step = (hi - lo) / static_cast<double>(buckets);
-  for (std::size_t i = 0; i <= buckets; ++i) {
-    h.edges_[i + 1] = lo + step * static_cast<double>(i);
-  }
-  return h;
-}
-
-Histogram Histogram::log2(double lo, std::size_t buckets) {
-  Histogram h;
-  h.edges_.resize(buckets + 2);
-  h.counts_.assign(buckets + 2, 0);
-  h.edges_[0] = -std::numeric_limits<double>::infinity();
-  double edge = lo;
-  for (std::size_t i = 0; i <= buckets; ++i) {
-    h.edges_[i + 1] = edge;
-    edge *= 2.0;
-  }
-  return h;
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  // edges_[i] is the lower edge of bucket i; find the last bucket whose lower
-  // edge is <= x.
-  std::size_t i = counts_.size() - 1;
-  while (i > 0 && edges_[i] > x) --i;
-  ++counts_[i];
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::uint64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t i = 1; i + 1 < counts_.size(); ++i) {
-    const auto bar =
-        static_cast<std::size_t>(counts_[i] * width / peak);
-    os << edges_[i] << "\t" << counts_[i] << "\t" << std::string(bar, '#')
-       << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace dynaplat::sim

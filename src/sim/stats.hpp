@@ -9,8 +9,8 @@
 
 namespace dynaplat::sim {
 
-/// Streaming summary statistics (Welford) plus exact percentiles over the
-/// retained sample vector. Samples are doubles; callers pick the unit.
+/// Streaming summary statistics (Welford) plus percentiles over the retained
+/// sample vector. Samples are doubles; callers pick the unit.
 class Stats {
  public:
   void add(double x);
@@ -24,8 +24,9 @@ class Stats {
   double stddev() const;
   double sum() const { return sum_; }
 
-  /// Exact percentile via nearest-rank on the sorted sample set.
-  /// p in [0, 100]. Returns 0 for an empty accumulator.
+  /// Percentile of the sorted sample set, interpolated linearly between the
+  /// two samples around rank p/100 * (n - 1). p in [0, 100]; p <= 0 gives
+  /// the minimum, p >= 100 the maximum. Returns 0 for an empty accumulator.
   double percentile(double p) const;
 
   /// "min=.. mean=.. p99=.. max=.. (n=..)" one-line summary.
@@ -42,31 +43,6 @@ class Stats {
   double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Fixed-bucket histogram for latency distributions, log or linear spaced.
-class Histogram {
- public:
-  /// Linear buckets: [lo, hi) split into `buckets` equal cells plus
-  /// underflow/overflow cells.
-  static Histogram linear(double lo, double hi, std::size_t buckets);
-  /// Log2 buckets starting at `lo` (> 0), doubling `buckets` times.
-  static Histogram log2(double lo, std::size_t buckets);
-
-  void add(double x);
-  std::size_t total() const { return total_; }
-  /// Bucket count including under/overflow (index 0 and size()-1).
-  std::size_t size() const { return counts_.size(); }
-  std::uint64_t count_at(std::size_t i) const { return counts_[i]; }
-  /// Lower edge of bucket i (i in [1, size()-1)); bucket 0 is underflow.
-  double edge(std::size_t i) const { return edges_[i]; }
-  std::string render(std::size_t width = 40) const;
-
- private:
-  Histogram() = default;
-  std::vector<double> edges_;  // edges_[i] = lower edge of bucket i
-  std::vector<std::uint64_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace dynaplat::sim

@@ -1,18 +1,11 @@
-// Tests for the concurrency subsystem (thread pool, parallel_for, seed
-// streams) and for the DSE determinism contract: parallel exploration must
-// reproduce the serial result bit-for-bit for the same seed, with and
-// without the memoization cache.
+// Tests for seed streams and for the DSE determinism contract: parallel
+// exploration must reproduce the serial result bit-for-bit for the same
+// seed, with and without the memoization cache.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <numeric>
-#include <stdexcept>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "concurrency/thread_pool.hpp"
 #include "dse/exploration.hpp"
 #include "model/parser.hpp"
 #include "sim/random.hpp"
@@ -41,82 +34,6 @@ class TestProbe {
 }  // namespace dse
 
 namespace {
-
-// --- ThreadPool ---------------------------------------------------------------
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  concurrency::ThreadPool pool(4);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 32; ++i) {
-    futures.push_back(pool.submit([i] { return i * i; }));
-  }
-  for (int i = 0; i < 32; ++i) EXPECT_EQ(futures[i].get(), i * i);
-}
-
-TEST(ThreadPool, SingleWorkerPreservesSubmissionOrder) {
-  concurrency::ThreadPool pool(1);
-  std::vector<int> order;
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 16; ++i) {
-    futures.push_back(pool.submit([&order, i] { order.push_back(i); }));
-  }
-  for (auto& future : futures) future.get();
-  std::vector<int> expected(16);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(order, expected);
-}
-
-TEST(ThreadPool, PropagatesExceptionsThroughFutures) {
-  concurrency::ThreadPool pool(2);
-  auto future = pool.submit(
-      []() -> int { throw std::runtime_error("analysis failed"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, DestructorDrainsQueuedTasks) {
-  std::atomic<int> executed{0};
-  {
-    concurrency::ThreadPool pool(2);
-    for (int i = 0; i < 64; ++i) {
-      pool.post([&executed] {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        executed.fetch_add(1);
-      });
-    }
-  }  // destructor must run every queued task before joining
-  EXPECT_EQ(executed.load(), 64);
-}
-
-// --- parallel_for -------------------------------------------------------------
-
-TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  concurrency::ThreadPool pool(4);
-  std::vector<std::atomic<int>> counts(1000);
-  concurrency::parallel_for(&pool, 0, counts.size(), 7,
-                            [&](std::size_t i) { counts[i].fetch_add(1); });
-  for (const auto& count : counts) EXPECT_EQ(count.load(), 1);
-}
-
-TEST(ParallelFor, NullPoolRunsInline) {
-  std::vector<int> marks(100, 0);
-  concurrency::parallel_for(nullptr, 10, 60, 8,
-                            [&](std::size_t i) { marks[i] = 1; });
-  for (std::size_t i = 0; i < marks.size(); ++i) {
-    EXPECT_EQ(marks[i], (i >= 10 && i < 60) ? 1 : 0) << i;
-  }
-}
-
-TEST(ParallelFor, RethrowsBodyException) {
-  concurrency::ThreadPool pool(3);
-  EXPECT_THROW(
-      concurrency::parallel_for(&pool, 0, 100, 1,
-                                [&](std::size_t i) {
-                                  if (i == 42) {
-                                    throw std::invalid_argument("bad genome");
-                                  }
-                                }),
-      std::invalid_argument);
-}
 
 // --- Seed streams -------------------------------------------------------------
 

@@ -110,18 +110,6 @@ TEST(StatsEdge, NegativeValues) {
   EXPECT_NEAR(stats.mean(), -1.0, 1e-12);
 }
 
-TEST(HistogramEdge, Log2Buckets) {
-  auto h = sim::Histogram::log2(1.0, 4);  // edges 1,2,4,8,16
-  h.add(1.5);
-  h.add(3.0);
-  h.add(20.0);  // overflow
-  h.add(0.5);   // underflow
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.count_at(0), 1u);               // underflow
-  EXPECT_EQ(h.count_at(h.size() - 1), 1u);    // overflow
-  EXPECT_FALSE(h.render().empty());
-}
-
 // --- DSL parser corner cases -------------------------------------------------------------
 
 TEST(ParserEdge, CommentsAndBlankLines) {

@@ -2,15 +2,15 @@
 //
 // The scenario runner here is synthetic — a pure function mapping config
 // fields to coverage keys — so the tests pin the *search* contract
-// (determinism, shard invariance, corpus admission, journaling) without
-// paying for platform simulation. The real-platform integration lives in
-// bench/bench_fault.cpp --fuzz and examples/chaos_campaign.cpp --fuzz.
+// (determinism, thread-count invariance, corpus admission, journaling)
+// without paying for platform simulation. The real-platform integration
+// lives in bench/bench_fault.cpp --fuzz and examples/chaos_campaign.cpp
+// --fuzz.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "fault/fuzz.hpp"
-#include "fault/shard.hpp"
 #include "obs/json.hpp"
 
 namespace dynaplat::fault {
@@ -77,16 +77,14 @@ TEST(FuzzScheduler, SameMasterSeedIsBitIdentical) {
 TEST(FuzzScheduler, ShardCountDoesNotChangeTheSearch) {
   FuzzScheduler serial(small_config(), synthetic_run);
   serial.run();
-  std::vector<std::size_t> shard_counts;
-  if (ProcessSweep::supported()) shard_counts = {2, 5};
-  for (const std::size_t shards : shard_counts) {
+  for (const std::size_t threads : {2u, 5u}) {
     FuzzConfig config = small_config();
-    config.shards = shards;
-    FuzzScheduler sharded(config, synthetic_run);
-    sharded.run();
-    EXPECT_EQ(sharded.journal_json(), serial.journal_json())
-        << "shards=" << shards;
-    EXPECT_EQ(sharded.coverage().fingerprint(),
+    config.threads = threads;
+    FuzzScheduler threaded(config, synthetic_run);
+    threaded.run();
+    EXPECT_EQ(threaded.journal_json(), serial.journal_json())
+        << "threads=" << threads;
+    EXPECT_EQ(threaded.coverage().fingerprint(),
               serial.coverage().fingerprint());
   }
 }

@@ -1,5 +1,5 @@
 // Observability layer tests: interner, bounded trace ring, category masks,
-// metrics registry (incl. thread-pool concurrency), the minimal JSON
+// metrics registry (incl. concurrent updates), the minimal JSON
 // parser, and the Chrome trace-event exporter — ending with the acceptance
 // round-trip: a full platform run with a staged update exported and parsed
 // back, checking lane mapping and span nesting.
@@ -7,15 +7,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
-#include "concurrency/thread_pool.hpp"
 #include "middleware/payload.hpp"
 #include "model/parser.hpp"
 #include "net/ethernet.hpp"
@@ -162,7 +161,7 @@ TEST(ObsMetrics, HistogramBucketsAndOverflow) {
   EXPECT_TRUE(std::isinf(h.upper_bound(2)));
 }
 
-TEST(ObsMetrics, ConcurrentUpdatesUnderThreadPool) {
+TEST(ObsMetrics, ConcurrentUpdatesFromThreads) {
   obs::MetricsRegistry registry;
   auto& counter = registry.counter("c");
   auto& gauge = registry.gauge("g");
@@ -170,18 +169,17 @@ TEST(ObsMetrics, ConcurrentUpdatesUnderThreadPool) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 10'000;
   {
-    concurrency::ThreadPool pool(kThreads);
-    std::vector<std::future<void>> done;
+    std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
-      done.push_back(pool.submit([&] {
+      threads.emplace_back([&] {
         for (int i = 0; i < kPerThread; ++i) {
           counter.add();
           gauge.add(1.0);
           histogram.observe(i % 2 == 0 ? 0.0 : 1.0);
         }
-      }));
+      });
     }
-    for (auto& f : done) f.get();
+    for (std::thread& thread : threads) thread.join();
   }
   EXPECT_EQ(counter.value(), kThreads * kPerThread);
   EXPECT_DOUBLE_EQ(gauge.value(), kThreads * kPerThread);

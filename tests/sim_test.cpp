@@ -1,11 +1,17 @@
-// Unit tests for the discrete-event simulation kernel, RNG and statistics.
+// Unit tests for the discrete-event simulation kernel, the scenario sweep,
+// RNG and statistics.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <numeric>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -565,20 +571,20 @@ std::uint64_t sweep_scenario_fingerprint(ScenarioRun& run) {
 
 TEST(ScenarioSweep, BitIdenticalAcrossThreadCounts) {
   std::vector<std::uint64_t> serial;
-  std::vector<std::uint64_t> parallel;
   {
     ScenarioSweep sweep({.seed = 99, .threads = 0});
     serial = sweep.run<std::uint64_t>(32, sweep_scenario_fingerprint);
   }
-  {
-    ScenarioSweep sweep({.seed = 99, .threads = 4});
-    EXPECT_EQ(sweep.threads(), 4u);
-    parallel = sweep.run<std::uint64_t>(32, sweep_scenario_fingerprint);
-  }
   ASSERT_EQ(serial.size(), 32u);
-  EXPECT_EQ(serial, parallel);
-  EXPECT_EQ(ScenarioSweep::merge_fingerprints(serial),
-            ScenarioSweep::merge_fingerprints(parallel));
+  for (const std::size_t threads : {1u, 4u}) {
+    ScenarioSweep sweep({.seed = 99, .threads = threads});
+    EXPECT_EQ(sweep.threads(), threads);
+    const std::vector<std::uint64_t> parallel =
+        sweep.run<std::uint64_t>(32, sweep_scenario_fingerprint);
+    EXPECT_EQ(serial, parallel) << "threads=" << threads;
+    EXPECT_EQ(ScenarioSweep::merge_fingerprints(serial),
+              ScenarioSweep::merge_fingerprints(parallel));
+  }
 }
 
 TEST(ScenarioSweep, StreamsAreIndependentOfSweepWidth) {
@@ -589,6 +595,144 @@ TEST(ScenarioSweep, StreamsAreIndependentOfSweepWidth) {
   const auto few = narrow.run<std::uint64_t>(4, sweep_scenario_fingerprint);
   const auto many = wide.run<std::uint64_t>(16, sweep_scenario_fingerprint);
   for (std::size_t i = 0; i < few.size(); ++i) EXPECT_EQ(few[i], many[i]);
+}
+
+TEST(ScenarioSweep, RunsEveryIndexExactlyOnce) {
+  // Empty, singleton and large batches, inline and on workers.
+  for (const std::size_t threads : {0u, 4u}) {
+    for (const std::size_t n : {0u, 1u, 1000u}) {
+      ScenarioSweep sweep({.seed = 5, .threads = threads});
+      std::vector<std::atomic<int>> runs(n);
+      sweep.for_each_index(n, [&](std::size_t i) { runs[i].fetch_add(1); });
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(runs[i].load(), 1) << "threads=" << threads << " i=" << i;
+      }
+    }
+  }
+}
+
+namespace {
+
+constexpr std::uint64_t kBlobSeed = 5;
+
+// Index- and stream-derived payload with embedded NULs and newlines: a
+// result is a whole value in its index-addressed slot, whatever its bytes.
+std::string blob_for(std::size_t index, Random rng) {
+  std::string blob = "job:" + std::to_string(index) + "\n";
+  blob.push_back('\0');
+  blob += std::string(index % 7, 'x');
+  blob += std::to_string(rng.next_u64());
+  return blob;
+}
+
+std::string expected_blob(std::size_t index) {
+  return blob_for(index, Random::stream(kBlobSeed, index));
+}
+
+std::vector<std::string> run_blobs(std::size_t threads, std::size_t n) {
+  ScenarioSweep sweep({.seed = kBlobSeed, .threads = threads});
+  return sweep.run<std::string>(
+      n, [](ScenarioRun& run) { return blob_for(run.index, run.rng); });
+}
+
+}  // namespace
+
+TEST(ScenarioSweep, InlineRunReturnsResultsInIndexOrder) {
+  const std::vector<std::string> blobs = run_blobs(0, 9);
+  ASSERT_EQ(blobs.size(), 9u);
+  for (std::size_t i = 0; i < blobs.size(); ++i) {
+    EXPECT_EQ(blobs[i], expected_blob(i)) << "index " << i;
+  }
+}
+
+TEST(ScenarioSweep, MergeMatchesSerialAtAnyThreadCount) {
+  const std::size_t n = 17;
+  const std::vector<std::string> serial = run_blobs(0, n);
+  for (const std::size_t threads : {1u, 2u, 3u, 5u}) {
+    EXPECT_EQ(run_blobs(threads, n), serial) << "threads=" << threads;
+  }
+}
+
+TEST(ScenarioSweep, HandlesEmptyAndSingletonScenarioSets) {
+  EXPECT_TRUE(run_blobs(2, 0).empty());
+  const std::vector<std::string> one = run_blobs(3, 1);
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one[0], expected_blob(0));
+}
+
+TEST(ScenarioSweep, MoreWorkersThanScenariosStillMergesCleanly) {
+  const std::vector<std::string> blobs = run_blobs(6, 3);
+  ASSERT_EQ(blobs.size(), 3u);
+  for (std::size_t i = 0; i < blobs.size(); ++i) {
+    EXPECT_EQ(blobs[i], expected_blob(i)) << "index " << i;
+  }
+}
+
+// The fuzzer's per-round pattern: each scenario fills its own coverage map
+// and the caller merges them in index order. The merged map must be a pure
+// function of the scenario set, the same at every thread count.
+TEST(ScenarioSweep, CoverageMergeIsThreadCountInvariant) {
+  const auto coverage_job = [](ScenarioRun& run) {
+    obs::CoverageMap map;
+    map.hit("sweep.job", run.index + 1);
+    map.hit("sweep.bucket." + std::to_string(run.index % 3));
+    if (run.index % 2 == 0) map.hit("sweep.even");
+    return map;
+  };
+  const std::size_t n = 12;
+  std::string serial_json;
+  std::uint64_t serial_fp = 0;
+  std::size_t serial_keys = 0;
+  for (const std::size_t threads : {0u, 2u, 4u}) {
+    ScenarioSweep sweep({.seed = 5, .threads = threads});
+    const obs::CoverageMap merged = ScenarioSweep::merge_coverage(
+        sweep.run<obs::CoverageMap>(n, coverage_job));
+    if (threads == 0) {
+      serial_json = merged.snapshot_json();
+      serial_fp = merged.fingerprint();
+      serial_keys = merged.unique_hit_count();
+      EXPECT_EQ(serial_keys, 5u);
+      EXPECT_EQ(merged.count("sweep.job"), n * (n + 1) / 2);
+    } else {
+      EXPECT_EQ(merged.snapshot_json(), serial_json) << "threads=" << threads;
+      EXPECT_EQ(merged.fingerprint(), serial_fp) << "threads=" << threads;
+      EXPECT_EQ(merged.unique_hit_count(), serial_keys);
+    }
+  }
+}
+
+TEST(ScenarioSweep, ZeroThreadsRunsInlineInIndexOrder) {
+  ScenarioSweep sweep({.seed = 5, .threads = 0});
+  EXPECT_EQ(sweep.threads(), 0u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  sweep.for_each_index(50, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  std::vector<std::size_t> expected(50);
+  std::iota(expected.begin(), expected.end(), std::size_t{0});
+  EXPECT_EQ(order, expected);
+}
+
+TEST(ScenarioSweep, RethrowsLowestFailingIndexAndRunsAgain) {
+  for (const std::size_t threads : {0u, 3u}) {
+    ScenarioSweep sweep({.seed = 5, .threads = threads});
+    try {
+      sweep.for_each_index(100, [](std::size_t i) {
+        if (i == 42 || i == 77) throw std::out_of_range(std::to_string(i));
+      });
+      ADD_FAILURE() << "no exception, threads=" << threads;
+    } catch (const std::out_of_range& e) {
+      EXPECT_STREQ(e.what(), "42") << "threads=" << threads;
+    }
+    // The same sweep, workers and all, runs the next batch in full.
+    std::vector<std::atomic<int>> runs(100);
+    sweep.for_each_index(100, [&](std::size_t i) { runs[i].fetch_add(1); });
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "threads=" << threads << " i=" << i;
+    }
+  }
 }
 
 TEST(ScenarioSweep, MergeFingerprintsIsOrderSensitive) {
@@ -691,19 +835,6 @@ TEST(Stats, PercentileOfUniformMatchesValue) {
   for (int i = 0; i <= 100; ++i) stats.add(static_cast<double>(i));
   EXPECT_NEAR(stats.percentile(50), 50.0, 1.0);
   EXPECT_NEAR(stats.percentile(90), 90.0, 1.0);
-}
-
-TEST(Histogram, CountsFallInCorrectBuckets) {
-  Histogram h = Histogram::linear(0, 100, 10);
-  h.add(5);    // bucket 1
-  h.add(15);   // bucket 2
-  h.add(-1);   // underflow
-  h.add(150);  // overflow
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.count_at(0), 1u);
-  EXPECT_EQ(h.count_at(1), 1u);
-  EXPECT_EQ(h.count_at(2), 1u);
-  EXPECT_EQ(h.count_at(h.size() - 1), 1u);
 }
 
 TEST(Trace, RecordsAndCounts) {
