@@ -45,11 +45,10 @@
 #include "fault/minimize.hpp"
 #include "middleware/transport.hpp"
 #include "model/parser.hpp"
-#include "net/ethernet.hpp"
 #include "obs/json.hpp"
 #include "platform/degradation.hpp"
-#include "platform/platform.hpp"
 #include "platform/redundancy.hpp"
+#include "platform/vehicle.hpp"
 #include "sim/sweep.hpp"
 
 using namespace dynaplat;
@@ -136,10 +135,10 @@ TransportOutcome run_transport(double loss, bool reliable) {
 // seeded range, reachable sooner with fuzzer-scaled magnitudes. A blind
 // sweep of the base config (overrun family disabled) can reach none of it.
 const char* kSystem = R"(
-network Net kind=ethernet bitrate=100M
-ecu A mips=1000 memory=64M asil=D network=Net
-ecu B mips=1000 memory=64M asil=D network=Net
-ecu C mips=1000 memory=64M asil=D network=Net
+network eth kind=ethernet bitrate=100M
+ecu A mips=1000 memory=64M asil=D network=eth
+ecu B mips=1000 memory=64M asil=D network=eth
+ecu C mips=1000 memory=64M asil=D network=eth
 interface Cmd paradigm=event payload=8 period=10ms
 app Pilot class=deterministic asil=D memory=4M replicas=2
   task drive period=10ms wcet=100K priority=1
@@ -190,40 +189,24 @@ struct CampaignOutcome {
 /// scenario needs so both the seed sweep and the fuzzer run through the
 /// exact same platform.
 struct Rig {
-  sim::Simulator& simulator;
   sim::Trace trace;
-  model::ParsedSystem parsed;
-  std::unique_ptr<net::EthernetSwitch> backbone;
-  std::vector<std::unique_ptr<os::Ecu>> ecus;
-  std::unique_ptr<platform::DynamicPlatform> dp;
+  platform::Vehicle vehicle;
+  platform::DynamicPlatform& dp;
   std::unique_ptr<platform::RedundancyManager> redundancy;
   std::unique_ptr<platform::DegradationManager> degradation;
   bool ok = false;
 
-  explicit Rig(sim::Simulator& sim) : simulator(sim) {
-    parsed = model::parse_system(kSystem);
-    backbone = std::make_unique<net::EthernetSwitch>(simulator, "eth",
-                                                     net::EthernetConfig{});
-    net::NodeId next_node = 1;
-    for (const auto& ecu_def : parsed.model.ecus()) {
-      os::EcuConfig config;
-      config.name = ecu_def.name;
-      config.cpu.mips = ecu_def.mips;
-      config.memory_bytes = ecu_def.memory_bytes;
-      ecus.push_back(std::make_unique<os::Ecu>(
-          simulator, config, backbone.get(), next_node++, &trace));
-    }
-    platform::NodeConfig node_config;
-    node_config.middleware.transport.reliable = true;
-    dp = std::make_unique<platform::DynamicPlatform>(simulator, parsed.model,
-                                                     parsed.deployment);
-    for (auto& ecu : ecus) dp->add_node(*ecu, node_config);
-    dp->register_app("Pilot", [] { return std::make_unique<PilotApp>(); });
-    dp->register_app("Aux", [] { return std::make_unique<AuxApp>(); });
-    if (!dp->install_all()) return;
-    redundancy = std::make_unique<platform::RedundancyManager>(*dp, "Pilot");
+  explicit Rig(sim::Simulator& simulator)
+      : vehicle(simulator, model::parse_system(kSystem),
+                {.node = {.middleware = {.transport = {.reliable = true}}},
+                 .trace = &trace}),
+        dp(vehicle.platform()) {
+    dp.register_app("Pilot", [] { return std::make_unique<PilotApp>(); });
+    dp.register_app("Aux", [] { return std::make_unique<AuxApp>(); });
+    if (!dp.install_all()) return;
+    redundancy = std::make_unique<platform::RedundancyManager>(dp, "Pilot");
     redundancy->engage();
-    degradation = std::make_unique<platform::DegradationManager>(*dp);
+    degradation = std::make_unique<platform::DegradationManager>(dp);
     degradation->engage();
     ok = true;
   }
@@ -233,8 +216,8 @@ struct Rig {
   /// historical per-seed fingerprints.
   void add_classic_targets(fault::FaultCampaign& campaign) {
     campaign.set_trace(&trace);
-    for (auto& ecu : ecus) campaign.add_ecu(*ecu);
-    campaign.add_medium(*backbone);
+    for (const auto& ecu : vehicle.ecus()) campaign.add_ecu(*ecu);
+    campaign.add_medium(vehicle.medium("eth"));
   }
 
   /// Fuzz target set: Pilot replica ECUs for crash/memory, the backbone
@@ -243,11 +226,12 @@ struct Rig {
   /// (same rule as examples/chaos_campaign.cpp).
   void add_targets(fault::FaultCampaign& campaign) {
     campaign.set_trace(&trace);
-    campaign.add_ecu(*ecus[0]);
-    campaign.add_ecu(*ecus[1]);
-    campaign.add_medium(*backbone);
-    const platform::AppInstance* aux = dp->node("C")->instance("Aux");
-    campaign.add_overrun_target("C/churn", ecus[2]->processor(aux->core),
+    campaign.add_ecu(vehicle.ecu("A"));
+    campaign.add_ecu(vehicle.ecu("B"));
+    campaign.add_medium(vehicle.medium("eth"));
+    const platform::AppInstance* aux = dp.node("C")->instance("Aux");
+    campaign.add_overrun_target("C/churn",
+                                vehicle.ecu("C").processor(aux->core),
                                 aux->tasks[0]);
   }
 
@@ -259,8 +243,8 @@ struct Rig {
   fault::InvariantReport check_fuzz_invariants(std::uint64_t seed) {
     fault::InvariantChecker checker;
     checker.require_failover_outage_below(*redundancy, 1 * sim::kSecond);
-    checker.require_no_da_deadline_misses(*dp);
-    checker.require_no_stranded_reassembly(*dp);
+    checker.require_no_da_deadline_misses(dp);
+    checker.require_no_stranded_reassembly(dp);
     fault::FlightRecorderConfig recorder;
     recorder.trace = &trace;
     recorder.seed = seed;
@@ -291,11 +275,11 @@ CampaignOutcome run_campaign(sim::Simulator& simulator, std::uint64_t seed) {
   fault::InvariantChecker checker;
   checker.require_failover_outage_below(*rig.redundancy,
                                         300 * sim::kMillisecond);
-  checker.require_no_da_deadline_misses(*rig.dp);
+  checker.require_no_da_deadline_misses(rig.dp);
   // Detection limit: 3 missed heartbeats at 10 ms plus one supervisor tick.
-  checker.require_faults_detected(campaign, *rig.dp, rig.redundancy.get(),
+  checker.require_faults_detected(campaign, rig.dp, rig.redundancy.get(),
                                   40 * sim::kMillisecond);
-  checker.require_no_stranded_reassembly(*rig.dp);
+  checker.require_no_stranded_reassembly(rig.dp);
 
   CampaignOutcome outcome;
   outcome.seed = seed;

@@ -15,9 +15,8 @@
 
 #include "bench/common.hpp"
 #include "model/parser.hpp"
-#include "net/ethernet.hpp"
-#include "platform/platform.hpp"
 #include "platform/reconfiguration.hpp"
+#include "platform/vehicle.hpp"
 
 using namespace dynaplat;
 
@@ -54,30 +53,15 @@ Outcome run(int apps_on_victim, double survivor_base_load,
     dsl += std::string("deploy Base") + survivor + " -> " + survivor + "\n";
   }
 
-  auto parsed = model::parse_system(dsl);
   sim::Simulator simulator;
-  net::EthernetSwitch backbone(simulator, "eth", {});
-  std::vector<std::unique_ptr<os::Ecu>> ecus;
-  net::NodeId node_id = 1;
-  for (const auto& ecu_def : parsed.model.ecus()) {
-    os::EcuConfig config;
-    config.name = ecu_def.name;
-    config.cpu.mips = ecu_def.mips;
-    config.cores = ecu_def.cores;
-    config.memory_bytes = ecu_def.memory_bytes;
-    ecus.push_back(std::make_unique<os::Ecu>(simulator, config, &backbone,
-                                             node_id++));
-  }
   // The candidate lists are deliberately permissive (they are the
   // reconfiguration search space, not a guarantee that every variant is
   // simultaneously safe), so strict variant verification is off; per-node
   // admission control still gates every placement at runtime.
-  platform::PlatformConfig platform_config;
-  platform_config.enforce_verification = false;
-  platform::DynamicPlatform dp(simulator, parsed.model, parsed.deployment,
-                               platform_config);
-  for (auto& ecu : ecus) dp.add_node(*ecu);
-  for (const auto& app : parsed.model.apps()) {
+  platform::Vehicle vehicle(simulator, model::parse_system(dsl),
+                            {.platform = {.enforce_verification = false}});
+  platform::DynamicPlatform& dp = vehicle.platform();
+  for (const auto& app : dp.system_model().apps()) {
     dp.register_app(app.name, [] {
       return std::make_unique<platform::Application>();
     });
@@ -90,7 +74,7 @@ Outcome run(int apps_on_victim, double survivor_base_load,
   reconfig.engage();
 
   const sim::Time fault_at = sim::seconds(2) + 7 * sim::kMillisecond;
-  simulator.schedule_at(fault_at, [&] { ecus[0]->fail(); });
+  simulator.schedule_at(fault_at, [&] { vehicle.ecu("Victim").fail(); });
   simulator.run_until(sim::seconds(10));
 
   Outcome outcome;

@@ -27,10 +27,9 @@
 
 #include "bench/common.hpp"
 #include "model/parser.hpp"
-#include "net/ethernet.hpp"
-#include "platform/platform.hpp"
 #include "platform/reconfiguration.hpp"
 #include "platform/recovery.hpp"
+#include "platform/vehicle.hpp"
 
 using namespace dynaplat;
 
@@ -48,11 +47,12 @@ struct Outcome {
 };
 
 struct World {
-  model::ParsedSystem parsed;
+  explicit World(model::ParsedSystem system)
+      : vehicle(simulator, std::move(system),
+                {.platform = {.enforce_verification = false}}) {}
+
   sim::Simulator simulator;
-  std::unique_ptr<net::EthernetSwitch> backbone;
-  std::vector<std::unique_ptr<os::Ecu>> ecus;
-  std::unique_ptr<platform::DynamicPlatform> platform;
+  platform::Vehicle vehicle;
 };
 
 // 3 victim ECUs x 2 apps each (one deterministic, one best-effort), 2
@@ -84,33 +84,14 @@ std::unique_ptr<World> build() {
     dsl += std::string("deploy Base") + survivor + " -> " + survivor + "\n";
   }
 
-  auto world = std::make_unique<World>();
-  world->parsed = model::parse_system(dsl);
-  world->backbone =
-      std::make_unique<net::EthernetSwitch>(world->simulator, "eth",
-                                            net::EthernetConfig{});
-  net::NodeId node_id = 1;
-  for (const auto& ecu_def : world->parsed.model.ecus()) {
-    os::EcuConfig config;
-    config.name = ecu_def.name;
-    config.cpu.mips = ecu_def.mips;
-    config.cores = ecu_def.cores;
-    config.memory_bytes = ecu_def.memory_bytes;
-    world->ecus.push_back(std::make_unique<os::Ecu>(
-        world->simulator, config, world->backbone.get(), node_id++));
-  }
-  platform::PlatformConfig platform_config;
-  platform_config.enforce_verification = false;
-  world->platform = std::make_unique<platform::DynamicPlatform>(
-      world->simulator, world->parsed.model, world->parsed.deployment,
-      platform_config);
-  for (auto& ecu : world->ecus) world->platform->add_node(*ecu);
-  for (const auto& app : world->parsed.model.apps()) {
-    world->platform->register_app(app.name, [] {
+  auto world = std::make_unique<World>(model::parse_system(dsl));
+  platform::DynamicPlatform& dp = world->vehicle.platform();
+  for (const auto& app : dp.system_model().apps()) {
+    dp.register_app(app.name, [] {
       return std::make_unique<platform::Application>();
     });
   }
-  if (!world->platform->install_all()) return nullptr;
+  if (!dp.install_all()) return nullptr;
   return world;
 }
 
@@ -118,8 +99,9 @@ constexpr sim::Time kFirstFault = sim::seconds(2) + 7 * sim::kMillisecond;
 
 void schedule_kills(World& world, int killed) {
   for (int v = 0; v < killed; ++v) {
+    os::Ecu& victim = *world.vehicle.ecus()[v];
     world.simulator.schedule_at(kFirstFault + v * 30 * sim::kMillisecond,
-                                [&world, v] { world.ecus[v]->fail(); });
+                                [&victim] { victim.fail(); });
   }
 }
 
@@ -128,7 +110,7 @@ Outcome run_legacy(int killed) {
   if (!world) return {};
   platform::ReconfigConfig config;
   config.check_period = 50 * sim::kMillisecond;
-  platform::ReconfigurationManager reconfig(*world->platform, config);
+  platform::ReconfigurationManager reconfig(world->vehicle.platform(), config);
   reconfig.engage();
   schedule_kills(*world, killed);
   world->simulator.run_until(sim::seconds(10));
@@ -157,7 +139,7 @@ Outcome run_orchestrator(int killed) {
   platform::RecoveryConfig config;
   config.check_period = 50 * sim::kMillisecond;
   config.dse_iterations = 1'000;
-  platform::RecoveryOrchestrator recovery(*world->platform, config);
+  platform::RecoveryOrchestrator recovery(world->vehicle.platform(), config);
   recovery.engage();
   schedule_kills(*world, killed);
   world->simulator.run_until(sim::seconds(10));

@@ -15,9 +15,8 @@
 #include "bench/common.hpp"
 #include "middleware/payload.hpp"
 #include "model/parser.hpp"
-#include "net/ethernet.hpp"
-#include "platform/platform.hpp"
 #include "platform/redundancy.hpp"
+#include "platform/vehicle.hpp"
 
 using namespace dynaplat;
 
@@ -75,20 +74,9 @@ Outcome run(int replicas, sim::Duration heartbeat_period,
       "  task tick period=10ms wcet=100K priority=1\n"
       "  provides Beacon\n"
       "deploy Pilot -> A | B | C\n";
-  model::ParsedSystem parsed = model::parse_system(dsl);
   sim::Simulator simulator;
-  net::EthernetSwitch backbone(simulator, "eth", {});
-  std::vector<std::unique_ptr<os::Ecu>> ecus;
-  net::NodeId node_id = 1;
-  for (const char* name : {"A", "B", "C", "Obs"}) {
-    os::EcuConfig config;
-    config.name = name;
-    config.cpu.mips = 1000;
-    ecus.push_back(std::make_unique<os::Ecu>(simulator, config, &backbone,
-                                             node_id++));
-  }
-  platform::DynamicPlatform dp(simulator, parsed.model, parsed.deployment);
-  for (auto& ecu : ecus) dp.add_node(*ecu);
+  platform::Vehicle vehicle(simulator, model::parse_system(dsl));
+  platform::DynamicPlatform& dp = vehicle.platform();
   dp.register_app("Pilot", [] { return std::make_unique<BeaconApp>(); });
   if (!dp.install_all()) return {};
 
@@ -120,7 +108,7 @@ Outcome run(int replicas, sim::Duration heartbeat_period,
       });
 
   // Fault at t = 2 s; observe until t = 10 s.
-  simulator.schedule_at(sim::seconds(2), [&] { ecus[0]->fail(); });
+  simulator.schedule_at(sim::seconds(2), [&] { vehicle.ecu("A").fail(); });
   simulator.run_until(sim::seconds(10));
 
   Outcome outcome;

@@ -14,9 +14,8 @@
 #include "bench/common.hpp"
 #include "middleware/payload.hpp"
 #include "model/parser.hpp"
-#include "net/ethernet.hpp"
-#include "platform/platform.hpp"
 #include "platform/update.hpp"
+#include "platform/vehicle.hpp"
 
 using namespace dynaplat;
 
@@ -71,16 +70,9 @@ struct Outcome {
 
 Outcome run(const std::string& strategy, std::size_t state_bytes,
             std::uint64_t verify_instructions) {
-  model::ParsedSystem parsed = model::parse_system(kModel);
   sim::Simulator simulator;
-  net::EthernetSwitch backbone(simulator, "eth", {});
-  os::EcuConfig host_config{.name = "Host", .cpu = {.mips = 200}};
-  os::EcuConfig peer_config{.name = "Peer", .cpu = {.mips = 1000}};
-  os::Ecu host(simulator, host_config, &backbone, 1);
-  os::Ecu peer(simulator, peer_config, &backbone, 2);
-  platform::DynamicPlatform dp(simulator, parsed.model, parsed.deployment);
-  dp.add_node(host);
-  dp.add_node(peer);
+  platform::Vehicle vehicle(simulator, model::parse_system(kModel));
+  platform::DynamicPlatform& dp = vehicle.platform();
   dp.register_app("Pub", [state_bytes] {
     return std::make_unique<StatefulPub>(state_bytes);
   });
@@ -108,7 +100,7 @@ Outcome run(const std::string& strategy, std::size_t state_bytes,
   platform::UpdateManager updates(dp);
   platform::UpdateConfig config;
   config.preinstall_instructions = verify_instructions;
-  model::AppDef v2 = *parsed.model.app("Pub");
+  model::AppDef v2 = *dp.system_model().app("Pub");
   v2.version = 2;
   auto factory = [state_bytes] {
     return std::make_unique<StatefulPub>(state_bytes);

@@ -12,8 +12,7 @@
 
 #include "dse/exploration.hpp"
 #include "model/parser.hpp"
-#include "net/ethernet.hpp"
-#include "platform/platform.hpp"
+#include "platform/vehicle.hpp"
 
 using namespace dynaplat;
 
@@ -69,27 +68,16 @@ RunStats run_consolidated(const model::ParsedSystem& parsed,
                           const model::DeploymentDef& deployment,
                           bool platform_isolation) {
   sim::Simulator simulator;
-  net::EthernetSwitch backbone(simulator, "backbone",
-                               net::EthernetConfig{.link_bps = 1'000'000'000});
-  std::vector<std::unique_ptr<os::Ecu>> ecus;
-  net::NodeId node_id = 1;
-  for (const auto& ecu_def : parsed.model.ecus()) {
-    os::EcuConfig config;
-    config.name = ecu_def.name;
-    config.cpu.mips = ecu_def.mips;
-    config.memory_bytes = ecu_def.memory_bytes;
-    ecus.push_back(std::make_unique<os::Ecu>(simulator, config, &backbone,
-                                             node_id++));
-  }
-  platform::DynamicPlatform dp(simulator, parsed.model, deployment);
   platform::NodeConfig node_config;
   node_config.time_triggered = platform_isolation;
-  for (auto& ecu : ecus) {
-    if (!platform_isolation) {
-      // Naive consolidation: one fair scheduler for everything.
+  platform::Vehicle vehicle(simulator, {parsed.model, deployment},
+                            {.node = node_config});
+  platform::DynamicPlatform& dp = vehicle.platform();
+  if (!platform_isolation) {
+    // Naive consolidation: one fair scheduler for everything.
+    for (const auto& ecu : vehicle.ecus()) {
       ecu->processor().set_scheduler(os::make_fair(sim::kMillisecond));
     }
-    dp.add_node(*ecu, node_config);
   }
   for (const auto& app : parsed.model.apps()) {
     dp.register_app(app.name, [] { return std::make_unique<StubApp>(); });
@@ -102,7 +90,7 @@ RunStats run_consolidated(const model::ParsedSystem& parsed,
   simulator.run_until(sim::seconds(10));
 
   RunStats stats;
-  for (auto& ecu : ecus) {
+  for (const auto& ecu : vehicle.ecus()) {
     auto& cpu = ecu->processor();
     for (os::TaskId id : cpu.task_ids()) {
       const auto& task_stats = cpu.stats(id);

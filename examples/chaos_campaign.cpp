@@ -41,21 +41,20 @@
 #include "fault/minimize.hpp"
 #include "middleware/payload.hpp"
 #include "model/parser.hpp"
-#include "net/ethernet.hpp"
 #include "obs/export.hpp"
 #include "platform/degradation.hpp"
-#include "platform/platform.hpp"
 #include "platform/redundancy.hpp"
+#include "platform/vehicle.hpp"
 
 using namespace dynaplat;
 
 namespace {
 
 const char* kModel = R"(
-network Backbone kind=ethernet bitrate=1G
-ecu Front mips=3000 memory=256M asil=D network=Backbone
-ecu Rear mips=3000 memory=256M asil=D network=Backbone
-ecu Cabin mips=2000 memory=256M asil=D network=Backbone
+network backbone kind=ethernet bitrate=1G
+ecu Front mips=3000 memory=256M asil=D network=backbone
+ecu Rear mips=3000 memory=256M asil=D network=backbone
+ecu Cabin mips=2000 memory=256M asil=D network=backbone
 
 interface Steering paradigm=event payload=16 period=10ms max_latency=5ms
 
@@ -103,42 +102,25 @@ class InfotainApp final : public platform::Application {};
 /// The demo platform, built fresh per scenario so every run — interactive,
 /// fuzzed, or a minimizer probe — is a pure function of its campaign.
 struct Rig {
-  sim::Simulator& simulator;
   sim::Trace trace;
-  model::ParsedSystem parsed;
-  std::unique_ptr<net::EthernetSwitch> backbone;
-  std::unique_ptr<os::Ecu> front, rear, cabin;
-  std::unique_ptr<platform::DynamicPlatform> dp;
+  platform::Vehicle vehicle;
+  platform::DynamicPlatform& dp;
   std::unique_ptr<platform::RedundancyManager> redundancy;
   std::unique_ptr<platform::DegradationManager> degradation;
   bool ok = false;
 
-  explicit Rig(sim::Simulator& sim) : simulator(sim) {
-    parsed = model::parse_system(kModel);
-    backbone = std::make_unique<net::EthernetSwitch>(
-        simulator, "backbone", net::EthernetConfig{.link_bps = 1'000'000'000});
-    os::EcuConfig front_config{.name = "Front", .cpu = {.mips = 3000}};
-    os::EcuConfig rear_config{.name = "Rear", .cpu = {.mips = 3000}};
-    os::EcuConfig cabin_config{.name = "Cabin", .cpu = {.mips = 2000}};
-    front = std::make_unique<os::Ecu>(simulator, front_config, backbone.get(),
-                                      1, &trace);
-    rear = std::make_unique<os::Ecu>(simulator, rear_config, backbone.get(),
-                                     2, &trace);
-    cabin = std::make_unique<os::Ecu>(simulator, cabin_config, backbone.get(),
-                                      3, &trace);
-    platform::NodeConfig node_config;
-    node_config.middleware.transport.reliable = true;  // survive lossy episodes
-    dp = std::make_unique<platform::DynamicPlatform>(simulator, parsed.model,
-                                                     parsed.deployment);
-    dp->add_node(*front, node_config);
-    dp->add_node(*rear, node_config);
-    dp->add_node(*cabin, node_config);
-    dp->register_app("Pilot", [] { return std::make_unique<PilotApp>(); });
-    dp->register_app("Infotain", [] { return std::make_unique<InfotainApp>(); });
-    if (!dp->install_all()) return;
-    redundancy = std::make_unique<platform::RedundancyManager>(*dp, "Pilot");
+  explicit Rig(sim::Simulator& simulator)
+      : vehicle(simulator, model::parse_system(kModel),
+                // Reliable transport on every node: survive lossy episodes.
+                {.node = {.middleware = {.transport = {.reliable = true}}},
+                 .trace = &trace}),
+        dp(vehicle.platform()) {
+    dp.register_app("Pilot", [] { return std::make_unique<PilotApp>(); });
+    dp.register_app("Infotain", [] { return std::make_unique<InfotainApp>(); });
+    if (!dp.install_all()) return;
+    redundancy = std::make_unique<platform::RedundancyManager>(dp, "Pilot");
     redundancy->engage();
-    degradation = std::make_unique<platform::DegradationManager>(*dp);
+    degradation = std::make_unique<platform::DegradationManager>(dp);
     degradation->engage();
     ok = true;
   }
@@ -147,12 +129,13 @@ struct Rig {
   /// overrun target (a raw task handle) can never dangle across a restart.
   void add_targets(fault::FaultCampaign& campaign) {
     campaign.set_trace(&trace);
-    campaign.add_ecu(*front);
-    campaign.add_ecu(*rear);
-    campaign.add_medium(*backbone);
+    campaign.add_ecu(vehicle.ecu("Front"));
+    campaign.add_ecu(vehicle.ecu("Rear"));
+    campaign.add_medium(vehicle.medium("backbone"));
     const platform::AppInstance* infotain =
-        dp->node("Cabin")->instance("Infotain");
-    campaign.add_overrun_target("Cabin/ui", cabin->processor(infotain->core),
+        dp.node("Cabin")->instance("Infotain");
+    campaign.add_overrun_target("Cabin/ui",
+                                vehicle.ecu("Cabin").processor(infotain->core),
                                 infotain->tasks[0]);
   }
 };
@@ -187,8 +170,8 @@ fault::FuzzRunResult run_fuzz_scenario(const fault::CampaignConfig& config) {
   simulator.run_until(config.start + config.horizon + 1 * sim::kSecond);
   fault::InvariantChecker checker;
   checker.require_failover_outage_below(*rig.redundancy, 1 * sim::kSecond);
-  checker.require_no_da_deadline_misses(*rig.dp);
-  checker.require_no_stranded_reassembly(*rig.dp);
+  checker.require_no_da_deadline_misses(rig.dp);
+  checker.require_no_stranded_reassembly(rig.dp);
   fault::FlightRecorderConfig recorder;
   recorder.trace = &rig.trace;
   recorder.seed = config.seed;
@@ -300,8 +283,8 @@ int fuzz_mode(std::uint64_t master_seed) {
     simulator.run_until(h);
     fault::InvariantChecker checker;
     checker.require_failover_outage_below(*rig.redundancy, 1 * sim::kSecond);
-    checker.require_no_da_deadline_misses(*rig.dp);
-    checker.require_no_stranded_reassembly(*rig.dp);
+    checker.require_no_da_deadline_misses(rig.dp);
+    checker.require_no_stranded_reassembly(rig.dp);
     const fault::InvariantReport report = checker.run();
     for (const fault::InvariantResult& res : report.results) {
       if (!res.passed) {
@@ -461,7 +444,7 @@ int main(int argc, char** argv) {
   std::printf("\nreliable transport:\n");
   for (const char* name : {"Front", "Rear", "Cabin"}) {
     const middleware::Transport& transport =
-        rig.dp->node(name)->comm().transport();
+        rig.dp.node(name)->comm().transport();
     std::printf(
         "  %-6s retries=%llu crc_failures=%llu dup_suppressed=%llu "
         "evictions=%llu delivery_failures=%llu\n",
@@ -476,12 +459,12 @@ int main(int argc, char** argv) {
   fault::InvariantChecker checker;
   checker.require_failover_outage_below(*rig.redundancy,
                                         300 * sim::kMillisecond);
-  checker.require_no_da_deadline_misses(*rig.dp);
+  checker.require_no_da_deadline_misses(rig.dp);
   // Crash blips shorter than the failover detection limit (3 missed 10 ms
   // heartbeats + one supervisor tick) legitimately cause no failover.
-  checker.require_faults_detected(campaign, *rig.dp, rig.redundancy.get(),
+  checker.require_faults_detected(campaign, rig.dp, rig.redundancy.get(),
                                   40 * sim::kMillisecond);
-  checker.require_no_stranded_reassembly(*rig.dp);
+  checker.require_no_stranded_reassembly(rig.dp);
   // Arm the flight recorder: the first violated invariant dumps one bundle
   // (trace tail + metrics + coverage + this seed) for off-line triage.
   fault::FlightRecorderConfig recorder;

@@ -10,9 +10,8 @@
 
 #include "middleware/payload.hpp"
 #include "model/parser.hpp"
-#include "net/ethernet.hpp"
-#include "platform/platform.hpp"
 #include "platform/redundancy.hpp"
+#include "platform/vehicle.hpp"
 
 using namespace dynaplat;
 
@@ -64,22 +63,11 @@ class PilotApp final : public platform::Application {
 int main() {
   std::printf("== fail-operational pilot with 2 replicas ==\n\n");
 
-  model::ParsedSystem parsed = model::parse_system(kModel);
   sim::Simulator simulator;
   sim::Trace trace;
-  net::EthernetSwitch backbone(simulator, "backbone",
-                               net::EthernetConfig{.link_bps = 1'000'000'000});
-  os::EcuConfig front_config{.name = "Front", .cpu = {.mips = 3000}};
-  os::EcuConfig rear_config{.name = "Rear", .cpu = {.mips = 3000}};
-  os::EcuConfig gw_config{.name = "Gateway", .cpu = {.mips = 1000}};
-  os::Ecu front(simulator, front_config, &backbone, 1, &trace);
-  os::Ecu rear(simulator, rear_config, &backbone, 2, &trace);
-  os::Ecu gateway(simulator, gw_config, &backbone, 3, &trace);
-
-  platform::DynamicPlatform dp(simulator, parsed.model, parsed.deployment);
-  dp.add_node(front);
-  dp.add_node(rear);
-  dp.add_node(gateway);
+  platform::Vehicle vehicle(simulator, model::parse_system(kModel),
+                            {.trace = &trace});
+  platform::DynamicPlatform& dp = vehicle.platform();
   dp.register_app("Pilot", [] { return std::make_unique<PilotApp>(); });
   std::string reason;
   if (!dp.install_all(&reason)) {
@@ -114,7 +102,7 @@ int main() {
   // Highway driving; primary dies at t = 2 s.
   simulator.schedule_at(sim::seconds(2), [&] {
     std::printf("t=2.000s: !! Front ECU hard fault (primary dies)\n");
-    front.fail();
+    vehicle.ecu("Front").fail();
   });
 
   simulator.run_until(sim::seconds(2));

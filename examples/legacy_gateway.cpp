@@ -13,9 +13,7 @@
 
 #include "middleware/payload.hpp"
 #include "model/parser.hpp"
-#include "net/can_bus.hpp"
-#include "net/ethernet.hpp"
-#include "platform/platform.hpp"
+#include "platform/vehicle.hpp"
 
 using namespace dynaplat;
 
@@ -25,6 +23,8 @@ constexpr std::uint32_t kWheelSpeedCanId = 0x120;
 
 const char* kModel = R"(
 network Backbone kind=tsn bitrate=1G
+# The legacy body domain: no platform ECU sits on it (see the gateway below).
+network BodyCan kind=can bitrate=500K
 ecu Central mips=5000 memory=512M asil=D network=Backbone
 ecu GatewayEcu mips=400 memory=64M asil=D network=Backbone
 
@@ -73,21 +73,11 @@ class CanAdapterApp final : public platform::Application {
 
 int main() {
   std::printf("== legacy CAN domain behind a gateway ==\n\n");
-  model::ParsedSystem parsed = model::parse_system(kModel);
-
   sim::Simulator simulator;
-  net::CanBus body_can(simulator, "body_can", net::CanBusConfig{});
-  net::EthernetSwitch backbone(simulator, "backbone",
-                               net::EthernetConfig{.link_bps = 1'000'000'000});
-
-  os::EcuConfig central_config{.name = "Central", .cpu = {.mips = 5000}};
-  os::EcuConfig gw_config{.name = "GatewayEcu", .cpu = {.mips = 400}};
-  os::Ecu central(simulator, central_config, &backbone, 1);
-  os::Ecu gateway_ecu(simulator, gw_config, &backbone, 2);
-
-  platform::DynamicPlatform dp(simulator, parsed.model, parsed.deployment);
-  dp.add_node(central);
-  dp.add_node(gateway_ecu);
+  platform::Vehicle vehicle(simulator, model::parse_system(kModel));
+  platform::DynamicPlatform& dp = vehicle.platform();
+  net::Medium& body_can = vehicle.medium("BodyCan");
+  os::Ecu& gateway_ecu = vehicle.ecu("GatewayEcu");
 
   CanAdapterApp* adapter = nullptr;
   dp.register_app("CanAdapter", [&adapter] {

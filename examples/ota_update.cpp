@@ -11,10 +11,9 @@
 
 #include "middleware/payload.hpp"
 #include "model/parser.hpp"
-#include "net/ethernet.hpp"
 #include "obs/export.hpp"
-#include "platform/platform.hpp"
 #include "platform/update.hpp"
+#include "platform/vehicle.hpp"
 #include "security/package.hpp"
 #include "security/update_master.hpp"
 
@@ -23,9 +22,9 @@ using namespace dynaplat;
 namespace {
 
 const char* kModel = R"(
-network Backbone kind=ethernet bitrate=100M
-ecu Central mips=5000 memory=512M crypto=yes asil=D network=Backbone
-ecu Door mips=50 memory=16M asil=B network=Backbone
+network backbone kind=ethernet bitrate=100M
+ecu Central mips=5000 memory=512M crypto=yes asil=D network=backbone
+ecu Door mips=50 memory=16M asil=B network=backbone
 
 interface LockState paradigm=event payload=8 period=20ms
 
@@ -69,17 +68,8 @@ int main() {
   model::ParsedSystem parsed = model::parse_system(kModel);
   sim::Simulator simulator;
   sim::Trace trace;  // vehicle-wide observability sink
-  net::EthernetSwitch backbone(simulator, "backbone", {});
-  os::EcuConfig central_config{
-      .name = "Central",
-      .cpu = {.mips = 5000, .crypto_accelerator = true}};
-  os::EcuConfig door_config{.name = "Door", .cpu = {.mips = 50}};
-  os::Ecu central(simulator, central_config, &backbone, 1, &trace);
-  os::Ecu door(simulator, door_config, &backbone, 2, &trace);
-
-  platform::DynamicPlatform dp(simulator, parsed.model, parsed.deployment);
-  dp.add_node(central);
-  dp.add_node(door);
+  platform::Vehicle vehicle(simulator, parsed, {.trace = &trace});
+  platform::DynamicPlatform& dp = vehicle.platform();
   dp.register_app("DoorLock",
                   [] { return std::make_unique<DoorLockApp>(); });
   std::string reason;

@@ -7,7 +7,7 @@
 // Walks through the core dynaplat workflow:
 //   1. describe hardware + apps + deployment in the DSL (Sec. 2.2),
 //   2. run the verification engine,
-//   3. instantiate simulated ECUs and the platform,
+//   3. build the simulated ECUs and the platform from the model,
 //   4. install & start the deployed apps,
 //   5. simulate and read back timing statistics.
 #include <cstdio>
@@ -15,8 +15,7 @@
 
 #include "middleware/payload.hpp"
 #include "model/parser.hpp"
-#include "net/ethernet.hpp"
-#include "platform/platform.hpp"
+#include "platform/vehicle.hpp"
 
 using namespace dynaplat;
 
@@ -104,19 +103,12 @@ int main() {
                 violation.message.c_str());
   }
 
-  // 3. Instantiate the simulated hardware.
+  // 3. Build the simulated hardware and the platform from the model.
   sim::Simulator simulator;
-  net::EthernetSwitch backbone(simulator, "backbone",
-                               net::EthernetConfig{.link_bps = 1'000'000'000});
-  os::EcuConfig central_config{.name = "Central", .cpu = {.mips = 5000}};
-  os::EcuConfig zone_config{.name = "Zone", .cpu = {.mips = 400}};
-  os::Ecu central(simulator, central_config, &backbone, 1);
-  os::Ecu zone(simulator, zone_config, &backbone, 2);
+  platform::Vehicle vehicle(simulator, parsed);
+  platform::DynamicPlatform& dp = vehicle.platform();
 
-  // 4. Bring up the platform and install the deployment.
-  platform::DynamicPlatform dp(simulator, parsed.model, parsed.deployment);
-  dp.add_node(central);
-  dp.add_node(zone);
+  // 4. Install the deployment.
   dp.register_app("WheelSensor",
                   [] { return std::make_unique<WheelSensorApp>(); });
   StabilityControlApp* control = nullptr;
@@ -139,7 +131,7 @@ int main() {
   std::printf("  StabilityControl received %llu samples (last speed %.2f)\n",
               static_cast<unsigned long long>(control->samples()),
               control->last_speed());
-  auto& cpu = central.processor();
+  auto& cpu = vehicle.ecu("Central").processor();
   for (os::TaskId id : cpu.task_ids()) {
     const auto& stats = cpu.stats(id);
     if (stats.completions == 0) continue;
@@ -150,6 +142,7 @@ int main() {
                 sim::to_us(static_cast<sim::Duration>(
                     stats.response_time.mean())));
   }
+  const net::Medium& backbone = vehicle.medium("Backbone");
   std::printf("  backbone frames delivered: %llu (mean latency %.1f us)\n",
               static_cast<unsigned long long>(backbone.frames_delivered()),
               backbone.latency_stats().mean() / 1000.0);

@@ -23,11 +23,10 @@
 #include "fault/invariants.hpp"
 #include "middleware/payload.hpp"
 #include "model/parser.hpp"
-#include "net/ethernet.hpp"
 #include "obs/export.hpp"
 #include "platform/degradation.hpp"
-#include "platform/platform.hpp"
 #include "platform/recovery.hpp"
+#include "platform/vehicle.hpp"
 
 using namespace dynaplat;
 
@@ -89,22 +88,8 @@ int main() {
   model::ParsedSystem parsed = model::parse_system(kModel);
   sim::Simulator simulator;
   sim::Trace trace;
-  net::EthernetSwitch backbone(simulator, "backbone",
-                               net::EthernetConfig{.link_bps = 1'000'000'000});
-  std::vector<std::unique_ptr<os::Ecu>> ecus;
-  net::NodeId node_id = 1;
-  for (const auto& ecu_def : parsed.model.ecus()) {
-    os::EcuConfig config;
-    config.name = ecu_def.name;
-    config.cpu.mips = ecu_def.mips;
-    config.cores = ecu_def.cores;
-    config.memory_bytes = ecu_def.memory_bytes;
-    ecus.push_back(std::make_unique<os::Ecu>(simulator, config, &backbone,
-                                             node_id++, &trace));
-  }
-
-  platform::DynamicPlatform dp(simulator, parsed.model, parsed.deployment);
-  for (auto& ecu : ecus) dp.add_node(*ecu);
+  platform::Vehicle vehicle(simulator, parsed, {.trace = &trace});
+  platform::DynamicPlatform& dp = vehicle.platform();
   for (const auto& app : parsed.model.apps()) {
     dp.register_app(app.name, [] { return std::make_unique<CountingApp>(); });
   }
@@ -123,8 +108,8 @@ int main() {
   // --- The incident: both front ECUs die 20 ms apart -------------------------
   fault::FaultCampaign campaign(simulator, {});
   campaign.set_trace(&trace);
-  campaign.add_ecu(*ecus[0]);  // FrontLeft
-  campaign.add_ecu(*ecus[1]);  // FrontRight
+  campaign.add_ecu(vehicle.ecu("FrontLeft"));
+  campaign.add_ecu(vehicle.ecu("FrontRight"));
   for (int i = 0; i < 2; ++i) {
     fault::FaultEvent crash;
     crash.at = 500 * sim::kMillisecond + i * 20 * sim::kMillisecond;

@@ -15,6 +15,12 @@ sim::Duration FlexRayBus::cycle_duration() const {
              config_.minislot_duration;
 }
 
+sim::Duration FlexRayBus::frame_duration(std::size_t payload) const {
+  const std::size_t frame_bits = (payload + 10) * 8;
+  return static_cast<sim::Duration>(frame_bits * sim::kSecond /
+                                    config_.bitrate_bps);
+}
+
 void FlexRayBus::assign_static_slot(std::size_t slot, std::uint32_t flow_id) {
   assert(slot < config_.static_slots);
   auto prev = slot_owner_.find(slot);
@@ -91,9 +97,7 @@ void FlexRayBus::run_cycle() {
   std::size_t minislot = 0;
   auto it = dynamic_pending_.begin();
   while (it != dynamic_pending_.end() && minislot < config_.minislots) {
-    const std::size_t frame_bits = (it->second.payload.size() + 10) * 8;
-    const sim::Duration tx = static_cast<sim::Duration>(
-        frame_bits * sim::kSecond / config_.bitrate_bps);
+    const sim::Duration tx = frame_duration(it->second.payload.size());
     const auto slots_needed = static_cast<std::size_t>(
         (tx + config_.minislot_duration - 1) / config_.minislot_duration);
     if (minislot + slots_needed > config_.minislots) break;

@@ -46,6 +46,9 @@ class FlexRayBus final : public Medium {
   }
 
   sim::Duration cycle_duration() const;
+  /// On-wire duration of a dynamic-segment frame with `payload` bytes
+  /// (header and trailer included) at the channel bitrate.
+  sim::Duration frame_duration(std::size_t payload) const;
   std::uint64_t cycles_run() const { return cycles_run_; }
 
  private:

@@ -31,8 +31,8 @@ struct NodeConfig {
   bool admission_control = true;
   /// Start the runtime monitor (Sec. 3.4).
   bool monitoring = true;
-  middleware::RuntimeConfig middleware;
-  monitor::MonitorConfig monitor;
+  middleware::RuntimeConfig middleware = {};
+  monitor::MonitorConfig monitor = {};
 };
 
 /// One hosted application instance. An app may briefly have two instances

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "middleware/payload.hpp"
-#include "net/ethernet.hpp"
+#include "platform/vehicle.hpp"
 
 namespace dynaplat::xil {
 
@@ -178,22 +178,33 @@ class ActuatorApp final : public platform::Application {
 
 class LoadApp final : public platform::Application {};
 
+/// Deadline misses over every task of every ECU in the vehicle.
+std::uint64_t deadline_misses(const platform::Vehicle& vehicle) {
+  std::uint64_t misses = 0;
+  for (const auto& ecu : vehicle.ecus()) {
+    for (os::TaskId task : ecu->processor().task_ids()) {
+      misses += ecu->processor().stats(task).deadline_misses;
+    }
+  }
+  return misses;
+}
+
 model::SystemModel sil_model(const CruiseScenario& scenario) {
   model::SystemModel m;
-  m.add_network({"Backbone", model::NetworkKind::kEthernet, 100'000'000});
+  m.add_network({"backbone", model::NetworkKind::kEthernet, 100'000'000});
 
   model::EcuDef ctrl;
   ctrl.name = "CtrlEcu";
   ctrl.mips = scenario.ecu_mips;
   ctrl.max_asil = model::Asil::kD;
-  ctrl.network = "Backbone";
+  ctrl.network = "backbone";
   m.add_ecu(ctrl);
 
   model::EcuDef io;
   io.name = "IoEcu";
   io.mips = 200;
   io.max_asil = model::Asil::kD;
-  io.network = "Backbone";
+  io.network = "backbone";
   m.add_ecu(io);
 
   model::InterfaceDef speed;
@@ -272,22 +283,6 @@ CruiseResult run_sil(const CruiseScenario& scenario) {
   sim::Simulator simulator;
   sim::Trace trace;
 
-  net::EthernetSwitch backbone(simulator, "backbone", {});
-  if (scenario.frame_loss_rate > 0.0) {
-    backbone.set_fault_injection(scenario.frame_loss_rate);
-  }
-
-  os::EcuConfig ctrl_config;
-  ctrl_config.name = "CtrlEcu";
-  ctrl_config.cpu.mips = scenario.ecu_mips;
-  os::Ecu ctrl_ecu(simulator, ctrl_config, &backbone, 1, &trace);
-
-  os::EcuConfig io_config;
-  io_config.name = "IoEcu";
-  io_config.cpu.mips = 200;
-  os::Ecu io_ecu(simulator, io_config, &backbone, 2, &trace);
-
-  model::SystemModel system_model = sil_model(scenario);
   model::DeploymentDef deployment;
   deployment.bindings.push_back({"SpeedSensor", {"IoEcu"}});
   deployment.bindings.push_back({"CruiseCtl", {"CtrlEcu"}});
@@ -295,9 +290,14 @@ CruiseResult run_sil(const CruiseScenario& scenario) {
   if (scenario.background_load_instructions > 0) {
     deployment.bindings.push_back({"BgLoad", {"CtrlEcu"}});
   }
-
-  platform::DynamicPlatform dynaplatform(simulator, std::move(system_model),
-                                         std::move(deployment));
+  platform::Vehicle vehicle(simulator,
+                            {sil_model(scenario), std::move(deployment)},
+                            {.trace = &trace});
+  net::Medium& backbone = vehicle.medium("backbone");
+  if (scenario.frame_loss_rate > 0.0) {
+    backbone.set_fault_injection(scenario.frame_loss_rate);
+  }
+  platform::DynamicPlatform& dynaplatform = vehicle.platform();
 
   VehiclePlant::Params plant_params;
   plant_params.initial_speed_mps = scenario.initial_speed_mps;
@@ -317,8 +317,6 @@ CruiseResult run_sil(const CruiseScenario& scenario) {
   dynaplatform.register_app("BgLoad",
                             [] { return std::make_unique<LoadApp>(); });
 
-  dynaplatform.add_node(ctrl_ecu);
-  dynaplatform.add_node(io_ecu);
   std::string reason;
   if (!dynaplatform.install_all(&reason)) {
     // Surface setup failures loudly: a SiL bench must not silently produce
@@ -328,12 +326,7 @@ CruiseResult run_sil(const CruiseScenario& scenario) {
 
   simulator.run_until(scenario.duration);
 
-  for (os::TaskId task : ctrl_ecu.processor().task_ids()) {
-    result.deadline_misses += ctrl_ecu.processor().stats(task).deadline_misses;
-  }
-  for (os::TaskId task : io_ecu.processor().task_ids()) {
-    result.deadline_misses += io_ecu.processor().stats(task).deadline_misses;
-  }
+  result.deadline_misses = deadline_misses(vehicle);
   result.frames_dropped = backbone.frames_dropped();
   result.events_executed = simulator.events_executed();
   result.settling_time =
@@ -523,29 +516,19 @@ class AccActuatorApp final : public platform::Application {
 AccResult run_acc_sil(const AccScenario& scenario) {
   AccResult result;
   sim::Simulator simulator;
-  net::EthernetSwitch backbone(simulator, "backbone", {});
-  if (scenario.frame_loss_rate > 0.0) {
-    backbone.set_fault_injection(scenario.frame_loss_rate);
-  }
-  os::EcuConfig adas_config{.name = "AdasEcu",
-                            .cpu = {.mips = scenario.ecu_mips}};
-  os::EcuConfig io_config{.name = "IoEcu", .cpu = {.mips = 200}};
-  os::Ecu adas_ecu(simulator, adas_config, &backbone, 1);
-  os::Ecu io_ecu(simulator, io_config, &backbone, 2);
-
   model::SystemModel m;
-  m.add_network({"Backbone", model::NetworkKind::kEthernet, 100'000'000});
+  m.add_network({"backbone", model::NetworkKind::kEthernet, 100'000'000});
   model::EcuDef adas_def;
   adas_def.name = "AdasEcu";
   adas_def.mips = scenario.ecu_mips;
   adas_def.max_asil = model::Asil::kD;
-  adas_def.network = "Backbone";
+  adas_def.network = "backbone";
   m.add_ecu(adas_def);
   model::EcuDef io_def;
   io_def.name = "IoEcu";
   io_def.mips = 200;
   io_def.max_asil = model::Asil::kD;
-  io_def.network = "Backbone";
+  io_def.network = "backbone";
   m.add_ecu(io_def);
 
   auto event_interface = [&](const char* name, std::size_t payload) {
@@ -587,8 +570,11 @@ AccResult run_acc_sil(const AccScenario& scenario) {
   deployment.bindings.push_back({"AccCtl", {"AdasEcu"}});
   deployment.bindings.push_back({"AccAct", {"IoEcu"}});
 
-  platform::DynamicPlatform dp(simulator, std::move(m),
-                               std::move(deployment));
+  platform::Vehicle vehicle(simulator, {std::move(m), std::move(deployment)});
+  if (scenario.frame_loss_rate > 0.0) {
+    vehicle.medium("backbone").set_fault_injection(scenario.frame_loss_rate);
+  }
+  platform::DynamicPlatform& dp = vehicle.platform();
   AccWorld world(scenario);
   AccControlLaw law{scenario.time_gap_s, scenario.standstill_gap_m};
   const double dt = sim::to_s(scenario.control_period);
@@ -599,8 +585,6 @@ AccResult run_acc_sil(const AccScenario& scenario) {
   dp.register_app("AccAct", [&world, &result, dt] {
     return std::make_unique<AccActuatorApp>(&world, &result, dt);
   });
-  dp.add_node(adas_ecu);
-  dp.add_node(io_ecu);
   std::string reason;
   if (!dp.install_all(&reason)) {
     throw std::runtime_error("ACC SiL setup failed: " + reason);
@@ -610,13 +594,7 @@ AccResult run_acc_sil(const AccScenario& scenario) {
   });
   simulator.run_until(scenario.duration);
 
-  for (os::TaskId task : adas_ecu.processor().task_ids()) {
-    result.deadline_misses +=
-        adas_ecu.processor().stats(task).deadline_misses;
-  }
-  for (os::TaskId task : io_ecu.processor().task_ids()) {
-    result.deadline_misses += io_ecu.processor().stats(task).deadline_misses;
-  }
+  result.deadline_misses = deadline_misses(vehicle);
   result.events_executed = simulator.events_executed();
   finalize_acc(scenario, result);
   return result;

@@ -17,10 +17,9 @@
 #include "fault/invariants.hpp"
 #include "middleware/transport.hpp"
 #include "model/parser.hpp"
-#include "net/ethernet.hpp"
 #include "platform/diagnostics.hpp"
-#include "platform/platform.hpp"
 #include "platform/recovery.hpp"
+#include "platform/vehicle.hpp"
 #include "sim/sweep.hpp"
 
 namespace dynaplat {
@@ -339,7 +338,7 @@ TEST(ScheduleServerErrors, CacheHitMatchesFreshRecompute) {
 // displaced apps.
 TEST(ScheduleServerErrors, RecoveryProceedsWhenBackendVanishesMidFlight) {
   sim::Simulator simulator;
-  auto parsed = model::parse_system(R"(
+  platform::Vehicle vehicle(simulator, model::parse_system(R"(
 network Net kind=ethernet bitrate=100M
 ecu A mips=1000 memory=64M asil=D network=Net
 ecu B mips=1000 memory=64M asil=D network=Net
@@ -350,21 +349,9 @@ app Maps class=nondeterministic asil=QM memory=4M
   task tiles period=50ms wcet=250K priority=9
 deploy Brake -> A
 deploy Maps -> A
-)");
-  net::EthernetSwitch backbone(simulator, "eth", {});
-  std::vector<std::unique_ptr<os::Ecu>> ecus;
-  net::NodeId next_node = 1;
-  for (const auto& ecu_def : parsed.model.ecus()) {
-    os::EcuConfig config;
-    config.name = ecu_def.name;
-    config.cpu.mips = ecu_def.mips;
-    config.memory_bytes = ecu_def.memory_bytes;
-    ecus.push_back(std::make_unique<os::Ecu>(simulator, config, &backbone,
-                                             next_node++));
-  }
-  platform::DynamicPlatform dp(simulator, parsed.model, parsed.deployment);
-  for (auto& ecu : ecus) dp.add_node(*ecu);
-  for (const auto& app : parsed.model.apps()) {
+)"));
+  platform::DynamicPlatform& dp = vehicle.platform();
+  for (const auto& app : dp.system_model().apps()) {
     dp.register_app(app.name,
                     [] { return std::make_unique<platform::Application>(); });
   }
@@ -379,7 +366,7 @@ deploy Maps -> A
   orchestrator.engage();
 
   fault::FaultCampaign campaign(simulator);
-  campaign.add_ecu(*ecus[0]);
+  campaign.add_ecu(vehicle.ecu("A"));
   fault::FaultEvent crash;
   crash.at = 300 * sim::kMillisecond;
   crash.kind = fault::FaultKind::kEcuCrash;
@@ -625,7 +612,6 @@ TEST(TransportJitter, JitterStaysWithinConfiguredBand) {
 
 TEST(DiagnosticsQueue, MultiHourOfflineBacklogIsBoundedDropOldest) {
   sim::Simulator simulator;
-  net::EthernetSwitch backbone(simulator, "eth", {});
   auto parsed = model::parse_system(
       "network Net kind=ethernet\n"
       "ecu A mips=100 memory=64M asil=D network=Net\n"
@@ -635,13 +621,13 @@ TEST(DiagnosticsQueue, MultiHourOfflineBacklogIsBoundedDropOldest) {
   const_cast<model::AppDef*>(parsed.model.app("Over"))
       ->tasks[0]
       .execution_jitter = 0.5;
-  os::EcuConfig config{.name = "A", .cpu = {.mips = 100}};
-  os::Ecu ecu(simulator, config, &backbone, 1);
-  platform::DynamicPlatform dp(simulator, parsed.model, parsed.deployment);
   platform::NodeConfig node_config;
   node_config.time_triggered = false;
   node_config.admission_control = false;
-  auto& node = dp.add_node(ecu, node_config);
+  platform::Vehicle vehicle(simulator, std::move(parsed),
+                            {.node = node_config});
+  platform::DynamicPlatform& dp = vehicle.platform();
+  platform::PlatformNode& node = *dp.node("A");
   dp.register_app("Over",
                   [] { return std::make_unique<platform::Application>(); });
   ASSERT_TRUE(dp.install_all());

@@ -16,15 +16,14 @@
 #include "fault/campaign.hpp"
 #include "middleware/transport.hpp"
 #include "model/parser.hpp"
-#include "net/ethernet.hpp"
 #include "obs/context.hpp"
 #include "obs/coverage.hpp"
 #include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "os/ecu.hpp"
 #include "platform/degradation.hpp"
-#include "platform/platform.hpp"
 #include "platform/recovery.hpp"
+#include "platform/vehicle.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
 #include "sim/trace.hpp"
@@ -250,23 +249,10 @@ deploy Maps -> A
 obs::CoverageMap coverage_scenario(sim::ScenarioRun& run) {
   sim::Simulator& sim = run.simulator;
   sim::Trace trace;
-  model::ParsedSystem parsed = model::parse_system(kSweepVehicle);
-  net::EthernetSwitch backbone(sim, "eth", net::EthernetConfig{});
-  std::vector<std::unique_ptr<os::Ecu>> ecus;
-  net::NodeId next_node = 1;
-  for (const auto& ecu_def : parsed.model.ecus()) {
-    os::EcuConfig config;
-    config.name = ecu_def.name;
-    config.cpu.mips = ecu_def.mips;
-    config.memory_bytes = ecu_def.memory_bytes;
-    config.has_mmu = ecu_def.has_mmu;
-    ecus.push_back(std::make_unique<os::Ecu>(sim, config, &backbone,
-                                             next_node++, &trace));
-  }
-  platform::DynamicPlatform dp(sim, parsed.model, parsed.deployment,
-                               platform::PlatformConfig{});
-  for (auto& ecu : ecus) dp.add_node(*ecu);
-  for (const auto& app : parsed.model.apps()) {
+  platform::Vehicle vehicle(sim, model::parse_system(kSweepVehicle),
+                            {.trace = &trace});
+  platform::DynamicPlatform& dp = vehicle.platform();
+  for (const auto& app : dp.system_model().apps()) {
     dp.register_app(app.name, [] { return std::make_unique<StatefulApp>(); });
   }
   if (!dp.install_all()) return {};
@@ -281,7 +267,7 @@ obs::CoverageMap coverage_scenario(sim::ScenarioRun& run) {
   degradation.engage();
   orchestrator.set_degradation(&degradation);
 
-  os::Ecu* ecu_a = ecus.front().get();
+  os::Ecu* ecu_a = &vehicle.ecu("A");
   const sim::Time crash_at =
       (300 + run.rng.next_below(100)) * sim::kMillisecond;
   sim.schedule_at(crash_at, [ecu_a] { ecu_a->fail(); });

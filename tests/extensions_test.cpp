@@ -14,6 +14,7 @@
 #include "platform/clock_sync.hpp"
 #include "platform/diagnostics.hpp"
 #include "platform/update.hpp"
+#include "platform/vehicle.hpp"
 #include "security/update_master.hpp"
 #include "xil/testbench.hpp"
 
@@ -213,26 +214,31 @@ TEST(ClockSync, TighterPeriodTightensError) {
 
 // --- Diagnostics service ---------------------------------------------------------------
 
-TEST(Diagnostics, AggregatesFaultsAcrossNodesAndBuffersOffline) {
-  sim::Simulator simulator;
-  net::EthernetSwitch backbone(simulator, "eth", {});
+// One ECU whose deterministic task (u = 0.9 plus 50% execution jitter)
+// overruns organically, so its runtime monitor produces faults.
+model::ParsedSystem overloaded_system() {
   auto parsed = model::parse_system(
       "network Net kind=ethernet\n"
       "ecu A mips=100 memory=64M asil=D network=Net\n"
       "app Over class=deterministic asil=B memory=4M\n"
-      "  task t period=10ms wcet=900K priority=1\n"  // u=0.9, jittery below
+      "  task t period=10ms wcet=900K priority=1\n"
       "deploy Over -> A\n");
-  // Make the task overrun: bump jitter post-parse.
   const_cast<model::AppDef*>(parsed.model.app("Over"))
       ->tasks[0]
       .execution_jitter = 0.5;
-  os::EcuConfig config{.name = "A", .cpu = {.mips = 100}};
-  os::Ecu ecu(simulator, config, &backbone, 1);
-  platform::DynamicPlatform dp(simulator, parsed.model, parsed.deployment);
-  platform::NodeConfig node_config;
-  node_config.time_triggered = false;  // let it miss deadlines
-  node_config.admission_control = false;
-  auto& node = dp.add_node(ecu, node_config);
+  return parsed;
+}
+
+// Neither TT windows nor admission: let the overloaded task miss deadlines.
+const platform::NodeConfig kMissingDeadlines{.time_triggered = false,
+                                             .admission_control = false};
+
+TEST(Diagnostics, AggregatesFaultsAcrossNodesAndBuffersOffline) {
+  sim::Simulator simulator;
+  platform::Vehicle vehicle(simulator, overloaded_system(),
+                            {.node = kMissingDeadlines});
+  platform::DynamicPlatform& dp = vehicle.platform();
+  platform::PlatformNode& node = *dp.node("A");
   dp.register_app("Over", [] {
     return std::make_unique<platform::Application>();
   });
@@ -260,43 +266,22 @@ TEST(Diagnostics, AggregatesFaultsAcrossNodesAndBuffersOffline) {
 // faults, shared by the diagnostics tests below.
 struct FaultyWorld {
   FaultyWorld() {
-    parsed = model::parse_system(
-        "network Net kind=ethernet\n"
-        "ecu A mips=100 memory=64M asil=D network=Net\n"
-        "app Over class=deterministic asil=B memory=4M\n"
-        "  task t period=10ms wcet=900K priority=1\n"
-        "deploy Over -> A\n");
-    const_cast<model::AppDef*>(parsed.model.app("Over"))
-        ->tasks[0]
-        .execution_jitter = 0.5;
-    backbone = std::make_unique<net::EthernetSwitch>(simulator, "eth",
-                                                     net::EthernetConfig{});
-    os::EcuConfig config{.name = "A", .cpu = {.mips = 100}};
-    ecu = std::make_unique<os::Ecu>(simulator, config, backbone.get(), 1,
-                                    &trace);
-    platform = std::make_unique<platform::DynamicPlatform>(
-        simulator, parsed.model, parsed.deployment);
-    platform::NodeConfig node_config;
-    node_config.time_triggered = false;
-    node_config.admission_control = false;
-    node = &platform->add_node(*ecu, node_config);
-    platform->register_app(
+    platform.register_app(
         "Over", [] { return std::make_unique<platform::Application>(); });
-    EXPECT_TRUE(platform->install_all());
+    EXPECT_TRUE(platform.install_all());
   }
 
   sim::Simulator simulator;
   sim::Trace trace;
-  model::ParsedSystem parsed;
-  std::unique_ptr<net::EthernetSwitch> backbone;
-  std::unique_ptr<os::Ecu> ecu;
-  std::unique_ptr<platform::DynamicPlatform> platform;
-  platform::PlatformNode* node = nullptr;
+  platform::Vehicle vehicle{simulator, overloaded_system(),
+                            {.node = kMissingDeadlines, .trace = &trace}};
+  platform::DynamicPlatform& platform = vehicle.platform();
+  platform::PlatformNode* node = platform.node("A");
 };
 
 TEST(Diagnostics, FlushOnReconnectPreservesFaultOrder) {
   FaultyWorld world;
-  platform::DiagnosticsService diagnostics(*world.platform);
+  platform::DiagnosticsService diagnostics(world.platform);
   diagnostics.attach(*world.node);
   std::vector<sim::Time> uplink_times;
   diagnostics.set_uplink([&](const monitor::FaultRecord& record) {
@@ -321,7 +306,7 @@ TEST(Diagnostics, FlushOnReconnectPreservesFaultOrder) {
 
 TEST(Diagnostics, ReattachDoesNotDuplicateForwarding) {
   FaultyWorld world;
-  platform::DiagnosticsService diagnostics(*world.platform);
+  platform::DiagnosticsService diagnostics(world.platform);
   diagnostics.attach(*world.node);
   diagnostics.attach(*world.node);  // idempotent: no double forwarding
   int uplinked = 0;
@@ -339,7 +324,7 @@ TEST(Diagnostics, ReattachDoesNotDuplicateForwarding) {
 
 TEST(Diagnostics, MetricsSnapshotExposesFaultCounters) {
   FaultyWorld world;
-  platform::DiagnosticsService diagnostics(*world.platform);
+  platform::DiagnosticsService diagnostics(world.platform);
   // attach() adopts the node's trace-backed registry automatically.
   diagnostics.attach(*world.node);
   world.simulator.run_until(sim::seconds(2));
@@ -414,56 +399,44 @@ class ChainApp final : public Application {
   std::uint64_t ticks_ = 0;
 };
 
+const char* kChainSystem =
+    "network Net kind=ethernet bitrate=100M\n"
+    "ecu A mips=1000 memory=64M asil=D network=Net\n"
+    "ecu B mips=1000 memory=64M asil=D network=Net\n"
+    "interface Up paradigm=event payload=8 period=10ms version=1\n"
+    "interface Down paradigm=event payload=8 period=10ms version=1\n"
+    "app Producer class=deterministic asil=B memory=4M\n"
+    "  task t period=10ms wcet=100K priority=1\n"
+    "  provides Up\n"
+    "app Processor class=deterministic asil=B memory=4M\n"
+    "  task t period=10ms wcet=100K priority=1\n"
+    "  consumes Up\n"
+    "  provides Down\n"
+    "deploy Producer -> A\n"
+    "deploy Processor -> B\n";
+
 struct ChainWorld {
   ChainWorld() {
-    parsed = model::parse_system(
-        "network Net kind=ethernet bitrate=100M\n"
-        "ecu A mips=1000 memory=64M asil=D network=Net\n"
-        "ecu B mips=1000 memory=64M asil=D network=Net\n"
-        "interface Up paradigm=event payload=8 period=10ms version=1\n"
-        "interface Down paradigm=event payload=8 period=10ms version=1\n"
-        "app Producer class=deterministic asil=B memory=4M\n"
-        "  task t period=10ms wcet=100K priority=1\n"
-        "  provides Up\n"
-        "app Processor class=deterministic asil=B memory=4M\n"
-        "  task t period=10ms wcet=100K priority=1\n"
-        "  consumes Up\n"
-        "  provides Down\n"
-        "deploy Producer -> A\n"
-        "deploy Processor -> B\n");
-    backbone = std::make_unique<net::EthernetSwitch>(simulator, "eth",
-                                                     net::EthernetConfig{});
-    os::EcuConfig ca{.name = "A", .cpu = {.mips = 1000}};
-    os::EcuConfig cb{.name = "B", .cpu = {.mips = 1000}};
-    ecu_a = std::make_unique<os::Ecu>(simulator, ca, backbone.get(), 1);
-    ecu_b = std::make_unique<os::Ecu>(simulator, cb, backbone.get(), 2);
-    dp = std::make_unique<DynamicPlatform>(simulator, parsed.model,
-                                           parsed.deployment);
-    dp->add_node(*ecu_a);
-    dp->add_node(*ecu_b);
-    dp->register_app("Producer", [] { return std::make_unique<ChainApp>(); });
-    dp->register_app("Processor",
-                     [] { return std::make_unique<ChainApp>(); });
-    EXPECT_TRUE(dp->install_all());
+    dp.register_app("Producer", [] { return std::make_unique<ChainApp>(); });
+    dp.register_app("Processor", [] { return std::make_unique<ChainApp>(); });
+    EXPECT_TRUE(dp.install_all());
     simulator.run_until(200 * sim::kMillisecond);
   }
 
   model::AppDef v2(const char* app) {
-    model::AppDef def = *parsed.model.app(app);
+    model::AppDef def = *dp.system_model().app(app);
     def.version = 2;
     return def;
   }
 
   sim::Simulator simulator;
-  model::ParsedSystem parsed;
-  std::unique_ptr<net::EthernetSwitch> backbone;
-  std::unique_ptr<os::Ecu> ecu_a, ecu_b;
-  std::unique_ptr<DynamicPlatform> dp;
+  Vehicle vehicle{simulator, model::parse_system(kChainSystem)};
+  DynamicPlatform& dp = vehicle.platform();
 };
 
 TEST(DistributedUpdate, UpdatesPathInOrderAcrossEcus) {
   ChainWorld world;
-  UpdateManager updates(*world.dp);
+  UpdateManager updates(world.dp);
   UpdateManager::DistributedReport report;
   updates.distributed_update(
       {{"A", "Producer", world.v2("Producer"),
@@ -478,13 +451,13 @@ TEST(DistributedUpdate, UpdatesPathInOrderAcrossEcus) {
   ASSERT_EQ(report.steps.size(), 2u);
   // Steps ran strictly in order.
   EXPECT_LE(report.steps[0].finished, report.steps[1].started);
-  EXPECT_TRUE(world.dp->node("A")->hosts("Producer#v2"));
-  EXPECT_TRUE(world.dp->node("B")->hosts("Processor#v2"));
+  EXPECT_TRUE(world.dp.node("A")->hosts("Producer#v2"));
+  EXPECT_TRUE(world.dp.node("B")->hosts("Processor#v2"));
 }
 
 TEST(DistributedUpdate, AbortsPathWhenStepFails) {
   ChainWorld world;
-  UpdateManager updates(*world.dp);
+  UpdateManager updates(world.dp);
   // Second step's new version is infeasible (fails admission).
   model::AppDef broken = world.v2("Processor");
   broken.tasks[0].instructions = 20'000'000;  // 20 ms per 10 ms
@@ -505,9 +478,9 @@ TEST(DistributedUpdate, AbortsPathWhenStepFails) {
   EXPECT_TRUE(report.steps[0].success);
   EXPECT_FALSE(report.steps[1].success);
   // Step 0's result stands; step 1's old version still serves.
-  EXPECT_TRUE(world.dp->node("A")->hosts("Producer#v2"));
-  EXPECT_TRUE(world.dp->node("B")->hosts("Processor"));
-  EXPECT_FALSE(world.dp->node("B")->hosts("Processor#v2"));
+  EXPECT_TRUE(world.dp.node("A")->hosts("Producer#v2"));
+  EXPECT_TRUE(world.dp.node("B")->hosts("Processor"));
+  EXPECT_FALSE(world.dp.node("B")->hosts("Processor#v2"));
 }
 
 TEST(RedundantUpdateMaster, FailsOverToSecondMaster) {
@@ -637,57 +610,41 @@ namespace dynaplat::platform {
 namespace {
 
 struct ReconfigWorld {
-  explicit ReconfigWorld(const char* extra_ecu_attrs = "") {
-    std::string dsl =
-        "network Net kind=ethernet bitrate=100M\n"
-        "ecu A mips=1000 memory=64M asil=D network=Net\n"
-        "ecu B mips=1000 memory=64M asil=D network=Net " +
-        std::string(extra_ecu_attrs) + "\n" +
-        "interface Out paradigm=event payload=8 period=10ms\n"
-        "app Fn class=deterministic asil=B memory=4M\n"
-        "  task t period=10ms wcet=2M priority=1\n"  // 0.2 util
-        "  provides Out\n"
-        "deploy Fn -> A | B\n";
-    parsed = model::parse_system(dsl);
-    backbone = std::make_unique<net::EthernetSwitch>(simulator, "eth",
-                                                     net::EthernetConfig{});
-    for (const auto& ecu_def : parsed.model.ecus()) {
-      os::EcuConfig config;
-      config.name = ecu_def.name;
-      config.cpu.mips = ecu_def.mips;
-      config.memory_bytes = ecu_def.memory_bytes;
-      ecus.push_back(std::make_unique<os::Ecu>(
-          simulator, config, backbone.get(),
-          static_cast<net::NodeId>(ecus.size() + 1)));
-    }
-    dp = std::make_unique<DynamicPlatform>(simulator, parsed.model,
-                                           parsed.deployment);
-    for (auto& ecu : ecus) dp->add_node(*ecu);
-    dp->register_app("Fn", [] { return std::make_unique<Application>(); });
-    EXPECT_TRUE(dp->install_all());
+  explicit ReconfigWorld(const char* extra_ecu_attrs = "")
+      : vehicle(simulator,
+                model::parse_system(
+                    "network Net kind=ethernet bitrate=100M\n"
+                    "ecu A mips=1000 memory=64M asil=D network=Net\n"
+                    "ecu B mips=1000 memory=64M asil=D network=Net " +
+                    std::string(extra_ecu_attrs) + "\n" +
+                    "interface Out paradigm=event payload=8 period=10ms\n"
+                    "app Fn class=deterministic asil=B memory=4M\n"
+                    "  task t period=10ms wcet=2M priority=1\n"  // 0.2 util
+                    "  provides Out\n"
+                    "deploy Fn -> A | B\n")) {
+    dp.register_app("Fn", [] { return std::make_unique<Application>(); });
+    EXPECT_TRUE(dp.install_all());
   }
 
   sim::Simulator simulator;
-  model::ParsedSystem parsed;
-  std::unique_ptr<net::EthernetSwitch> backbone;
-  std::vector<std::unique_ptr<os::Ecu>> ecus;
-  std::unique_ptr<DynamicPlatform> dp;
+  Vehicle vehicle;
+  DynamicPlatform& dp = vehicle.platform();
 };
 
 TEST(Reconfiguration, MigratesAppOffFailedEcu) {
   ReconfigWorld world;
-  ReconfigurationManager reconfig(*world.dp);
+  ReconfigurationManager reconfig(world.dp);
   reconfig.engage();
   world.simulator.run_until(sim::seconds(1));
-  ASSERT_TRUE(world.dp->node("A")->hosts("Fn"));
-  world.ecus[0]->fail();  // ECU A dies
+  ASSERT_TRUE(world.dp.node("A")->hosts("Fn"));
+  world.vehicle.ecu("A").fail();  // ECU A dies
   world.simulator.run_until(sim::seconds(2));
   ASSERT_EQ(reconfig.migrations().size(), 1u);
   const auto& migration = reconfig.migrations().front();
   EXPECT_TRUE(migration.success);
   EXPECT_EQ(migration.from_ecu, "A");
   EXPECT_EQ(migration.to_ecu, "B");
-  const AppInstance* inst = world.dp->node("B")->instance("Fn");
+  const AppInstance* inst = world.dp.node("B")->instance("Fn");
   ASSERT_NE(inst, nullptr);
   EXPECT_TRUE(inst->running);
   // Recovery within a couple of sweep periods.
@@ -696,33 +653,34 @@ TEST(Reconfiguration, MigratesAppOffFailedEcu) {
 
 TEST(Reconfiguration, ServiceResumesAfterMigration) {
   ReconfigWorld world;
-  ReconfigurationManager reconfig(*world.dp);
+  ReconfigurationManager reconfig(world.dp);
   reconfig.engage();
   // Fn is a plain Application (no publishing), so instead verify that
   // consumers re-bind: subscribe from B's runtime and check the provider
   // moves from node A's id to node B's after migration.
   world.simulator.run_until(500 * sim::kMillisecond);
-  const auto service = world.dp->service_id("Out");
-  const auto before = world.dp->node("B")->comm().provider_of(service);
+  const auto service = world.dp.service_id("Out");
+  const auto before = world.dp.node("B")->comm().provider_of(service);
   ASSERT_TRUE(before.has_value());
-  EXPECT_EQ(*before, world.ecus[0]->node_id());
-  world.ecus[0]->fail();
+  EXPECT_EQ(*before, world.vehicle.ecu("A").node_id());
+  world.vehicle.ecu("A").fail();
   world.simulator.run_until(sim::seconds(2));
-  const auto after = world.dp->node("B")->comm().provider_of(service);
+  const auto after = world.dp.node("B")->comm().provider_of(service);
   ASSERT_TRUE(after.has_value());
-  EXPECT_EQ(*after, world.ecus[1]->node_id());
+  EXPECT_EQ(*after, world.vehicle.ecu("B").node_id());
 }
 
 TEST(Reconfiguration, StrandedWhenNoCapacity) {
   // Spare ECU too small for the app's memory quota.
   ReconfigWorld world("");
   // Exhaust B's memory so placement must fail.
-  ASSERT_NE(world.ecus[1]->memory().create_process("ballast", 62ull << 20),
+  os::MemoryManager& memory = world.vehicle.ecu("B").memory();
+  ASSERT_NE(memory.create_process("ballast", 62ull << 20),
             os::kInvalidProcess);
-  ReconfigurationManager reconfig(*world.dp);
+  ReconfigurationManager reconfig(world.dp);
   reconfig.engage();
   world.simulator.run_until(500 * sim::kMillisecond);
-  world.ecus[0]->fail();
+  world.vehicle.ecu("A").fail();
   world.simulator.run_until(sim::seconds(2));
   ASSERT_FALSE(reconfig.migrations().empty());
   EXPECT_FALSE(reconfig.migrations().front().success);
@@ -733,27 +691,21 @@ TEST(Reconfiguration, StrandedWhenNoCapacity) {
 }
 
 TEST(Reconfiguration, LeavesReplicatedAppsToRedundancyManager) {
-  auto parsed = model::parse_system(
-      "network Net kind=ethernet bitrate=100M\n"
-      "ecu A mips=1000 memory=64M asil=D network=Net\n"
-      "ecu B mips=1000 memory=64M asil=D network=Net\n"
-      "app R class=deterministic asil=B memory=4M replicas=2\n"
-      "  task t period=10ms wcet=1M priority=1\n"
-      "deploy R -> A | B\n");
   sim::Simulator simulator;
-  net::EthernetSwitch backbone(simulator, "eth", net::EthernetConfig{});
-  os::EcuConfig ca{.name = "A", .cpu = {.mips = 1000}};
-  os::EcuConfig cb{.name = "B", .cpu = {.mips = 1000}};
-  os::Ecu a(simulator, ca, &backbone, 1);
-  os::Ecu b(simulator, cb, &backbone, 2);
-  DynamicPlatform dp(simulator, parsed.model, parsed.deployment);
-  dp.add_node(a);
-  dp.add_node(b);
+  Vehicle vehicle(simulator,
+                  model::parse_system(
+                      "network Net kind=ethernet bitrate=100M\n"
+                      "ecu A mips=1000 memory=64M asil=D network=Net\n"
+                      "ecu B mips=1000 memory=64M asil=D network=Net\n"
+                      "app R class=deterministic asil=B memory=4M replicas=2\n"
+                      "  task t period=10ms wcet=1M priority=1\n"
+                      "deploy R -> A | B\n"));
+  DynamicPlatform& dp = vehicle.platform();
   dp.register_app("R", [] { return std::make_unique<Application>(); });
   ASSERT_TRUE(dp.install_all());
   ReconfigurationManager reconfig(dp);
   reconfig.engage();
-  a.fail();
+  vehicle.ecu("A").fail();
   simulator.run_until(sim::seconds(1));
   EXPECT_TRUE(reconfig.migrations().empty());
 }

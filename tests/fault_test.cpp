@@ -19,8 +19,8 @@
 #include "net/can_bus.hpp"
 #include "net/ethernet.hpp"
 #include "platform/degradation.hpp"
-#include "platform/platform.hpp"
 #include "platform/redundancy.hpp"
+#include "platform/vehicle.hpp"
 
 namespace dynaplat::platform {
 namespace {
@@ -344,39 +344,14 @@ class CounterApp final : public Application {
 class NullApp final : public Application {};
 
 struct World {
-  explicit World(const std::string& dsl, NodeConfig node_config = {}) {
-    parsed = model::parse_system(dsl);
-    backbone = std::make_unique<net::EthernetSwitch>(simulator, "eth",
-                                                     net::EthernetConfig{});
-    net::NodeId next_node = 1;
-    for (const auto& ecu_def : parsed.model.ecus()) {
-      os::EcuConfig config;
-      config.name = ecu_def.name;
-      config.cpu.mips = ecu_def.mips;
-      config.memory_bytes = ecu_def.memory_bytes;
-      config.has_mmu = ecu_def.has_mmu;
-      ecus.push_back(std::make_unique<os::Ecu>(simulator, config,
-                                               backbone.get(), next_node++,
-                                               &trace));
-    }
-    platform = std::make_unique<DynamicPlatform>(
-        simulator, parsed.model, parsed.deployment, PlatformConfig{});
-    for (auto& ecu : ecus) platform->add_node(*ecu, node_config);
-  }
-
-  os::Ecu& ecu(const std::string& name) {
-    for (auto& e : ecus) {
-      if (e->name() == name) return *e;
-    }
-    throw std::out_of_range(name);
-  }
+  explicit World(const std::string& dsl, NodeConfig node_config = {})
+      : vehicle(simulator, model::parse_system(dsl),
+                {.node = node_config, .trace = &trace}) {}
 
   sim::Simulator simulator;
   sim::Trace trace;
-  model::ParsedSystem parsed;
-  std::unique_ptr<net::EthernetSwitch> backbone;
-  std::vector<std::unique_ptr<os::Ecu>> ecus;
-  std::unique_ptr<DynamicPlatform> platform;
+  Vehicle vehicle;
+  DynamicPlatform& platform = vehicle.platform();
 };
 
 const char* kRedundantSystem = R"(
@@ -393,52 +368,52 @@ deploy Pilot -> A | B | C
 
 struct RedundantWorld : World {
   explicit RedundantWorld(const char* dsl = kRedundantSystem) : World(dsl) {
-    platform->register_app("Pilot",
-                           [] { return std::make_unique<CounterApp>(); });
-    EXPECT_TRUE(platform->install_all());
+    platform.register_app("Pilot",
+                          [] { return std::make_unique<CounterApp>(); });
+    EXPECT_TRUE(platform.install_all());
   }
 };
 
 TEST(RedundancyFault, FailoverDuringBusPartition) {
   RedundantWorld world;
-  RedundancyManager redundancy(*world.platform, "Pilot");
+  RedundancyManager redundancy(world.platform, "Pilot");
   redundancy.engage();
   world.simulator.run_until(300 * sim::kMillisecond);
   EXPECT_EQ(redundancy.current_primary(), "A");
 
   // Sever A (node 1) from B and C: the standby must take over even though
   // A is still alive on its island.
-  world.backbone->set_partition({1});
+  world.vehicle.medium("Net").set_partition({1});
   world.simulator.run_until(sim::seconds(1));
   EXPECT_EQ(redundancy.current_primary(), "B");
   ASSERT_EQ(redundancy.failovers().size(), 1u);
 
   // After the heal, the deposed primary rejoins as a standby — it must not
   // reclaim (no flapping: still exactly one failover).
-  world.backbone->heal_partition();
+  world.vehicle.medium("Net").heal_partition();
   world.simulator.run_until(sim::seconds(3));
   EXPECT_EQ(redundancy.current_primary(), "B");
   EXPECT_EQ(redundancy.failovers().size(), 1u);
   const AppInstance* old_primary =
-      world.platform->node("A")->instance("Pilot");
+      world.platform.node("A")->instance("Pilot");
   ASSERT_NE(old_primary, nullptr);
   EXPECT_FALSE(old_primary->app->active());
 }
 
 TEST(RedundancyFault, CrashRestartPrimaryDoesNotReclaim) {
   RedundantWorld world;
-  RedundancyManager redundancy(*world.platform, "Pilot");
+  RedundancyManager redundancy(world.platform, "Pilot");
   redundancy.engage();
   world.simulator.run_until(400 * sim::kMillisecond);
 
-  world.ecu("A").fail();
+  world.vehicle.ecu("A").fail();
   world.simulator.run_until(sim::seconds(1));
   EXPECT_EQ(redundancy.current_primary(), "B");
   ASSERT_EQ(redundancy.failovers().size(), 1u);
 
   // The crashed primary restarts; it must rejoin as a standby, not flap
   // leadership back.
-  world.ecu("A").recover();
+  world.vehicle.ecu("A").recover();
   world.simulator.run_until(sim::seconds(3));
   EXPECT_EQ(redundancy.current_primary(), "B");
   EXPECT_EQ(redundancy.failovers().size(), 1u);
@@ -459,19 +434,19 @@ deploy Pilot -> A | B | C | D
 
 TEST(RedundancyFault, StaggeredTimeoutsPromoteExactlyTheFirstStandby) {
   RedundantWorld world(kQuadRedundantSystem);
-  RedundancyManager redundancy(*world.platform, "Pilot");
+  RedundancyManager redundancy(world.platform, "Pilot");
   redundancy.engage();
   world.simulator.run_until(300 * sim::kMillisecond);
 
-  world.ecu("A").fail();
+  world.vehicle.ecu("A").fail();
   world.simulator.run_until(sim::seconds(2));
   // Rank 1 wins the staggered race; ranks 2 and 3 stand down once its
   // heartbeats appear — exactly one promotion.
   EXPECT_EQ(redundancy.current_primary(), "B");
   ASSERT_EQ(redundancy.failovers().size(), 1u);
   EXPECT_EQ(redundancy.failovers()[0].new_primary, 2u);
-  EXPECT_FALSE(world.platform->node("C")->instance("Pilot")->app->active());
-  EXPECT_FALSE(world.platform->node("D")->instance("Pilot")->app->active());
+  EXPECT_FALSE(world.platform.node("C")->instance("Pilot")->app->active());
+  EXPECT_FALSE(world.platform.node("D")->instance("Pilot")->app->active());
 }
 
 // --- Graceful degradation -----------------------------------------------------
@@ -496,15 +471,15 @@ struct MixedWorld : World {
           config.time_triggered = false;
           return config;
         }()) {
-    platform->register_app("Drive",
-                           [] { return std::make_unique<CounterApp>(); });
-    platform->register_app("Infotain",
-                           [] { return std::make_unique<NullApp>(); });
-    EXPECT_TRUE(platform->install_all());
+    platform.register_app("Drive",
+                          [] { return std::make_unique<CounterApp>(); });
+    platform.register_app("Infotain",
+                          [] { return std::make_unique<NullApp>(); });
+    EXPECT_TRUE(platform.install_all());
   }
 
   bool infotain_running() {
-    const auto labels = platform->node("A")->running_instances();
+    const auto labels = platform.node("A")->running_instances();
     return std::find(labels.begin(), labels.end(), "Infotain") != labels.end();
   }
 };
@@ -521,7 +496,7 @@ DegradationConfig fast_degradation() {
 
 TEST(Degradation, MonitorFaultsShedNdaLoadAndRecoveryRestoresIt) {
   MixedWorld world;
-  DegradationManager degradation(*world.platform, fast_degradation());
+  DegradationManager degradation(world.platform, fast_degradation());
   degradation.engage();
   world.simulator.run_until(200 * sim::kMillisecond);
   EXPECT_EQ(degradation.state("A"), HealthState::kOk);
@@ -530,9 +505,9 @@ TEST(Degradation, MonitorFaultsShedNdaLoadAndRecoveryRestoresIt) {
   // A latent bug: the DA control task suddenly runs 300x its nominal time,
   // blowing deadlines. The monitor raises faults; the degradation manager
   // sheds the NDA app to give the DA task the machine.
-  const AppInstance* drive = world.platform->node("A")->instance("Drive");
+  const AppInstance* drive = world.platform.node("A")->instance("Drive");
   ASSERT_NE(drive, nullptr);
-  os::Processor& cpu = world.ecu("A").processor(drive->core);
+  os::Processor& cpu = world.vehicle.ecu("A").processor(drive->core);
   const os::TaskId ctrl = drive->tasks[0];
   cpu.inject_overrun(ctrl, 300.0);
   world.simulator.run_until(230 * sim::kMillisecond);
@@ -557,7 +532,7 @@ TEST(Degradation, MonitorFaultsShedNdaLoadAndRecoveryRestoresIt) {
 
 TEST(Degradation, HeartbeatLossForcesStickyLimpHome) {
   MixedWorld world;
-  DegradationManager degradation(*world.platform, fast_degradation());
+  DegradationManager degradation(world.platform, fast_degradation());
   degradation.engage();
   world.simulator.run_until(100 * sim::kMillisecond);
 
@@ -758,11 +733,11 @@ TEST(Invariants, FlightRecorderDumpsBundleOnFirstViolationOnly) {
 
 TEST(Invariants, FailOperationalPropertiesHoldUnderCrashCampaign) {
   RedundantWorld world;
-  RedundancyManager redundancy(*world.platform, "Pilot");
+  RedundancyManager redundancy(world.platform, "Pilot");
   redundancy.engage();
 
   fault::FaultCampaign campaign(world.simulator, fault::CampaignConfig{});
-  campaign.add_ecu(world.ecu("A"));
+  campaign.add_ecu(world.vehicle.ecu("A"));
   fault::FaultEvent crash;
   crash.at = 500 * sim::kMillisecond;
   crash.kind = fault::FaultKind::kEcuCrash;
@@ -773,9 +748,9 @@ TEST(Invariants, FailOperationalPropertiesHoldUnderCrashCampaign) {
 
   fault::InvariantChecker checker;
   checker.require_failover_outage_below(redundancy, 200 * sim::kMillisecond);
-  checker.require_no_da_deadline_misses(*world.platform);
-  checker.require_faults_detected(campaign, *world.platform, &redundancy);
-  checker.require_no_stranded_reassembly(*world.platform);
+  checker.require_no_da_deadline_misses(world.platform);
+  checker.require_faults_detected(campaign, world.platform, &redundancy);
+  checker.require_no_stranded_reassembly(world.platform);
   const fault::InvariantReport report = checker.run();
   EXPECT_TRUE(report.passed) << report.summary();
 }

@@ -7,8 +7,7 @@
 #include "dse/schedulability.hpp"
 #include "model/parser.hpp"
 #include "model/verifier.hpp"
-#include "net/ethernet.hpp"
-#include "platform/platform.hpp"
+#include "platform/vehicle.hpp"
 
 namespace dynaplat {
 namespace {
@@ -93,20 +92,19 @@ TEST(Verifier, MulticoreCapacityAccepted) {
 class StubApp final : public platform::Application {};
 
 TEST(MulticorePlatform, InstallSpreadsAppsAcrossCores) {
-  auto parsed = model::parse_system(
-      "network Net kind=ethernet bitrate=100M\n"
-      "ecu Central mips=1000 cores=2 memory=128M asil=D network=Net\n"
-      "app A class=deterministic asil=B memory=4M\n"
-      "  task t period=10ms wcet=7M priority=1\n"  // 0.7 util each
-      "app B class=deterministic asil=B memory=4M\n"
-      "  task t period=10ms wcet=7M priority=1\n"
-      "deploy A -> Central\ndeploy B -> Central\n");
   sim::Simulator simulator;
-  net::EthernetSwitch backbone(simulator, "eth", {});
-  os::EcuConfig config{.name = "Central", .cpu = {.mips = 1000}, .cores = 2};
-  os::Ecu ecu(simulator, config, &backbone, 1);
-  platform::DynamicPlatform dp(simulator, parsed.model, parsed.deployment);
-  dp.add_node(ecu);
+  platform::Vehicle vehicle(
+      simulator,
+      model::parse_system(
+          "network Net kind=ethernet bitrate=100M\n"
+          "ecu Central mips=1000 cores=2 memory=128M asil=D network=Net\n"
+          "app A class=deterministic asil=B memory=4M\n"
+          "  task t period=10ms wcet=7M priority=1\n"  // 0.7 util each
+          "app B class=deterministic asil=B memory=4M\n"
+          "  task t period=10ms wcet=7M priority=1\n"
+          "deploy A -> Central\ndeploy B -> Central\n"));
+  platform::DynamicPlatform& dp = vehicle.platform();
+  os::Ecu& ecu = vehicle.ecu("Central");
   dp.register_app("A", [] { return std::make_unique<StubApp>(); });
   dp.register_app("B", [] { return std::make_unique<StubApp>(); });
   std::string reason;
@@ -136,17 +134,14 @@ TEST(MulticorePlatform, SingleCoreRejectsWhatDualCoreAccepts) {
       "app A class=deterministic asil=B memory=4M\n"
       "  task t period=10ms wcet=7M priority=1\n"
       "deploy A -> Central\n";
-  auto parsed = model::parse_system(model_text);
   sim::Simulator simulator;
-  net::EthernetSwitch backbone(simulator, "eth", {});
-  os::EcuConfig config{.name = "Central", .cpu = {.mips = 1000}, .cores = 1};
-  os::Ecu ecu(simulator, config, &backbone, 1);
-  platform::DynamicPlatform dp(simulator, parsed.model, parsed.deployment);
-  auto& node = dp.add_node(ecu);
+  platform::Vehicle vehicle(simulator, model::parse_system(model_text));
+  platform::DynamicPlatform& dp = vehicle.platform();
+  platform::PlatformNode& node = *dp.node("Central");
   dp.register_app("A", [] { return std::make_unique<StubApp>(); });
   ASSERT_TRUE(dp.install_all());
   // Second 0.7-utilization app: no single core can take it.
-  model::AppDef second = *parsed.model.app("A");
+  model::AppDef second = *dp.system_model().app("A");
   second.name = "B";
   std::string reason;
   EXPECT_FALSE(node.install(

@@ -17,7 +17,6 @@
 
 #include "middleware/payload.hpp"
 #include "model/parser.hpp"
-#include "net/ethernet.hpp"
 #include "obs/coverage.hpp"
 #include "obs/export.hpp"
 #include "obs/json.hpp"
@@ -25,8 +24,8 @@
 #include "obs/postmortem.hpp"
 #include "obs/trace.hpp"
 #include "sim/trace.hpp"
-#include "platform/platform.hpp"
 #include "platform/update.hpp"
+#include "platform/vehicle.hpp"
 
 namespace dynaplat {
 namespace {
@@ -378,14 +377,8 @@ deploy Consumer -> B
 )");
   sim::Simulator simulator;
   sim::Trace trace;
-  net::EthernetSwitch backbone(simulator, "eth", {});
-  os::EcuConfig config_a{.name = "A", .cpu = {.mips = 1000}};
-  os::EcuConfig config_b{.name = "B", .cpu = {.mips = 1000}};
-  os::Ecu ecu_a(simulator, config_a, &backbone, 1, &trace);
-  os::Ecu ecu_b(simulator, config_b, &backbone, 2, &trace);
-  platform::DynamicPlatform dp(simulator, parsed.model, parsed.deployment);
-  dp.add_node(ecu_a);
-  dp.add_node(ecu_b);
+  platform::Vehicle vehicle(simulator, parsed, {.trace = &trace});
+  platform::DynamicPlatform& dp = vehicle.platform();
   dp.register_app("Producer", [] { return std::make_unique<CounterApp>(); });
   dp.register_app("Consumer", [] { return std::make_unique<CounterApp>(); });
   ASSERT_TRUE(dp.install_all());

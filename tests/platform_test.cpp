@@ -6,10 +6,9 @@
 
 #include "middleware/payload.hpp"
 #include "model/parser.hpp"
-#include "net/ethernet.hpp"
-#include "platform/platform.hpp"
 #include "platform/redundancy.hpp"
 #include "platform/update.hpp"
+#include "platform/vehicle.hpp"
 
 namespace dynaplat::platform {
 namespace {
@@ -54,39 +53,14 @@ class NullApp final : public Application {};
 
 struct World {
   explicit World(const std::string& dsl, PlatformConfig platform_config = {},
-                 NodeConfig node_config = {}) {
-    parsed = model::parse_system(dsl);
-    backbone = std::make_unique<net::EthernetSwitch>(simulator, "eth",
-                                                     net::EthernetConfig{});
-    net::NodeId next_node = 1;
-    for (const auto& ecu_def : parsed.model.ecus()) {
-      os::EcuConfig config;
-      config.name = ecu_def.name;
-      config.cpu.mips = ecu_def.mips;
-      config.memory_bytes = ecu_def.memory_bytes;
-      config.has_mmu = ecu_def.has_mmu;
-      ecus.push_back(std::make_unique<os::Ecu>(simulator, config,
-                                               backbone.get(), next_node++,
-                                               &trace));
-    }
-    platform = std::make_unique<DynamicPlatform>(
-        simulator, parsed.model, parsed.deployment, platform_config);
-    for (auto& ecu : ecus) platform->add_node(*ecu, node_config);
-  }
-
-  os::Ecu& ecu(const std::string& name) {
-    for (auto& e : ecus) {
-      if (e->name() == name) return *e;
-    }
-    throw std::out_of_range(name);
-  }
+                 NodeConfig node_config = {})
+      : vehicle(simulator, model::parse_system(dsl),
+                {platform_config, node_config, &trace}) {}
 
   sim::Simulator simulator;
   sim::Trace trace;
-  model::ParsedSystem parsed;
-  std::unique_ptr<net::EthernetSwitch> backbone;
-  std::vector<std::unique_ptr<os::Ecu>> ecus;
-  std::unique_ptr<DynamicPlatform> platform;
+  Vehicle vehicle;
+  DynamicPlatform& platform = vehicle.platform();
 };
 
 const char* kTwoEcuSystem = R"(
@@ -106,17 +80,17 @@ deploy Consumer -> B
 
 TEST(DynamicPlatform, InstallAllStartsDeployedApps) {
   World world(kTwoEcuSystem);
-  world.platform->register_app("Producer",
-                               [] { return std::make_unique<CounterApp>(); });
-  world.platform->register_app("Consumer",
-                               [] { return std::make_unique<NullApp>(); });
+  world.platform.register_app("Producer",
+                              [] { return std::make_unique<CounterApp>(); });
+  world.platform.register_app("Consumer",
+                              [] { return std::make_unique<NullApp>(); });
   std::string reason;
-  ASSERT_TRUE(world.platform->install_all(&reason)) << reason;
-  EXPECT_TRUE(world.platform->node("A")->hosts("Producer"));
-  EXPECT_TRUE(world.platform->node("B")->hosts("Consumer"));
+  ASSERT_TRUE(world.platform.install_all(&reason)) << reason;
+  EXPECT_TRUE(world.platform.node("A")->hosts("Producer"));
+  EXPECT_TRUE(world.platform.node("B")->hosts("Consumer"));
   world.simulator.run_until(sim::seconds(1));
   const AppInstance* producer =
-      world.platform->node("A")->instance("Producer");
+      world.platform.node("A")->instance("Producer");
   ASSERT_NE(producer, nullptr);
   EXPECT_GT(static_cast<const CounterApp*>(producer->app.get())->counter(),
             90u);
@@ -130,24 +104,24 @@ TEST(DynamicPlatform, VerificationGateBlocksBadDeployment) {
       "app P class=deterministic asil=B memory=4M\n"
       "  task t period=10ms wcet=100K priority=1\n"
       "deploy P -> A\n");
-  world.platform->register_app("P",
-                               [] { return std::make_unique<NullApp>(); });
+  world.platform.register_app("P",
+                              [] { return std::make_unique<NullApp>(); });
   std::string reason;
-  EXPECT_FALSE(world.platform->install_all(&reason));
+  EXPECT_FALSE(world.platform.install_all(&reason));
   EXPECT_NE(reason.find("asil"), std::string::npos);
 }
 
 TEST(DynamicPlatform, EventsFlowAcrossEcus) {
   World world(kTwoEcuSystem);
-  world.platform->register_app("Producer",
-                               [] { return std::make_unique<CounterApp>(); });
-  world.platform->register_app("Consumer",
-                               [] { return std::make_unique<NullApp>(); });
-  ASSERT_TRUE(world.platform->install_all());
+  world.platform.register_app("Producer",
+                              [] { return std::make_unique<CounterApp>(); });
+  world.platform.register_app("Consumer",
+                              [] { return std::make_unique<NullApp>(); });
+  ASSERT_TRUE(world.platform.install_all());
   // An external observer subscribes on node B.
   int received = 0;
-  world.platform->node("B")->comm().subscribe(
-      world.platform->service_id("Tick"), 1,
+  world.platform.node("B")->comm().subscribe(
+      world.platform.service_id("Tick"), 1,
       [&](std::vector<std::uint8_t>, net::NodeId) { ++received; });
   world.simulator.run_until(sim::seconds(1));
   EXPECT_GT(received, 50);
@@ -160,9 +134,9 @@ TEST(DynamicPlatform, AdmissionControlRejectsOverload) {
       "app Fat class=deterministic asil=B memory=4M\n"
       "  task t period=10ms wcet=900K priority=1\n"  // u = 0.9
       "deploy Fat -> A\n");
-  world.platform->register_app("Fat",
-                               [] { return std::make_unique<NullApp>(); });
-  ASSERT_TRUE(world.platform->install_all());
+  world.platform.register_app("Fat",
+                              [] { return std::make_unique<NullApp>(); });
+  ASSERT_TRUE(world.platform.install_all());
   // A second app pushing utilization over 1.0 must be rejected at install.
   model::AppDef more;
   more.name = "More";
@@ -175,7 +149,7 @@ TEST(DynamicPlatform, AdmissionControlRejectsOverload) {
   task.priority = 2;
   more.tasks.push_back(task);
   std::string reason;
-  EXPECT_FALSE(world.platform->node("A")->install(
+  EXPECT_FALSE(world.platform.node("A")->install(
       more, [] { return std::make_unique<NullApp>(); }, &reason));
   EXPECT_NE(reason.find("rejected"), std::string::npos);
 }
@@ -186,14 +160,14 @@ TEST(DynamicPlatform, MemoryQuotaRejectsInstall) {
       "ecu A mips=1000 memory=8M asil=D network=Net\n"
       "app Slim class=nondeterministic asil=QM memory=6M\n"
       "deploy Slim -> A\n");
-  world.platform->register_app("Slim",
-                               [] { return std::make_unique<NullApp>(); });
-  ASSERT_TRUE(world.platform->install_all());
+  world.platform.register_app("Slim",
+                              [] { return std::make_unique<NullApp>(); });
+  ASSERT_TRUE(world.platform.install_all());
   model::AppDef big;
   big.name = "Big";
   big.memory_bytes = 6 << 20;  // only ~2M left
   std::string reason;
-  EXPECT_FALSE(world.platform->node("A")->install(
+  EXPECT_FALSE(world.platform.node("A")->install(
       big, [] { return std::make_unique<NullApp>(); }, &reason));
   EXPECT_NE(reason.find("memory"), std::string::npos);
 }
@@ -211,14 +185,14 @@ TEST(DynamicPlatform, TimeTriggeredNodeIsolatesDaFromNdaLoad) {
       "app Hog class=nondeterministic asil=QM memory=4M\n"
       "  task burn period=20ms wcet=1500K priority=9\n"
       "deploy Ctl -> A\ndeploy Hog -> A\n");
-  world.platform->register_app("Ctl",
-                               [] { return std::make_unique<CounterApp>(); });
-  world.platform->register_app("Hog",
-                               [] { return std::make_unique<NullApp>(); });
+  world.platform.register_app("Ctl",
+                              [] { return std::make_unique<CounterApp>(); });
+  world.platform.register_app("Hog",
+                              [] { return std::make_unique<NullApp>(); });
   std::string reason;
-  ASSERT_TRUE(world.platform->install_all(&reason)) << reason;
+  ASSERT_TRUE(world.platform.install_all(&reason)) << reason;
   world.simulator.run_until(sim::seconds(2));
-  auto& cpu = world.ecu("A").processor();
+  auto& cpu = world.vehicle.ecu("A").processor();
   std::uint64_t da_misses = 0;
   for (os::TaskId id : cpu.task_ids()) {
     if (cpu.config(id).task_class == os::TaskClass::kDeterministic) {
@@ -230,12 +204,12 @@ TEST(DynamicPlatform, TimeTriggeredNodeIsolatesDaFromNdaLoad) {
 
 TEST(DynamicPlatform, PersistenceSurvivesAppRestart) {
   World world(kTwoEcuSystem);
-  world.platform->register_app("Producer",
-                               [] { return std::make_unique<CounterApp>(); });
-  world.platform->register_app("Consumer",
-                               [] { return std::make_unique<NullApp>(); });
-  ASSERT_TRUE(world.platform->install_all());
-  auto* node = world.platform->node("A");
+  world.platform.register_app("Producer",
+                              [] { return std::make_unique<CounterApp>(); });
+  world.platform.register_app("Consumer",
+                              [] { return std::make_unique<NullApp>(); });
+  ASSERT_TRUE(world.platform.install_all());
+  auto* node = world.platform.node("A");
   node->persist("calibration", {9, 9, 9});
   node->uninstall("Producer");
   const auto value = node->recall("calibration");
@@ -247,16 +221,16 @@ TEST(DynamicPlatform, PersistenceSurvivesAppRestart) {
 
 struct UpdateWorld : World {
   UpdateWorld() : World(kTwoEcuSystem) {
-    platform->register_app("Producer",
-                           [] { return std::make_unique<CounterApp>(); });
-    platform->register_app("Consumer",
-                           [] { return std::make_unique<NullApp>(); });
-    EXPECT_TRUE(platform->install_all());
+    platform.register_app("Producer",
+                          [] { return std::make_unique<CounterApp>(); });
+    platform.register_app("Consumer",
+                          [] { return std::make_unique<NullApp>(); });
+    EXPECT_TRUE(platform.install_all());
     simulator.run_until(200 * sim::kMillisecond);
   }
 
   model::AppDef v2_def() {
-    model::AppDef def = *parsed.model.app("Producer");
+    model::AppDef def = *platform.system_model().app("Producer");
     def.version = 2;
     return def;
   }
@@ -264,9 +238,9 @@ struct UpdateWorld : World {
 
 TEST(StagedUpdate, CompletesAllFourPhasesWithoutGap) {
   UpdateWorld world;
-  UpdateManager updates(*world.platform);
+  UpdateManager updates(world.platform);
   UpdateReport report;
-  updates.staged_update(*world.platform->node("A"), "Producer",
+  updates.staged_update(*world.platform.node("A"), "Producer",
                         world.v2_def(),
                         [] { return std::make_unique<CounterApp>(); },
                         UpdateConfig{}, [&](UpdateReport r) { report = r; });
@@ -276,7 +250,7 @@ TEST(StagedUpdate, CompletesAllFourPhasesWithoutGap) {
   EXPECT_EQ(report.ownership_gap, 0);
   EXPECT_EQ(report.serving_label, "Producer#v2");
   // Old instance is gone, new one is running and active.
-  auto* node = world.platform->node("A");
+  auto* node = world.platform.node("A");
   EXPECT_FALSE(node->hosts("Producer"));
   const AppInstance* inst = node->instance("Producer#v2");
   ASSERT_NE(inst, nullptr);
@@ -285,8 +259,8 @@ TEST(StagedUpdate, CompletesAllFourPhasesWithoutGap) {
 
 TEST(StagedUpdate, StateCarriesAcrossVersions) {
   UpdateWorld world;
-  UpdateManager updates(*world.platform);
-  auto* node = world.platform->node("A");
+  UpdateManager updates(world.platform);
+  auto* node = world.platform.node("A");
   const auto* old_inst = node->instance("Producer");
   ASSERT_NE(old_inst, nullptr);
   UpdateReport report;
@@ -307,15 +281,15 @@ TEST(StagedUpdate, StateCarriesAcrossVersions) {
 TEST(StagedUpdate, SubscribersKeepReceivingThroughUpdate) {
   UpdateWorld world;
   int received = 0;
-  world.platform->node("B")->comm().subscribe(
-      world.platform->service_id("Tick"), 1,
+  world.platform.node("B")->comm().subscribe(
+      world.platform.service_id("Tick"), 1,
       [&](std::vector<std::uint8_t>, net::NodeId) { ++received; });
   world.simulator.run_until(400 * sim::kMillisecond);
   const int before = received;
   EXPECT_GT(before, 0);
-  UpdateManager updates(*world.platform);
+  UpdateManager updates(world.platform);
   UpdateReport report;
-  updates.staged_update(*world.platform->node("A"), "Producer",
+  updates.staged_update(*world.platform.node("A"), "Producer",
                         world.v2_def(),
                         [] { return std::make_unique<CounterApp>(); },
                         UpdateConfig{}, [&](UpdateReport r) { report = r; });
@@ -327,7 +301,7 @@ TEST(StagedUpdate, SubscribersKeepReceivingThroughUpdate) {
 
 TEST(StagedUpdate, RollsBackWhenShadowMissesDeadlines) {
   UpdateWorld world;
-  UpdateManager updates(*world.platform);
+  UpdateManager updates(world.platform);
   // v2 is subtly broken: its declared WCET (4 ms at 1000 MIPS) passes
   // admission, but +-90% execution jitter overruns the synthesized TT
   // windows, so the shadow misses deadlines during warm-up.
@@ -335,13 +309,13 @@ TEST(StagedUpdate, RollsBackWhenShadowMissesDeadlines) {
   broken.tasks[0].instructions = 4'000'000;
   broken.tasks[0].execution_jitter = 0.9;
   UpdateReport report;
-  updates.staged_update(*world.platform->node("A"), "Producer", broken,
+  updates.staged_update(*world.platform.node("A"), "Producer", broken,
                         [] { return std::make_unique<CounterApp>(); },
                         UpdateConfig{}, [&](UpdateReport r) { report = r; });
   world.simulator.run_until(sim::seconds(2));
   EXPECT_FALSE(report.success);
   // Old version still serving.
-  auto* node = world.platform->node("A");
+  auto* node = world.platform.node("A");
   const AppInstance* old_inst = node->instance("Producer");
   ASSERT_NE(old_inst, nullptr);
   EXPECT_TRUE(old_inst->app->active());
@@ -355,11 +329,11 @@ class StagedUpdateRollback : public ::testing::TestWithParam<int> {};
 
 TEST_P(StagedUpdateRollback, InjectedPhaseFailureRevertsCleanly) {
   UpdateWorld world;
-  UpdateManager updates(*world.platform);
+  UpdateManager updates(world.platform);
   UpdateConfig config;
   config.inject_failure_phase = GetParam();
   UpdateReport report;
-  updates.staged_update(*world.platform->node("A"), "Producer",
+  updates.staged_update(*world.platform.node("A"), "Producer",
                         world.v2_def(),
                         [] { return std::make_unique<CounterApp>(); },
                         config, [&](UpdateReport r) { report = r; });
@@ -370,7 +344,7 @@ TEST_P(StagedUpdateRollback, InjectedPhaseFailureRevertsCleanly) {
   EXPECT_EQ(report.phase_reached, GetParam());
   EXPECT_EQ(report.serving_label, "Producer");
   EXPECT_EQ(report.ownership_gap, 0);
-  auto* node = world.platform->node("A");
+  auto* node = world.platform.node("A");
   const AppInstance* old_inst = node->instance("Producer");
   ASSERT_NE(old_inst, nullptr);
   EXPECT_TRUE(old_inst->running);
@@ -385,14 +359,14 @@ INSTANTIATE_TEST_SUITE_P(AllPhases, StagedUpdateRollback,
 
 TEST(StagedMigration, MovesInstanceAcrossNodesWithoutGap) {
   UpdateWorld world;
-  UpdateManager updates(*world.platform);
-  auto* a = world.platform->node("A");
+  UpdateManager updates(world.platform);
+  auto* a = world.platform.node("A");
   const auto* origin = a->instance("Producer");
   ASSERT_NE(origin, nullptr);
   const std::uint64_t counted_before =
       static_cast<const CounterApp*>(origin->app.get())->counter();
   UpdateReport report;
-  updates.staged_migration(*a, "Producer", *world.platform->node("B"),
+  updates.staged_migration(*a, "Producer", *world.platform.node("B"),
                            UpdateConfig{},
                            [&](UpdateReport r) { report = r; });
   world.simulator.run_until(sim::seconds(2));
@@ -400,7 +374,7 @@ TEST(StagedMigration, MovesInstanceAcrossNodesWithoutGap) {
   EXPECT_EQ(report.strategy, "staged_migration");
   EXPECT_EQ(report.ownership_gap, 0);
   EXPECT_FALSE(a->hosts("Producer"));
-  const AppInstance* moved = world.platform->node("B")->instance("Producer");
+  const AppInstance* moved = world.platform.node("B")->instance("Producer");
   ASSERT_NE(moved, nullptr);
   EXPECT_TRUE(moved->running);
   EXPECT_TRUE(moved->app->active());
@@ -411,31 +385,31 @@ TEST(StagedMigration, MovesInstanceAcrossNodesWithoutGap) {
 
 TEST(StagedMigration, InjectedFailureLeavesOriginServing) {
   UpdateWorld world;
-  UpdateManager updates(*world.platform);
+  UpdateManager updates(world.platform);
   for (int phase = 1; phase <= 4; ++phase) {
     UpdateConfig config;
     config.inject_failure_phase = phase;
     UpdateReport report;
-    updates.staged_migration(*world.platform->node("A"), "Producer",
-                             *world.platform->node("B"), config,
+    updates.staged_migration(*world.platform.node("A"), "Producer",
+                             *world.platform.node("B"), config,
                              [&](UpdateReport r) { report = r; });
     world.simulator.run_until(world.simulator.now() + sim::seconds(2));
     EXPECT_FALSE(report.success) << "phase " << phase;
     EXPECT_EQ(report.ownership_gap, 0) << "phase " << phase;
     const AppInstance* origin =
-        world.platform->node("A")->instance("Producer");
+        world.platform.node("A")->instance("Producer");
     ASSERT_NE(origin, nullptr) << "phase " << phase;
     EXPECT_TRUE(origin->app->active()) << "phase " << phase;
-    EXPECT_FALSE(world.platform->node("B")->hosts("Producer"))
+    EXPECT_FALSE(world.platform.node("B")->hosts("Producer"))
         << "phase " << phase;
   }
 }
 
 TEST(StopRestartUpdate, IncursOwnershipGap) {
   UpdateWorld world;
-  UpdateManager updates(*world.platform);
+  UpdateManager updates(world.platform);
   UpdateReport report;
-  updates.stop_restart_update(*world.platform->node("A"), "Producer",
+  updates.stop_restart_update(*world.platform.node("A"), "Producer",
                               world.v2_def(),
                               [] { return std::make_unique<CounterApp>(); },
                               UpdateConfig{},
@@ -447,11 +421,11 @@ TEST(StopRestartUpdate, IncursOwnershipGap) {
 
 TEST(CentralSwitchUpdate, GapEqualsClockError) {
   UpdateWorld world;
-  UpdateManager updates(*world.platform);
+  UpdateManager updates(world.platform);
   UpdateConfig config;
   config.clock_error = 30 * sim::kMillisecond;
   UpdateReport report;
-  updates.central_switch_update(*world.platform->node("A"), "Producer",
+  updates.central_switch_update(*world.platform.node("A"), "Producer",
                                 world.v2_def(),
                                 [] { return std::make_unique<CounterApp>(); },
                                 config, [&](UpdateReport r) { report = r; });
@@ -476,16 +450,16 @@ deploy Pilot -> A | B | C
 
 struct RedundantWorld : World {
   RedundantWorld() : World(kRedundantSystem) {
-    platform->register_app("Pilot",
-                           [] { return std::make_unique<CounterApp>(); });
-    EXPECT_TRUE(platform->install_all());
+    platform.register_app("Pilot",
+                          [] { return std::make_unique<CounterApp>(); });
+    EXPECT_TRUE(platform.install_all());
   }
 };
 
 TEST(Redundancy, ReplicasInstalledPrimaryActive) {
   RedundantWorld world;
-  const AppInstance* primary = world.platform->node("A")->instance("Pilot");
-  const AppInstance* standby = world.platform->node("B")->instance("Pilot");
+  const AppInstance* primary = world.platform.node("A")->instance("Pilot");
+  const AppInstance* standby = world.platform.node("B")->instance("Pilot");
   ASSERT_NE(primary, nullptr);
   ASSERT_NE(standby, nullptr);
   EXPECT_TRUE(primary->app->active());
@@ -494,11 +468,11 @@ TEST(Redundancy, ReplicasInstalledPrimaryActive) {
 
 TEST(Redundancy, FailoverPromotesStandby) {
   RedundantWorld world;
-  RedundancyManager redundancy(*world.platform, "Pilot");
+  RedundancyManager redundancy(world.platform, "Pilot");
   redundancy.engage();
   world.simulator.run_until(500 * sim::kMillisecond);
   EXPECT_EQ(redundancy.current_primary(), "A");
-  world.ecu("A").fail();
+  world.vehicle.ecu("A").fail();
   world.simulator.run_until(sim::seconds(1));
   EXPECT_EQ(redundancy.current_primary(), "B");
   ASSERT_EQ(redundancy.failovers().size(), 1u);
@@ -508,14 +482,14 @@ TEST(Redundancy, FailoverPromotesStandby) {
 
 TEST(Redundancy, ServiceContinuesAfterFailover) {
   RedundantWorld world;
-  RedundancyManager redundancy(*world.platform, "Pilot");
+  RedundancyManager redundancy(world.platform, "Pilot");
   redundancy.engage();
   int received = 0;
-  world.platform->node("C")->comm().subscribe(
-      world.platform->service_id("Cmd"), 1,
+  world.platform.node("C")->comm().subscribe(
+      world.platform.service_id("Cmd"), 1,
       [&](std::vector<std::uint8_t>, net::NodeId) { ++received; });
   world.simulator.run_until(500 * sim::kMillisecond);
-  world.ecu("A").fail();
+  world.vehicle.ecu("A").fail();
   world.simulator.run_until(sim::seconds(1));
   const int at_failover = received;
   world.simulator.run_until(sim::seconds(2));
@@ -525,10 +499,10 @@ TEST(Redundancy, ServiceContinuesAfterFailover) {
 
 TEST(Redundancy, StateShippedToStandby) {
   RedundantWorld world;
-  RedundancyManager redundancy(*world.platform, "Pilot");
+  RedundancyManager redundancy(world.platform, "Pilot");
   redundancy.engage();
   world.simulator.run_until(sim::seconds(1));
-  const auto* standby = world.platform->node("B")->instance("Pilot");
+  const auto* standby = world.platform.node("B")->instance("Pilot");
   ASSERT_NE(standby, nullptr);
   // The standby's counter tracks the primary's via heartbeat state sync
   // (primary runs at 100 ticks/s; standby restores snapshots).
@@ -538,7 +512,7 @@ TEST(Redundancy, StateShippedToStandby) {
 
 TEST(Redundancy, NoFalseFailoverWhenPrimaryHealthy) {
   RedundantWorld world;
-  RedundancyManager redundancy(*world.platform, "Pilot");
+  RedundancyManager redundancy(world.platform, "Pilot");
   redundancy.engage();
   world.simulator.run_until(sim::seconds(3));
   EXPECT_TRUE(redundancy.failovers().empty());

@@ -12,9 +12,8 @@
 #include "middleware/transport.hpp"
 #include "model/parser.hpp"
 #include "net/can_bus.hpp"
-#include "net/ethernet.hpp"
 #include "os/processor.hpp"
-#include "platform/platform.hpp"
+#include "platform/vehicle.hpp"
 #include "sim/random.hpp"
 
 namespace dynaplat {
@@ -272,11 +271,10 @@ TEST(PlatformChaos, RandomLifecycleSequenceKeepsInvariants) {
       "  task t period=20ms wcet=1M priority=2\n"
       "deploy App1 -> A\n");
   sim::Simulator simulator;
-  net::EthernetSwitch backbone(simulator, "eth", {});
-  os::EcuConfig config{.name = "A", .cpu = {.mips = 1000}};
-  os::Ecu ecu(simulator, config, &backbone, 1);
-  platform::DynamicPlatform dp(simulator, parsed.model, parsed.deployment);
-  auto& node = dp.add_node(ecu);
+  platform::Vehicle vehicle(simulator, parsed);
+  platform::DynamicPlatform& dp = vehicle.platform();
+  platform::PlatformNode& node = *dp.node("A");
+  os::Ecu& ecu = vehicle.ecu("A");
   auto factory = [] { return std::make_unique<platform::Application>(); };
   for (const char* app : {"App1", "App2", "App3"}) {
     dp.register_app(app, factory);

@@ -9,11 +9,10 @@
 #include "fault/campaign.hpp"
 #include "fault/invariants.hpp"
 #include "model/parser.hpp"
-#include "net/ethernet.hpp"
 #include "platform/degradation.hpp"
-#include "platform/platform.hpp"
 #include "platform/reconfiguration.hpp"
 #include "platform/recovery.hpp"
+#include "platform/vehicle.hpp"
 
 namespace dynaplat::platform {
 namespace {
@@ -41,43 +40,18 @@ class StatefulApp final : public Application {
 };
 
 struct World {
-  explicit World(const std::string& dsl) {
-    parsed = model::parse_system(dsl);
-    backbone = std::make_unique<net::EthernetSwitch>(simulator, "eth",
-                                                     net::EthernetConfig{});
-    net::NodeId next_node = 1;
-    for (const auto& ecu_def : parsed.model.ecus()) {
-      os::EcuConfig config;
-      config.name = ecu_def.name;
-      config.cpu.mips = ecu_def.mips;
-      config.memory_bytes = ecu_def.memory_bytes;
-      config.has_mmu = ecu_def.has_mmu;
-      ecus.push_back(std::make_unique<os::Ecu>(simulator, config,
-                                               backbone.get(), next_node++,
-                                               &trace));
+  explicit World(const std::string& dsl)
+      : vehicle(simulator, model::parse_system(dsl), {.trace = &trace}) {
+    for (const auto& app : platform.system_model().apps()) {
+      platform.register_app(app.name,
+                            [] { return std::make_unique<StatefulApp>(); });
     }
-    platform = std::make_unique<DynamicPlatform>(
-        simulator, parsed.model, parsed.deployment, PlatformConfig{});
-    for (auto& ecu : ecus) platform->add_node(*ecu);
-    for (const auto& app : parsed.model.apps()) {
-      platform->register_app(app.name,
-                             [] { return std::make_unique<StatefulApp>(); });
-    }
-  }
-
-  os::Ecu& ecu(const std::string& name) {
-    for (auto& e : ecus) {
-      if (e->name() == name) return *e;
-    }
-    throw std::out_of_range(name);
   }
 
   sim::Simulator simulator;
   sim::Trace trace;
-  model::ParsedSystem parsed;
-  std::unique_ptr<net::EthernetSwitch> backbone;
-  std::vector<std::unique_ptr<os::Ecu>> ecus;
-  std::unique_ptr<DynamicPlatform> platform;
+  Vehicle vehicle;
+  DynamicPlatform& platform = vehicle.platform();
 };
 
 /// Fast orchestrator tuning shared by the tests.
@@ -113,8 +87,8 @@ deploy Maps -> B
 )";
 
 void kill_two_ecus(World& world, fault::FaultCampaign& campaign) {
-  campaign.add_ecu(world.ecu("A"));
-  campaign.add_ecu(world.ecu("B"));
+  campaign.add_ecu(world.vehicle.ecu("A"));
+  campaign.add_ecu(world.vehicle.ecu("B"));
   fault::FaultEvent crash_a;
   crash_a.at = 310 * sim::kMillisecond;
   crash_a.kind = fault::FaultKind::kEcuCrash;
@@ -129,8 +103,8 @@ void kill_two_ecus(World& world, fault::FaultCampaign& campaign) {
 
 TEST(Recovery, TwoEcuLossRehostsEveryDisplacedAppWithinBound) {
   World world(kFourEcuVehicle);
-  ASSERT_TRUE(world.platform->install_all());
-  RecoveryOrchestrator orchestrator(*world.platform, fast_recovery());
+  ASSERT_TRUE(world.platform.install_all());
+  RecoveryOrchestrator orchestrator(world.platform, fast_recovery());
   orchestrator.engage();
   fault::FaultCampaign campaign(world.simulator);
   kill_two_ecus(world, campaign);
@@ -150,7 +124,7 @@ TEST(Recovery, TwoEcuLossRehostsEveryDisplacedAppWithinBound) {
   for (const std::string& app : {"Brake", "Steer", "Infotain", "Maps"}) {
     const PlatformNode* host = nullptr;
     for (const std::string& name : {"C", "D"}) {
-      PlatformNode* node = world.platform->node(name);
+      PlatformNode* node = world.platform.node(name);
       const AppInstance* inst = node->instance(app);
       if (inst != nullptr && inst->running) host = node;
     }
@@ -171,11 +145,11 @@ TEST(Recovery, TwoEcuLossRehostsEveryDisplacedAppWithinBound) {
 
 TEST(Recovery, MidPlanFailureRollsBackToBitIdenticalDeployment) {
   World world(kFourEcuVehicle);
-  ASSERT_TRUE(world.platform->install_all());
+  ASSERT_TRUE(world.platform.install_all());
   RecoveryConfig config = fast_recovery();
   config.inject_fail_after_steps = 2;  // abort with half the plan applied
   config.retry_budget = 2;
-  RecoveryOrchestrator orchestrator(*world.platform, config);
+  RecoveryOrchestrator orchestrator(world.platform, config);
   orchestrator.engage();
   fault::FaultCampaign campaign(world.simulator);
   kill_two_ecus(world, campaign);
@@ -188,7 +162,7 @@ TEST(Recovery, MidPlanFailureRollsBackToBitIdenticalDeployment) {
     EXPECT_NE(plan.reason.find("injected"), std::string::npos);
   }
   // The vehicle is bit-identical to the journaled pre-plan deployment.
-  EXPECT_TRUE(RecoveryOrchestrator::snapshot(*world.platform) ==
+  EXPECT_TRUE(RecoveryOrchestrator::snapshot(world.platform) ==
               orchestrator.plans().front().pre_plan);
   fault::InvariantChecker checker;
   checker.require_plan_atomicity(orchestrator);
@@ -203,13 +177,13 @@ TEST(Recovery, MidPlanFailureRollsBackToBitIdenticalDeployment) {
 
 TEST(Recovery, ExhaustedRetryBudgetEscalatesOriginsToLimpHome) {
   World world(kFourEcuVehicle);
-  ASSERT_TRUE(world.platform->install_all());
+  ASSERT_TRUE(world.platform.install_all());
   RecoveryConfig config = fast_recovery();
   config.inject_fail_after_steps = 0;  // every plan aborts before step 1
   config.retry_budget = 2;
-  RecoveryOrchestrator orchestrator(*world.platform, config);
+  RecoveryOrchestrator orchestrator(world.platform, config);
   orchestrator.engage();
-  DegradationManager degradation(*world.platform);
+  DegradationManager degradation(world.platform);
   degradation.engage();
   orchestrator.set_degradation(&degradation);
   fault::FaultCampaign campaign(world.simulator);
@@ -236,7 +210,7 @@ TEST(Recovery, RetryQueueRecoversOnceCapacityReturns) {
       "app Fat class=nondeterministic asil=QM memory=4M\n"
       "  task crunch period=10ms wcet=6M priority=5\n"
       "deploy Fat -> A\n");
-  ASSERT_TRUE(world.platform->install_all());
+  ASSERT_TRUE(world.platform.install_all());
   // B is pre-loaded with a 0.6-utilization squatter, so Fat (0.6) cannot
   // fit until the squatter leaves.
   model::AppDef load;
@@ -248,17 +222,17 @@ TEST(Recovery, RetryQueueRecoversOnceCapacityReturns) {
   task.instructions = 6'000'000;
   task.priority = 3;
   load.tasks.push_back(task);
-  auto* b = world.platform->node("B");
+  auto* b = world.platform.node("B");
   ASSERT_TRUE(
       b->install(load, [] { return std::make_unique<StatefulApp>(); }));
   ASSERT_TRUE(b->start("Load"));
 
   RecoveryConfig config = fast_recovery();
   config.retry_budget = 5;
-  RecoveryOrchestrator orchestrator(*world.platform, config);
+  RecoveryOrchestrator orchestrator(world.platform, config);
   orchestrator.engage();
   world.simulator.schedule_at(210 * sim::kMillisecond,
-                              [&world] { world.ecu("A").fail(); });
+                              [&world] { world.vehicle.ecu("A").fail(); });
   world.simulator.schedule_at(700 * sim::kMillisecond,
                               [b] { b->uninstall("Load"); });
   world.simulator.run_until(sim::seconds(2));
@@ -285,25 +259,25 @@ TEST(Recovery, CommittedPlanLiftsDegradedTargetBackToOk) {
       "  task ctl period=10ms wcet=1M priority=2\n"
       "deploy Main -> A\n"
       "deploy Aux -> C\n");
-  ASSERT_TRUE(world.platform->install_all());
+  ASSERT_TRUE(world.platform.install_all());
   DegradationConfig deg_config;
   deg_config.faults_for_degraded = 1;
   deg_config.faults_for_limp_home = 100;
   deg_config.recovery_window = 10 * sim::kSecond;  // only a plan can lift
-  DegradationManager degradation(*world.platform, deg_config);
+  DegradationManager degradation(world.platform, deg_config);
   degradation.engage();
-  RecoveryOrchestrator orchestrator(*world.platform, fast_recovery());
+  RecoveryOrchestrator orchestrator(world.platform, fast_recovery());
   orchestrator.set_degradation(&degradation);
   orchestrator.engage();
 
   // A bounded overrun episode on C's Aux task degrades C (the entry into
   // kDegraded sheds Aux, which also stops the misses).
   fault::FaultCampaign campaign(world.simulator);
-  auto* aux = world.platform->node("C")->instance("Aux");
+  auto* aux = world.platform.node("C")->instance("Aux");
   ASSERT_NE(aux, nullptr);
   ASSERT_FALSE(aux->tasks.empty());
   campaign.add_overrun_target("C/ctl",
-                              world.ecu("C").processor(aux->core),
+                              world.vehicle.ecu("C").processor(aux->core),
                               aux->tasks[0]);
   fault::FaultEvent overrun;
   overrun.at = 100 * sim::kMillisecond;
@@ -320,7 +294,7 @@ TEST(Recovery, CommittedPlanLiftsDegradedTargetBackToOk) {
   HealthState before_kill = HealthState::kOk;
   world.simulator.schedule_at(390 * sim::kMillisecond, [&] {
     before_kill = degradation.state("C");
-    world.ecu("A").fail();
+    world.vehicle.ecu("A").fail();
   });
   world.simulator.run_until(sim::seconds(2));
 
@@ -356,17 +330,17 @@ TEST(Reconfiguration, FirstFitDecreasingPlacesHeaviestAppFirst) {
       "deploy Small -> A\n"
       "deploy Big -> A\n"
       "deploy Load -> B\n");
-  ASSERT_TRUE(world.platform->install_all());
-  ReconfigurationManager reconfig(*world.platform);
+  ASSERT_TRUE(world.platform.install_all());
+  ReconfigurationManager reconfig(world.platform);
   reconfig.engage();
   world.simulator.schedule_at(210 * sim::kMillisecond,
-                              [&world] { world.ecu("A").fail(); });
+                              [&world] { world.vehicle.ecu("A").fail(); });
   world.simulator.run_until(sim::seconds(1));
 
-  const AppInstance* big = world.platform->node("B")->instance("Big");
+  const AppInstance* big = world.platform.node("B")->instance("Big");
   ASSERT_NE(big, nullptr);
   EXPECT_TRUE(big->running);
-  EXPECT_FALSE(world.platform->node("B")->hosts("Small"));
+  EXPECT_FALSE(world.platform.node("B")->hosts("Small"));
   const auto& stranded = reconfig.stranded();
   EXPECT_NE(std::find(stranded.begin(), stranded.end(), "Small"),
             stranded.end());
@@ -374,15 +348,15 @@ TEST(Reconfiguration, FirstFitDecreasingPlacesHeaviestAppFirst) {
 
 TEST(Recovery, SnapshotIsSortedAndComparable) {
   World world(kFourEcuVehicle);
-  ASSERT_TRUE(world.platform->install_all());
+  ASSERT_TRUE(world.platform.install_all());
   const DeploymentSnapshot snap =
-      RecoveryOrchestrator::snapshot(*world.platform);
+      RecoveryOrchestrator::snapshot(world.platform);
   ASSERT_EQ(snap.entries.size(), 4u);
   for (std::size_t i = 1; i < snap.entries.size(); ++i) {
     EXPECT_TRUE(snap.entries[i - 1] < snap.entries[i] ||
                 !(snap.entries[i] < snap.entries[i - 1]));
   }
-  EXPECT_TRUE(snap == RecoveryOrchestrator::snapshot(*world.platform));
+  EXPECT_TRUE(snap == RecoveryOrchestrator::snapshot(world.platform));
 }
 
 }  // namespace
