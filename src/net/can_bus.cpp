@@ -1,5 +1,6 @@
 #include "net/can_bus.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace dynaplat::net {
@@ -40,28 +41,28 @@ std::uint32_t CanBus::arbitration_id(const Frame& frame) const {
   return (base + frame.flow_id % config_.id_stride) & 0x7FF;
 }
 
-std::size_t CanBus::queued() const {
-  std::size_t n = 0;
-  for (const auto& [id, q] : pending_) n += q.size();
-  return n;
+void CanBus::enqueue(Frame& frame) {
+  assert(frame.payload.size() <= max_payload());
+  frame.enqueued_at = sim_.now();
+  frame.seq = seq_++;
+  Contender contender;
+  contender.id = arbitration_id(frame);
+  contender.seq = frame.seq;
+  contender.slot = park(std::move(frame));
+  pending_.push_back(contender);
+  std::push_heap(pending_.begin(), pending_.end(), Contender::loses_to);
 }
 
 void CanBus::send(Frame frame) {
   if (inject_faults(frame)) return;
-  assert(frame.payload.size() <= max_payload());
-  frame.enqueued_at = sim_.now();
-  frame.seq = seq_++;
-  pending_[arbitration_id(frame)].push_back(std::move(frame));
+  enqueue(frame);
   try_start_transmission();
 }
 
 void CanBus::send_batch(std::vector<Frame>& frames) {
   for (Frame& frame : frames) {
     if (inject_faults(frame)) continue;
-    assert(frame.payload.size() <= max_payload());
-    frame.enqueued_at = sim_.now();
-    frame.seq = seq_++;
-    pending_[arbitration_id(frame)].push_back(std::move(frame));
+    enqueue(frame);
   }
   frames.clear();
   try_start_transmission();
@@ -69,20 +70,20 @@ void CanBus::send_batch(std::vector<Frame>& frames) {
 
 void CanBus::try_start_transmission() {
   if (busy_ || pending_.empty()) return;
-  // Arbitration: lowest id (map order) wins the idle bus.
-  auto it = pending_.begin();
-  in_flight_ = std::move(it->second.front());
-  it->second.pop_front();
-  if (it->second.empty()) pending_.erase(it);
+  // Arbitration: lowest id wins the idle bus.
+  std::pop_heap(pending_.begin(), pending_.end(), Contender::loses_to);
+  in_flight_ = pending_.back().slot;
+  pending_.pop_back();
   busy_ = true;
-  const sim::Duration on_wire = frame_duration(in_flight_.payload.size());
+  const sim::Duration on_wire =
+      frame_duration(parked(in_flight_).payload.size());
   trace_tx_span(sim_.now(), sim_.now() + on_wire);
   sim_.schedule_in(on_wire, [this] { finish_transmission(); });
 }
 
 void CanBus::finish_transmission() {
   busy_ = false;
-  deliver(std::move(in_flight_));
+  deliver(unpark(in_flight_));
   try_start_transmission();
 }
 

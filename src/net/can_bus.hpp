@@ -8,8 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
+#include <vector>
 
 #include "net/medium.hpp"
 
@@ -48,18 +47,34 @@ class CanBus final : public Medium {
   std::uint32_t arbitration_id(const Frame& frame) const;
 
   bool busy() const { return busy_; }
-  std::size_t queued() const;
+  std::size_t queued() const { return pending_.size(); }
 
  private:
+  // A frame contending for the bus; the frame itself waits in the medium's
+  // frame pool.
+  struct Contender {
+    std::uint32_t id = 0;  // arbitration id
+    std::uint32_t slot = 0;
+    std::uint64_t seq = 0;  // send order: FIFO among frames of one id
+
+    // Heap order: std::push_heap/pop_heap keep the greatest element on top,
+    // so the arbitration winner must compare greatest.
+    static bool loses_to(const Contender& a, const Contender& b) {
+      return a.id != b.id ? a.id > b.id : a.seq > b.seq;
+    }
+  };
+
+  void enqueue(Frame& frame);
   void try_start_transmission();
   void finish_transmission();
 
   CanBusConfig config_;
-  // All pending frames keyed by arbitration id: the queue *is* the
-  // arbitration. FIFO per id preserves per-sender ordering.
-  std::map<std::uint32_t, std::deque<Frame>> pending_;
+  // Binary min-heap on (arbitration id, seq) over every pending frame: the
+  // queue *is* the arbitration. Lowest id wins the idle bus; FIFO per id
+  // preserves per-sender ordering.
+  std::vector<Contender> pending_;
   bool busy_ = false;
-  Frame in_flight_;
+  std::uint32_t in_flight_ = 0;  // pool slot of the frame on the wire
   std::uint64_t seq_ = 0;
 };
 

@@ -51,35 +51,38 @@ void EthernetSwitch::send(Frame frame) {
   const sim::Time done = start + frame_duration(frame.payload.size()) +
                          config_.propagation_delay;
   free_at = done - config_.propagation_delay;
-  sim_.schedule_at(done, [this, f = std::move(frame)]() mutable {
-    on_ingress_complete(std::move(f));
+  const std::uint32_t slot = park(std::move(frame));
+  sim_.schedule_at(done, [this, slot] { on_ingress_complete(slot); });
+}
+
+void EthernetSwitch::on_ingress_complete(std::uint32_t slot) {
+  // Store-and-forward: the whole frame is now in switch memory.
+  sim_.schedule_in(config_.processing_delay, [this, slot] {
+    const NodeId dst = parked(slot).dst;
+    if (dst != kBroadcast) {
+      enqueue_egress(dst, slot);
+      return;
+    }
+    // Flooding: every egress port queues its own copy.
+    const NodeId src = parked(slot).src;
+    for (auto& [node, port] : egress_) {
+      (void)port;
+      if (node != src) enqueue_egress(node, park(parked(slot)));
+    }
+    unpark(slot);
   });
 }
 
-void EthernetSwitch::on_ingress_complete(Frame frame) {
-  // Store-and-forward: the whole frame is now in switch memory.
-  sim_.schedule_in(config_.processing_delay,
-                   [this, f = std::move(frame)]() mutable {
-                     if (f.dst == kBroadcast) {
-                       for (auto& [node, port] : egress_) {
-                         (void)port;
-                         if (node != f.src) enqueue_egress(node, f);
-                       }
-                     } else {
-                       enqueue_egress(f.dst, std::move(f));
-                     }
-                   });
-}
-
-void EthernetSwitch::enqueue_egress(NodeId node, Frame frame) {
+void EthernetSwitch::enqueue_egress(NodeId node, std::uint32_t slot) {
   EgressPort& port = egress_[node];
-  auto& queue = port.queues[std::min<Priority>(frame.priority, 7)];
+  auto& queue = port.queues[std::min<Priority>(parked(slot).priority, 7)];
   if (queue.size() >= config_.queue_capacity) {
+    unpark(slot);
     ++egress_drops_;
     count_drop();
     return;
   }
-  queue.push_back(std::move(frame));
+  queue.push_back(slot);
   try_transmit(node);
 }
 
@@ -118,19 +121,21 @@ void EthernetSwitch::try_transmit(NodeId node) {
   for (Priority p = 0; p < 8; ++p) {
     auto& queue = port.queues[p];
     if (queue.empty()) continue;
-    const sim::Duration tx = frame_duration(queue.front().payload.size());
+    const sim::Duration tx =
+        frame_duration(parked(queue.front()).payload.size());
     const auto open = gate_open_time(port, p, tx);
     if (!open) {
       // This class never opens under the current GCL; drop to avoid
       // unbounded buildup and surface the misconfiguration in stats.
       ++egress_drops_;
       count_drop();
+      unpark(queue.front());
       queue.pop_front();
       --p;  // re-examine the same class
       continue;
     }
     if (*open <= sim_.now()) {
-      Frame frame = std::move(queue.front());
+      const std::uint32_t slot = queue.front();
       queue.pop_front();
       port.busy = true;
       if (trace() != nullptr) {
@@ -143,9 +148,9 @@ void EthernetSwitch::try_transmit(NodeId node) {
         trace_tx_span(*open, *open + tx);
       }
       sim_.schedule_at(*open + tx + config_.propagation_delay,
-                       [this, node, f = std::move(frame)]() mutable {
+                       [this, node, slot] {
                          egress_[node].busy = false;
-                         deliver(std::move(f));
+                         deliver(unpark(slot));
                          try_transmit(node);
                        });
       return;

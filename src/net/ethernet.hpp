@@ -70,15 +70,16 @@ class EthernetSwitch final : public Medium {
 
  private:
   struct EgressPort {
-    std::array<std::deque<Frame>, 8> queues;  // index = Priority
+    // Frame-pool slots (Medium::park) per class; index = Priority.
+    std::array<std::deque<std::uint32_t>, 8> queues;
     bool busy = false;
     GateControlList gcl;
     sim::EventId pending_kick;  // scheduled gate-open re-evaluation
     std::uint32_t trace_lane = 0;  // interned "<switch>/egress<node>" id
   };
 
-  void on_ingress_complete(Frame frame);
-  void enqueue_egress(NodeId node, Frame frame);
+  void on_ingress_complete(std::uint32_t slot);
+  void enqueue_egress(NodeId node, std::uint32_t slot);
   void try_transmit(NodeId node);
   /// Earliest time >= now at which a frame of class `p` lasting `tx` may
   /// start under the port's gate; nullopt if the GCL never opens that class.

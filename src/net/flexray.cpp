@@ -76,16 +76,15 @@ void FlexRayBus::run_cycle() {
   for (const auto& [slot, flow] : slot_owner_) {
     auto it = static_pending_.find(flow);
     if (it == static_pending_.end() || it->second.empty()) continue;
-    Frame frame = std::move(it->second.front());
+    const std::uint32_t frame_slot = park(std::move(it->second.front()));
     it->second.pop_front();
     const sim::Time slot_start =
         cycle_start +
         static_cast<sim::Duration>(slot) * config_.static_slot_duration;
     const sim::Time slot_end = slot_start + config_.static_slot_duration;
     trace_tx_span(slot_start, slot_end);
-    sim_.schedule_at(slot_end, [this, f = std::move(frame)]() mutable {
-      deliver(std::move(f));
-    });
+    sim_.schedule_at(slot_end,
+                     [this, frame_slot] { deliver(unpark(frame_slot)); });
   }
 
   // Dynamic segment: minislot counting. Each transmitted frame consumes
@@ -101,7 +100,7 @@ void FlexRayBus::run_cycle() {
     const auto slots_needed = static_cast<std::size_t>(
         (tx + config_.minislot_duration - 1) / config_.minislot_duration);
     if (minislot + slots_needed > config_.minislots) break;
-    Frame frame = std::move(it->second);
+    const std::uint32_t frame_slot = park(std::move(it->second));
     it = dynamic_pending_.erase(it);
     const sim::Time done =
         dynamic_start + static_cast<sim::Duration>(minislot + slots_needed) *
@@ -109,9 +108,8 @@ void FlexRayBus::run_cycle() {
     trace_tx_span(dynamic_start + static_cast<sim::Duration>(minislot) *
                                       config_.minislot_duration,
                   done);
-    sim_.schedule_at(done, [this, f = std::move(frame)]() mutable {
-      deliver(std::move(f));
-    });
+    sim_.schedule_at(done,
+                     [this, frame_slot] { deliver(unpark(frame_slot)); });
     minislot += slots_needed;
   }
 

@@ -22,6 +22,7 @@
 #include "obs/fnv.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
+#include "sim/slot_pool.hpp"
 #include "sim/stats.hpp"
 #include "sim/trace.hpp"
 
@@ -120,6 +121,12 @@ class Medium {
   /// Whether the burst model currently sits in the Bad state (tests).
   bool burst_state_bad() const { return burst_bad_; }
 
+  /// Frame-pool slots ever created (see park()): the most frames ever in
+  /// flight at once, for tests and allocation audits.
+  std::size_t frame_slots() const { return parked_.capacity(); }
+  /// Frames parked right now.
+  std::size_t frames_parked() const { return parked_.size(); }
+
   /// Payload corruption: with probability `rate` a transmitted frame has
   /// one random payload bit flipped (detectable only by an end-to-end
   /// integrity check, e.g. the reliable transport's CRC32).
@@ -185,6 +192,17 @@ class Medium {
   /// Notifies a concrete medium that a node joined (e.g. the Ethernet switch
   /// provisions an egress port so broadcast flooding reaches the node).
   virtual void on_attach(NodeId node) { (void)node; }
+
+  /// The media's one frame pool. A frame waiting between two hops of a
+  /// timing model (switch ingress -> egress queue -> egress wire, CAN
+  /// arbitration, a FlexRay slot) is parked here and the hop's kernel
+  /// callback captures the slot, not the ~150 B frame, so the callback fits
+  /// sim::InlineFunction's inline buffer. Frames still parked are destroyed
+  /// with the medium.
+  std::uint32_t park(Frame frame) { return parked_.put(std::move(frame)); }
+  const Frame& parked(std::uint32_t slot) const { return parked_[slot]; }
+  /// Takes a parked frame out and frees its slot.
+  Frame unpark(std::uint32_t slot) { return parked_.take(slot); }
 
   /// Delivers to the destination (or floods on broadcast), excluding `src`.
   /// Partition cuts apply here, after the medium's timing model ran: the
@@ -279,6 +297,7 @@ class Medium {
   }
 
   std::string name_;
+  sim::SlotPool<Frame> parked_;
   std::map<NodeId, ReceiveHandler> receivers_;
   sim::Stats latency_stats_;
   std::uint64_t frames_delivered_ = 0;

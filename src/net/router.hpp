@@ -29,7 +29,7 @@ struct RouteRule {
   /// Destination node on the target medium; kBroadcast floods.
   NodeId destination = kBroadcast;
   /// Priority override on the target medium; nullopt keeps the original.
-  std::optional<Priority> remap_priority;
+  std::optional<Priority> remap_priority = std::nullopt;
 
   bool matches(std::uint32_t flow) const {
     return flow >= flow_min && flow <= flow_max;

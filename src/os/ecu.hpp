@@ -24,7 +24,7 @@ enum class OsKind : std::uint8_t {
 
 struct EcuConfig {
   std::string name;
-  CpuModel cpu;
+  CpuModel cpu = {};
   /// Core count; every core shares the CpuModel. The paper's central
   /// computing platforms are multicore by necessity (Sec. 1 "increasing
   /// computation requirements").

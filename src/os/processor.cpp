@@ -40,17 +40,24 @@ void Processor::trace_event(std::uint32_t source, std::uint32_t name,
   }
 }
 
+// Lane id interned once per task registration or submit; per-job records
+// then avoid all string work. Skipped while task tracing is masked off.
+std::uint32_t Processor::lane(std::string_view task_name) {
+  if (trace_ == nullptr || !trace_->enabled(sim::TraceCategory::kTask)) {
+    return 0;
+  }
+  std::string lane_name = name_;
+  lane_name += '/';
+  lane_name += task_name;
+  return trace_->buffer().intern(lane_name);
+}
+
 TaskId Processor::add_task(TaskConfig config, JobBody body) {
   const TaskId id = next_task_id_++;
   TaskState state;
   state.config = std::move(config);
   state.body = std::move(body);
-  // Lane id interned once per task registration; per-job records then avoid
-  // all string work. Skipped while task tracing is masked off.
-  if (trace_ != nullptr && trace_->enabled(sim::TraceCategory::kTask)) {
-    state.trace_source =
-        trace_->buffer().intern(name_ + "/" + state.config.name);
-  }
+  state.trace_source = lane(state.config.name);
   tasks_.emplace(id, std::move(state));
   if (started_ && !halted_ && tasks_[id].config.period > 0) {
     auto& ts = tasks_[id];
@@ -127,19 +134,25 @@ void Processor::release(TaskId id) {
   if (!halted_) on_release(id);
 }
 
-void Processor::submit(std::string name, std::uint64_t instructions,
+void Processor::submit(std::string_view name, std::uint64_t instructions,
                        int priority, TaskClass task_class,
                        JobBody on_complete) {
   if (halted_) return;
-  TaskConfig config;
-  config.name = std::move(name);
-  config.task_class = task_class;
-  config.period = 0;
-  config.instructions = instructions;
-  config.priority = priority;
-  const TaskId id = add_task(std::move(config), std::move(on_complete));
-  tasks_[id].one_shot = true;
-  on_release(id);
+  const std::uint32_t trace_source = lane(name);
+  // A one-shot has no period, deadline, jitter or overrun scale.
+  ReadyJob job;
+  job.task = next_task_id_++;
+  job.task_class = task_class;
+  job.priority = priority;
+  job.release = sim_.now();
+  job.absolute_deadline = sim::kTimeNever;
+  job.remaining = execution_time(instructions, 1.0);
+  job.sequence = next_job_sequence_++;
+  job.one_shot = one_shots_.put(
+      OneShotJob{instructions, trace_source, std::move(on_complete)});
+  ready_.push_back(job);
+  trace_event(trace_source, ev_release_);
+  reevaluate();
 }
 
 void Processor::inject_overrun(TaskId id, double scale) {
@@ -158,9 +171,14 @@ sim::Duration Processor::sample_execution_time(const TaskState& task) {
   double factor = task.overrun_scale;
   const double jitter = task.config.execution_jitter;
   if (jitter > 0.0) factor += rng_.uniform(-jitter, jitter);
-  const auto instructions = static_cast<std::uint64_t>(
-      static_cast<double>(task.config.instructions) * factor);
-  return cpu_.duration_for(std::max<std::uint64_t>(instructions, 1));
+  return execution_time(task.config.instructions, factor);
+}
+
+sim::Duration Processor::execution_time(std::uint64_t instructions,
+                                        double factor) const {
+  const auto scaled =
+      static_cast<std::uint64_t>(static_cast<double>(instructions) * factor);
+  return cpu_.duration_for(std::max<std::uint64_t>(scaled, 1));
 }
 
 void Processor::on_release(TaskId id) {
@@ -193,23 +211,28 @@ void Processor::on_complete() {
   // Close the execution slice opened at dispatch.
   trace_event(done.trace_source, ev_run_, 0, obs::EventType::kEnd);
 
-  auto it = tasks_.find(done.job.task);
-  if (it != tasks_.end()) {
+  const sim::Duration response = sim_.now() - done.job.release;
+  if (done.job.one_shot != kNotOneShot) {
+    // Taken out before the body runs: the body may submit again.
+    OneShotJob job = one_shots_.take(done.job.one_shot);
+    instructions_retired_ += job.instructions;
+    trace_event(job.trace_source, ev_complete_,
+                static_cast<std::int64_t>(response));
+    if (job.body) job.body();
+  } else if (auto it = tasks_.find(done.job.task); it != tasks_.end()) {
     TaskState& task = it->second;
     instructions_retired_ += task.config.instructions;
     ++task.stats.completions;
-    const sim::Duration response = sim_.now() - done.job.release;
     task.stats.response_time.add(static_cast<double>(response));
     if (task.config.period > 0) {
       task.stats.completion_jitter.add(
           static_cast<double>((sim_.now() - done.job.release) %
                               task.config.period));
     }
-    auto first_cpu = first_cpu_at_.find(done.job.task);
-    if (first_cpu != first_cpu_at_.end()) {
+    if (task.first_dispatch) {
       task.stats.activation_jitter.add(
-          static_cast<double>(first_cpu->second - done.job.release));
-      first_cpu_at_.erase(first_cpu);
+          static_cast<double>(*task.first_dispatch - done.job.release));
+      task.first_dispatch.reset();
     }
     const bool missed = done.job.absolute_deadline != sim::kTimeNever &&
                         sim_.now() > done.job.absolute_deadline;
@@ -220,10 +243,8 @@ void Processor::on_complete() {
     }
     trace_event(task.trace_source, ev_complete_,
                 static_cast<std::int64_t>(response));
-    // Copy the body out: one-shot removal below invalidates `task`.
+    // Copy the body out: it may remove its own task.
     JobBody body = task.body;
-    const bool one_shot = task.one_shot;
-    if (one_shot) tasks_.erase(it);
     if (body) body();
   }
   reevaluate();
@@ -269,12 +290,14 @@ void Processor::reevaluate() {
       run.job.remaining += context_switch_cost_;
     }
     // Preemption accounting: a job re-dispatched after losing the CPU.
-    auto task_it = tasks_.find(run.job.task);
-    if (task_it != tasks_.end()) {
+    if (run.job.one_shot != kNotOneShot) {
+      run.trace_source = one_shots_[run.job.one_shot].trace_source;
+    } else if (auto task_it = tasks_.find(run.job.task);
+               task_it != tasks_.end()) {
       auto& task = task_it->second;
       run.trace_source = task.trace_source;
-      if (first_cpu_at_.count(run.job.task) == 0) {
-        first_cpu_at_[run.job.task] = sim_.now();
+      if (!task.first_dispatch) {
+        task.first_dispatch = sim_.now();
       } else if (last_dispatched_ != run.job.task) {
         ++task.stats.preemptions;
       }

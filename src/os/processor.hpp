@@ -11,6 +11,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "os/cpu.hpp"
@@ -18,6 +19,7 @@
 #include "os/task.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
+#include "sim/slot_pool.hpp"
 #include "sim/trace.hpp"
 
 namespace dynaplat::os {
@@ -50,8 +52,12 @@ class Processor {
   void release(TaskId id);
 
   /// Submits a one-shot work item (middleware processing, crypto, platform
-  /// services). Runs under the same scheduler, then disappears.
-  void submit(std::string name, std::uint64_t instructions, int priority,
+  /// services). It runs under the same scheduler as the tasks but is not a
+  /// task: task_ids()/has_task never list it and it keeps no TaskStats. It
+  /// draws a task id and a job sequence number as a task would, so later
+  /// add_task ids and scheduling tie-breaks do not depend on it being
+  /// pooled. Dropped on a halted core.
+  void submit(std::string_view name, std::uint64_t instructions, int priority,
               TaskClass task_class, JobBody on_complete);
 
   /// Replaces the scheduler policy (platform reconfiguration).
@@ -89,8 +95,17 @@ class Processor {
     std::uint64_t release_count = 0;
     std::uint32_t trace_source = 0;  // interned "<core>/<task>" lane id
     double overrun_scale = 1.0;      // fault-injected execution inflation
-    bool one_shot = false;
-    bool removed = false;  // deferred removal while a job is in flight
+    // First dispatch of the task's oldest unfinished job; completion turns
+    // it into an activation-jitter sample and clears it.
+    std::optional<sim::Time> first_dispatch;
+  };
+
+  // A submitted one-shot job, held in one_shots_ at ReadyJob::one_shot
+  // from release to completion.
+  struct OneShotJob {
+    std::uint64_t instructions = 0;
+    std::uint32_t trace_source = 0;
+    JobBody body;
   };
 
   struct RunningJob {
@@ -104,6 +119,9 @@ class Processor {
   void on_complete();
   void reevaluate();
   sim::Duration sample_execution_time(const TaskState& task);
+  sim::Duration execution_time(std::uint64_t instructions,
+                               double factor) const;
+  std::uint32_t lane(std::string_view task_name);
   /// Hot-path trace append: interned ids only, no string construction.
   void trace_event(std::uint32_t source, std::uint32_t name,
                    std::int64_t value = 0,
@@ -117,9 +135,11 @@ class Processor {
   sim::Random rng_;
 
   std::map<TaskId, TaskState> tasks_;
+  // Records of jobs pending at halt() stay until the processor dies (a
+  // halted core never runs again).
+  sim::SlotPool<OneShotJob> one_shots_;
   std::vector<ReadyJob> ready_;
   std::optional<RunningJob> running_;
-  std::map<TaskId, sim::Time> first_cpu_at_;  // release -> first dispatch
   sim::EventId kick_;
   // Event-name ids interned once at construction so per-job records are a
   // couple of integer stores.

@@ -16,6 +16,9 @@
 
 namespace dynaplat::os {
 
+/// ReadyJob::one_shot of a job released by a registered task.
+inline constexpr std::uint32_t kNotOneShot = 0xFFFFFFFFu;
+
 struct ReadyJob {
   TaskId task = kInvalidTask;
   TaskClass task_class = TaskClass::kNonDeterministic;
@@ -27,6 +30,9 @@ struct ReadyJob {
   /// this (a preempted job keeps its sequence and resumes before later
   /// arrivals of equal priority).
   std::uint64_t sequence = 0;
+  /// Pool slot of a submitted one-shot job's record in its Processor;
+  /// kNotOneShot for a job of a registered task.
+  std::uint32_t one_shot = kNotOneShot;
 };
 
 class Scheduler {

@@ -300,7 +300,9 @@ TEST(Diagnostics, FlushOnReconnectPreservesFaultOrder) {
   ASSERT_EQ(uplink_times.size(), diagnostics.all_faults().size());
   for (std::size_t i = 0; i < uplink_times.size(); ++i) {
     EXPECT_EQ(uplink_times[i], diagnostics.all_faults()[i].at);
-    if (i > 0) EXPECT_GE(uplink_times[i], uplink_times[i - 1]);
+    if (i > 0) {
+      EXPECT_GE(uplink_times[i], uplink_times[i - 1]);
+    }
   }
 }
 

@@ -2,7 +2,10 @@
 // protection and ECU fault injection.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "net/can_bus.hpp"
 #include "os/ecu.hpp"
@@ -146,6 +149,115 @@ TEST(Processor, SubmitRunsOneShotWork) {
   EXPECT_FALSE(done);
   simulator.run_until(10 * sim::kMillisecond);
   EXPECT_TRUE(done);
+}
+
+TEST(Processor, SubmittedJobIsScheduledByPriorityAndPreempted) {
+  sim::Simulator simulator;
+  Processor cpu(simulator, "ecu0", CpuModel{.mips = 100},
+                make_fixed_priority());
+  std::vector<std::string> completions;
+  sim::Time job_done_at = 0;
+  // Urgent: 2 ms every 10 ms. Background: 1 ms released at 5 ms.
+  cpu.add_task(periodic("urgent", 10 * sim::kMillisecond, 200'000, 1),
+               [&] { completions.push_back("urgent"); });
+  auto background = periodic("background", 50 * sim::kMillisecond, 100'000,
+                             9, TaskClass::kNonDeterministic);
+  background.offset = 5 * sim::kMillisecond;
+  cpu.add_task(background, [&] { completions.push_back("background"); });
+  cpu.start();
+  int runs = 0;
+  // Released at 5 ms right after the background job: priority 5 takes the
+  // core from it, then loses it to urgent at 10 ms and resumes at ~12 ms.
+  simulator.schedule_at(5 * sim::kMillisecond, [&] {
+    cpu.submit("job", 1'000'000, 5, TaskClass::kNonDeterministic, [&] {
+      ++runs;
+      job_done_at = simulator.now();
+      completions.push_back("job");
+    });
+  });
+  simulator.run_until(30 * sim::kMillisecond);
+  EXPECT_EQ(runs, 1);
+  // 10 ms of work from 5 ms plus 2 ms of urgent preemption (and a few
+  // 10 us context switches).
+  EXPECT_GT(job_done_at, 17 * sim::kMillisecond);
+  EXPECT_LT(job_done_at, 18 * sim::kMillisecond);
+  const std::vector<std::string> expected = {"urgent", "urgent", "job",
+                                             "background", "urgent"};
+  EXPECT_EQ(completions, expected);
+  // One-shot work counts towards the core's retired instructions.
+  EXPECT_EQ(cpu.instructions_retired(), 3 * 200'000u + 100'000u + 1'000'000u);
+}
+
+TEST(Processor, SubmittedJobsAreNotTasksButDrawTaskIds) {
+  sim::Simulator simulator;
+  Processor cpu(simulator, "ecu0", CpuModel{.mips = 100},
+                make_fixed_priority());
+  const TaskId first =
+      cpu.add_task(periodic("t", 10 * sim::kMillisecond, 1000, 1));
+  cpu.start();
+  for (int i = 0; i < 3; ++i) {
+    cpu.submit("job", 100'000, 5, TaskClass::kNonDeterministic, [] {});
+  }
+  // Pending one-shots are not listed, yet each drew an id: task ids (and
+  // with them trace lanes) come out as if each submit were a task.
+  EXPECT_EQ(cpu.task_ids(), std::vector<TaskId>{first});
+  for (TaskId id = first + 1; id <= first + 3; ++id) {
+    EXPECT_FALSE(cpu.has_task(id));
+  }
+  const TaskId second =
+      cpu.add_task(periodic("u", 10 * sim::kMillisecond, 1000, 2));
+  EXPECT_EQ(second, first + 4);
+  simulator.run_until(20 * sim::kMillisecond);
+  EXPECT_EQ(cpu.task_ids(), (std::vector<TaskId>{first, second}));
+  EXPECT_EQ(cpu.add_task(periodic("v", 10 * sim::kMillisecond, 1000, 3)),
+            first + 5);
+}
+
+TEST(Processor, SubmitOnHaltedCoreDropsTheBody) {
+  sim::Simulator simulator;
+  Processor cpu(simulator, "ecu0", CpuModel{.mips = 100},
+                make_fixed_priority());
+  cpu.start();
+  cpu.halt();
+  auto token = std::make_shared<int>(0);
+  bool ran = false;
+  cpu.submit("job", 1000, 5, TaskClass::kNonDeterministic,
+             [&ran, token] { ran = true; });
+  EXPECT_EQ(token.use_count(), 1);  // the body and its captures are gone
+  simulator.run_until(10 * sim::kMillisecond);
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(cpu.instructions_retired(), 0u);
+}
+
+TEST(Processor, SubmittedBodyMaySubmitAgainAndRemoveTasks) {
+  sim::Simulator simulator;
+  Processor cpu(simulator, "ecu0", CpuModel{.mips = 100},
+                make_fixed_priority());
+  int periodic_runs = 0;
+  const TaskId victim = cpu.add_task(
+      periodic("victim", sim::kMillisecond, 1000, 1), [&] { ++periodic_runs; });
+  cpu.start();
+  // Five chained 2 ms jobs: each body submits the next, the last removes
+  // the periodic task that kept preempting them.
+  std::vector<int> chain;
+  std::function<void(int)> step = [&](int n) {
+    chain.push_back(n);
+    if (n < 5) {
+      cpu.submit("chain", 200'000, 5, TaskClass::kNonDeterministic,
+                 [&step, n] { step(n + 1); });
+    } else {
+      cpu.remove_task(victim);
+    }
+  };
+  cpu.submit("chain", 200'000, 5, TaskClass::kNonDeterministic,
+             [&step] { step(1); });
+  simulator.run_until(15 * sim::kMillisecond);
+  EXPECT_EQ(chain, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_FALSE(cpu.has_task(victim));
+  const int runs_after_removal = periodic_runs;
+  EXPECT_GE(runs_after_removal, 10);
+  simulator.run_until(30 * sim::kMillisecond);
+  EXPECT_EQ(periodic_runs, runs_after_removal);
 }
 
 TEST(Processor, UtilizationSumsPeriodicLoad) {

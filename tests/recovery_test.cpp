@@ -121,9 +121,9 @@ TEST(Recovery, TwoEcuLossRehostsEveryDisplacedAppWithinBound) {
   EXPECT_EQ(plan.steps[1].app, "Steer");
 
   // Every displaced app runs again on a surviving node.
-  for (const std::string& app : {"Brake", "Steer", "Infotain", "Maps"}) {
+  for (const char* app : {"Brake", "Steer", "Infotain", "Maps"}) {
     const PlatformNode* host = nullptr;
-    for (const std::string& name : {"C", "D"}) {
+    for (const char* name : {"C", "D"}) {
       PlatformNode* node = world.platform.node(name);
       const AppInstance* inst = node->instance(app);
       if (inst != nullptr && inst->running) host = node;

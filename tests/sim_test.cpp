@@ -18,6 +18,7 @@
 
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
+#include "sim/slot_pool.hpp"
 #include "sim/stats.hpp"
 #include "sim/sweep.hpp"
 #include "sim/trace.hpp"
@@ -807,6 +808,26 @@ TEST(Stats, EmptyAccumulatorIsZero) {
   EXPECT_TRUE(stats.empty());
   EXPECT_EQ(stats.mean(), 0.0);
   EXPECT_EQ(stats.percentile(50), 0.0);
+}
+
+TEST(SlotPool, ReusesFreedSlotsAndReleasesTakenValues) {
+  SlotPool<std::shared_ptr<int>> pool;
+  auto token = std::make_shared<int>(7);
+  const std::uint32_t a = pool.put(token);
+  const std::uint32_t b = pool.put(std::make_shared<int>(8));
+  EXPECT_NE(a, b);
+  EXPECT_EQ(*pool[a], 7);
+  EXPECT_EQ(pool.size(), 2u);
+  const std::shared_ptr<int> taken = pool.take(a);
+  EXPECT_EQ(taken, token);
+  EXPECT_EQ(token.use_count(), 2);  // `token` and `taken`: none in the pool
+  EXPECT_EQ(pool.size(), 1u);
+  // A freed slot is reused before the pool grows.
+  EXPECT_EQ(pool.put(std::make_shared<int>(9)), a);
+  EXPECT_EQ(pool.capacity(), 2u);
+  for (int i = 0; i < 1000; ++i) pool.take(pool.put(nullptr));
+  EXPECT_EQ(pool.capacity(), 3u);
+  EXPECT_EQ(pool.size(), 2u);
 }
 
 TEST(Stats, BasicMoments) {
