@@ -584,11 +584,8 @@ constexpr double kNodeAllocsPerMsgCeiling = 6.6;
 
 NodeAudit run_node_audit() {
   sim::Simulator simulator;
-  platform::VehicleConfig config;
   // Every message is CPU work on its ECU: the job path under audit.
-  config.node.middleware.charge_cpu = true;
-  platform::Vehicle vehicle(simulator, model::parse_system(kNodeModel),
-                            config);
+  platform::Vehicle vehicle(simulator, model::parse_system(kNodeModel));
   platform::DynamicPlatform& dp = vehicle.platform();
   std::uint64_t delivered = 0;
   dp.register_app("EthSource",

@@ -46,7 +46,6 @@ Outcome run(const std::string& medium_kind, double background_load) {
   } else if (medium_kind == "canfd") {
     net::CanBusConfig config;
     config.fd = true;
-    config.data_bitrate_bps = 2'000'000;
     medium = std::make_unique<net::CanBus>(simulator, "canfd", config);
     bulk_payload = 64;
     medium_bps = 2'000'000;

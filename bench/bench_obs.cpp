@@ -112,7 +112,7 @@ Sample run_chain_start(const char* config, std::uint32_t sample_every) {
   obs::TraceBuffer buffer(obs::TraceBufferConfig{.capacity = kRingCapacity});
   obs::MetricsRegistry metrics;
   obs::ChainTracer tracer(buffer, metrics, "EcuA/chain", 1,
-                          obs::ChainTracerConfig{sample_every});
+                          obs::ChainTracerConfig{.sample_every = sample_every});
   volatile std::uint64_t sink = 0;
   const double ms = bench::min_elapsed_ms(5, [&] {
     for (std::uint64_t i = 0; i < kEvents; ++i) {

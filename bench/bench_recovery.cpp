@@ -137,7 +137,6 @@ Outcome run_orchestrator(int killed) {
   auto world = build();
   if (!world) return {};
   platform::RecoveryConfig config;
-  config.check_period = 50 * sim::kMillisecond;
   config.dse_iterations = 1'000;
   platform::RecoveryOrchestrator recovery(world->vehicle.platform(), config);
   recovery.engage();

@@ -6,10 +6,9 @@
 // service availability (fraction of expected publications that arrived),
 // and heartbeat bandwidth cost.
 //
-// Expected shape: outage ~= missed_for_failover * heartbeat period (+ rank
-// stagger); availability -> 1 as heartbeats get faster, at linearly growing
-// heartbeat traffic. With a single replica (no redundancy) the fault is
-// fatal.
+// Expected shape: outage ~= 3 missed heartbeat periods (+ rank stagger);
+// availability -> 1 as heartbeats get faster, at linearly growing heartbeat
+// traffic. With a single replica (no redundancy) the fault is fatal.
 #include <memory>
 
 #include "bench/common.hpp"
@@ -82,7 +81,6 @@ Outcome run(int replicas, sim::Duration heartbeat_period,
 
   platform::RedundancyConfig config;
   config.heartbeat_period = heartbeat_period;
-  config.missed_for_failover = 3;
   config.state_every_n_heartbeats = state_every_n;
   platform::RedundancyManager redundancy(dp, "Pilot", config);
   redundancy.engage();

@@ -77,7 +77,6 @@ int main() {
 
   platform::RedundancyConfig redundancy_config;
   redundancy_config.heartbeat_period = 10 * sim::kMillisecond;
-  redundancy_config.missed_for_failover = 3;
   platform::RedundancyManager redundancy(dp, "Pilot", redundancy_config);
   redundancy.engage();
 

@@ -21,9 +21,9 @@
 // degradation is only lifted once the vehicle is back on fresh artifacts.
 //
 // The chain itself is backend::ClientEngine run for one session. Jitter
-// draw k comes from Random::stream(jitter_seed, jitter_stream << 32 | k) —
-// give every client a distinct jitter_stream (e.g. the session index) or
-// healed fleets retry in lockstep again.
+// draw k is draw jitter_stream << 32 | k of the engine's fixed-seed stream
+// family — give every client a distinct jitter_stream (e.g. the session
+// index) or healed fleets retry in lockstep again.
 #pragma once
 
 #include <cstdint>

@@ -8,6 +8,13 @@ namespace dynaplat::backend {
 
 namespace {
 
+// Exponential backoff between attempts: growth per retry and cap (the base
+// is ClientConfig::backoff_base).
+constexpr double kBackoffFactor = 2.0;
+constexpr sim::Duration kMaxBackoff = 800 * sim::kMillisecond;
+// Seed of the jitter stream family; sessions differ by stream.
+constexpr std::uint64_t kJitterSeed = 0x0DDB10C5ull;
+
 /// What the local-admission rung hands on: a verdict, never a table.
 const dse::ScheduleServer::Artifact& no_table() {
   static const dse::ScheduleServer::Artifact empty;
@@ -255,15 +262,14 @@ sim::Duration ClientEngine::next_backoff(Pending& pending) {
   } else {
     pending.backoff = std::min<sim::Duration>(
         static_cast<sim::Duration>(static_cast<double>(pending.backoff) *
-                                   config_.backoff_factor),
-        config_.max_backoff);
+                                   kBackoffFactor),
+        kMaxBackoff);
   }
   // Stateless draw: (stream, draw#) indexes a pure hash stream.
   const std::uint32_t s = pending.session;
   const std::uint64_t stream =
       (config_.jitter_stream + s) << 32 | jitter_draws_[s]++;
-  const double draw =
-      sim::Random::stream(config_.jitter_seed, stream).uniform01();
+  const double draw = sim::Random::stream(kJitterSeed, stream).uniform01();
   const double factor = 1.0 + config_.jitter * (2.0 * draw - 1.0);
   const auto jittered = static_cast<sim::Duration>(
       static_cast<double>(pending.backoff) * factor);

@@ -12,7 +12,7 @@
 // consecutive failures), the open-window end and a jitter draw count.
 // In-flight requests share a generation-checked slab, so callbacks capture
 // (slot, generation) ids, never pointers. Jitter draw k of session s is
-// Random::stream(jitter_seed, (jitter_stream + s) << 32 | k).uniform01().
+// draw (jitter_stream + s) << 32 | k of one fixed-seed stream family.
 //
 // Regions: session s's home is s % N. Only home results feed the home
 // breaker; while it is OPEN, attempts fail over to (home + 1) % N and the
@@ -37,15 +37,12 @@ struct ClientConfig {
   /// Total attempts per request (first try + retries), clamped into
   /// [1, ClientEngine::kMaxAttempts].
   int max_attempts = 4;
-  /// Exponential backoff between attempts: base, factor, cap.
+  /// First backoff between attempts; each retry doubles it, up to 800 ms.
   sim::Duration backoff_base = 50 * sim::kMillisecond;
-  double backoff_factor = 2.0;
-  sim::Duration max_backoff = 800 * sim::kMillisecond;
   /// Symmetric jitter fraction applied to every backoff delay (0.2 = +/-20%).
   double jitter = 0.2;
   /// Jitter streams: session s draws from jitter_stream + s (see
   /// ClientEngine).
-  std::uint64_t jitter_seed = 0x0DDB10C5ull;
   std::uint64_t jitter_stream = 0;
   /// Consecutive comms failures (timeout / unreachable) that trip the
   /// breaker CLOSED -> OPEN, clamped into [1, ClientEngine::kMaxFailures].

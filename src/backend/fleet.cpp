@@ -10,7 +10,7 @@ namespace dynaplat::backend {
 namespace {
 
 // Stream-id namespaces under FleetConfig::seed. Keep these distinct from
-// each other; retry jitter draws from the client's own jitter_seed.
+// each other; retry jitter draws from the client engine's own seed.
 constexpr std::uint64_t kTopologyStream = 0x1000'0000ull;
 constexpr std::uint64_t kWaveStream = 0x2000'0000ull;
 constexpr std::uint64_t kDriftStream = 0x3000'0000ull;

@@ -10,6 +10,12 @@ namespace {
 
 using obs::fnv1a;
 
+// Backend compute speed, converts Artifact::synthesis_instructions into
+// simulated service time.
+constexpr std::uint64_t kBackendMips = 200'000;
+// Base backpressure hint; the actual hint scales with queue depth.
+constexpr sim::Duration kRetryAfterBase = 50 * sim::kMillisecond;
+
 /// Stable hash of (task set, ECU speed): the cross-vehicle cache key.
 std::uint64_t topology_key(const std::vector<dse::AnalysisTask>& tasks,
                            std::uint64_t ecu_mips) {
@@ -141,8 +147,8 @@ sim::Duration FleetScheduleService::retry_hint() const {
       depth > config_.backpressure_watermark
           ? depth - config_.backpressure_watermark
           : 0;
-  return config_.retry_after_base +
-         static_cast<sim::Duration>(over) * (config_.retry_after_base / 8);
+  return kRetryAfterBase +
+         static_cast<sim::Duration>(over) * (kRetryAfterBase / 8);
 }
 
 bool FleetScheduleService::preempt_routine() {
@@ -260,9 +266,8 @@ sim::Duration FleetScheduleService::service_time(
     const dse::ScheduleServer::Artifact& artifact, bool cache_hit) const {
   if (cache_hit) return config_.min_service_time;
   // instructions / MIPS = microseconds of backend compute.
-  const std::uint64_t mips = std::max<std::uint64_t>(config_.backend_mips, 1);
   const sim::Duration compute = static_cast<sim::Duration>(
-      artifact.synthesis_instructions * 1'000ull / mips);
+      artifact.synthesis_instructions * 1'000ull / kBackendMips);
   return std::max(compute, config_.min_service_time);
 }
 
@@ -299,7 +304,7 @@ void FleetScheduleService::submit(const SynthesisRequest& request,
   if (!admit(request.criticality, &reject)) {
     // Shed / backpressure verdicts do reach the vehicle (the backend is
     // alive, just refusing work) after the uplink round trip.
-    const sim::Time deliver_at = sim_.now() + config_.uplink_rtt;
+    const sim::Time deliver_at = sim_.now() + kUplinkRtt;
     const std::uint64_t id = acquire(std::move(done), request.criticality);
     Outstanding* out = lookup(id);
     out->start = sim_.now();  // not preemptible: no reservation to reclaim
@@ -318,7 +323,7 @@ void FleetScheduleService::submit(const SynthesisRequest& request,
       std::min_element(worker_free_.begin(), worker_free_.end());
   const std::size_t worker =
       static_cast<std::size_t>(worker_it - worker_free_.begin());
-  const sim::Time arrival = sim_.now() + config_.uplink_rtt / 2;
+  const sim::Time arrival = sim_.now() + kUplinkRtt / 2;
   const sim::Time start = std::max(arrival, worker_free_[worker]);
   const sim::Time end = start + svc;
   worker_free_[worker] = end;
@@ -349,7 +354,7 @@ void FleetScheduleService::submit(const SynthesisRequest& request,
                                        : ResponseStatus::kInfeasible;
   response.artifact = std::move(artifact);
   response.cache_hit = cache_hit;
-  const sim::Time deliver_at = end + config_.uplink_rtt / 2;
+  const sim::Time deliver_at = end + kUplinkRtt / 2;
   out->completion = sim_.schedule_at(
       deliver_at, [this, id, response = std::move(response)] {
         if (partitioned_) {

@@ -147,16 +147,8 @@ struct ServiceConfig {
   /// Parallel synthesis workers (queueing model: per-worker next-free
   /// time; a request is served by the earliest-free worker).
   std::size_t workers = 8;
-  /// Backend compute speed, converts Artifact::synthesis_instructions into
-  /// simulated service time.
-  std::uint64_t backend_mips = 200'000;
   /// Service-time floor (cache hits, admission bookkeeping).
   sim::Duration min_service_time = 200 * sim::kMicrosecond;
-  /// Round-trip vehicle <-> backend latency (half on submit, half on the
-  /// response).
-  sim::Duration uplink_rtt = 10 * sim::kMillisecond;
-  /// Base backpressure hint; the actual hint scales with queue depth.
-  sim::Duration retry_after_base = 50 * sim::kMillisecond;
   /// Cross-vehicle memo cache: shard count and total entry capacity
   /// (drop-oldest per shard beyond capacity / shards).
   std::size_t cache_shards = 16;
@@ -178,6 +170,10 @@ class FleetScheduleService {
   /// Stored inline in the request's slot: captures up to
   /// sim::BasicInlineFunction's inline capacity never allocate.
   using Callback = sim::BasicInlineFunction<void(const SynthesisResponse&)>;
+
+  /// Round-trip vehicle <-> backend latency (half on submit, half on the
+  /// response).
+  static constexpr sim::Duration kUplinkRtt = 10 * sim::kMillisecond;
 
   explicit FleetScheduleService(sim::Simulator& simulator,
                                 ServiceConfig config = {});

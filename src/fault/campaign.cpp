@@ -145,23 +145,6 @@ void FaultCampaign::generate() {
     families.push_back({FaultKind::kMemoryPressure, FaultKind::kMemoryRelease,
                         config_.weight_memory, ecus_.size()});
   }
-  // Backend families append *after* the legacy ones, and their weights
-  // default to 0.0, so campaigns that never opt in keep bit-identical
-  // family lists and draw sequences.
-  if (!backends_.empty()) {
-    if (config_.weight_backend_crash > 0.0) {
-      families.push_back({FaultKind::kBackendCrash, FaultKind::kBackendRestart,
-                          config_.weight_backend_crash, backends_.size()});
-    }
-    if (config_.weight_uplink > 0.0) {
-      families.push_back({FaultKind::kUplinkPartition, FaultKind::kUplinkHeal,
-                          config_.weight_uplink, backends_.size()});
-    }
-    if (config_.weight_backend_slow > 0.0) {
-      families.push_back({FaultKind::kBackendSlow, FaultKind::kBackendSlowEnd,
-                          config_.weight_backend_slow, backends_.size()});
-    }
-  }
   if (families.empty()) return;
 
   double total_weight = 0.0;
@@ -254,15 +237,6 @@ void FaultCampaign::generate() {
         start.target = end.target = overruns_[target_index].first;
         // execution-time scale
         start.magnitude = shaped(1.5 + 2.5 * intensity, 1.1, 64.0);
-        break;
-      case FaultKind::kBackendCrash:
-      case FaultKind::kUplinkPartition:
-        start.target = end.target = backends_[target_index]->name();
-        break;
-      case FaultKind::kBackendSlow:
-        start.target = end.target = backends_[target_index]->name();
-        // service-time multiplier
-        start.magnitude = shaped(2.0 + 8.0 * intensity, 1.5, 100.0);
         break;
       default:
         break;

@@ -22,7 +22,8 @@
 //   kBackendSlow / kBackendSlowEnd  — backend slow-responder latency spike
 //
 // Campaigns can also be scripted exactly (schedule()) — generation and
-// scripting compose; the plan is always sorted before arming.
+// scripting compose; the plan is always sorted before arming. Backend and
+// uplink faults are scripted only: generate() plans the vehicle families.
 #pragma once
 
 #include <map>
@@ -107,13 +108,6 @@ struct CampaignConfig {
   double weight_corruption = 1.0;
   double weight_overrun = 1.0;
   double weight_memory = 1.0;
-  /// Backend-fault families (need an add_backend target). Default 0.0 so
-  /// existing seeds keep bit-identical draw sequences — same identity
-  /// pattern as magnitude_scale: a zero-weight family never enters the
-  /// family list, so nothing about the legacy plan changes.
-  double weight_backend_crash = 0.0;
-  double weight_uplink = 0.0;
-  double weight_backend_slow = 0.0;
   /// Post-draw scale applied to generated episode magnitudes (burst loss
   /// probability, babble rate, corruption rate, overrun factor, memory
   /// fraction), clamped to each family's sane range. The RNG draw sequence
@@ -138,8 +132,8 @@ class FaultCampaign {
   // --- Target registration (order matters: it is part of the seed contract) --
   void add_ecu(os::Ecu& ecu);
   void add_medium(net::Medium& medium);
-  /// Registers a fleet schedule backend for the kBackend*/kUplink*
-  /// families (events address it by its name()).
+  /// Registers a fleet schedule backend for scripted kBackend*/kUplink*
+  /// events (events address it by its name()).
   void add_backend(::dynaplat::backend::FleetScheduleService& service);
   /// Registers a task for overrun injection under `label`
   /// (conventionally "<ecu>/<task-name>").

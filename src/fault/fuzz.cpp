@@ -17,6 +17,9 @@ namespace {
 /// Random::stream user (sweep indices, DSE chains, ...).
 constexpr std::uint64_t kFuzzSalt = 0x46555A5Aull;  // "FUZZ"
 
+/// Corpus bound; beyond it a stronger entry replaces the weakest one.
+constexpr std::size_t kMaxCorpus = 64;
+
 /// AFL-style hit-count bucket: the bit width of the per-run count, so
 /// 1, 2-3, 4-7, 8-15, ... are distinct "edges".
 std::uint8_t bucket_of(std::uint64_t count) {
@@ -199,7 +202,7 @@ void FuzzScheduler::merge_result(int round, int index,
     entry.round = round;
     entry.parent = candidate.parent;
     entry.op = candidate.op;
-    if (corpus_.size() < config_.max_corpus) {
+    if (corpus_.size() < kMaxCorpus) {
       corpus_.push_back(std::move(entry));
       admitted = true;
     } else if (corpus_.size() > 1) {

@@ -75,7 +75,6 @@ struct FuzzConfig {
   CampaignConfig base;
   int rounds = 8;
   int batch = 8;  ///< candidates per round (the parallel unit)
-  std::size_t max_corpus = 64;
   std::size_t max_failures = 16;  ///< failing configs retained for triage
   /// Sweep worker threads besides the caller (SweepConfig::threads); 0 runs
   /// candidates inline. Results are identical either way (index-ordered

@@ -85,7 +85,7 @@ class InvariantChecker {
   /// lands within `detection_window` is excused: it healed before the
   /// standbys' staggered heartbeat timeout could possibly fire, so "no
   /// failover" is the correct outcome, not a missed detection. Pass the
-  /// supervision limit (missed_for_failover * heartbeat_period plus one
+  /// supervision limit (three missed heartbeat periods plus one
   /// supervisor tick); 0 demands a failover for every primary crash.
   void require_faults_detected(const FaultCampaign& campaign,
                                platform::DynamicPlatform& platform,

@@ -11,6 +11,9 @@ namespace dynaplat::fault {
 
 namespace {
 
+// Magnitude bisection steps per surviving event.
+constexpr int kMagnitudeSteps = 4;
+
 /// An episode is the atom of minimization: a Start event with its matching
 /// End (same target, paired kind, first later occurrence), or a lone event.
 struct Episode {
@@ -150,7 +153,7 @@ Repro Minimizer::minimize(std::vector<FaultEvent> plan, sim::Duration horizon,
   }
   sim::Duration lo = last_event;  // known insufficient (events still firing)
   sim::Duration hi = horizon;    // known failing
-  while (hi - lo > config_.horizon_resolution && runs_ < config_.max_runs) {
+  while (hi - lo > kHorizonResolution && runs_ < config_.max_runs) {
     const sim::Duration mid = lo + (hi - lo) / 2;
     std::string detail;
     if (fails(repro.plan, mid, target_invariant, &detail)) {
@@ -168,8 +171,7 @@ Repro Minimizer::minimize(std::vector<FaultEvent> plan, sim::Duration horizon,
     if (repro.plan[i].magnitude <= 0.0) continue;
     double mag_lo = 0.0;
     double mag_hi = repro.plan[i].magnitude;  // known failing
-    for (int step = 0;
-         step < config_.magnitude_steps && runs_ < config_.max_runs;
+    for (int step = 0; step < kMagnitudeSteps && runs_ < config_.max_runs;
          ++step) {
       const double mid = (mag_lo + mag_hi) / 2.0;
       std::vector<FaultEvent> probe = repro.plan;

@@ -47,10 +47,6 @@ using PlanRunner = std::function<ProbeVerdict(
 struct MinimizeConfig {
   /// Probe budget; the minimizer returns its best-so-far when exhausted.
   std::size_t max_runs = 512;
-  /// Horizon bisection stops when the bracket is narrower than this.
-  sim::Duration horizon_resolution = 25 * sim::kMillisecond;
-  /// Magnitude bisection steps per surviving event (0 disables the pass).
-  int magnitude_steps = 4;
 };
 
 /// A minimal reproducer: the surviving plan plus the invariant it trips.
@@ -67,6 +63,9 @@ struct Repro {
 
 class Minimizer {
  public:
+  /// Horizon bisection stops when the bracket is narrower than this.
+  static constexpr sim::Duration kHorizonResolution = 25 * sim::kMillisecond;
+
   Minimizer(MinimizeConfig config, PlanRunner runner);
 
   /// Shrinks `plan` to a minimal repro of the violation it produces. When

@@ -8,6 +8,16 @@ namespace dynaplat::middleware {
 
 namespace {
 
+// CPU cost of middleware processing per message: a fixed part plus a part
+// per KiB of wire bytes.
+constexpr std::uint64_t kInstructionsPerMessage = 2000;
+constexpr std::uint64_t kInstructionsPerKib = 500;
+// Priority of middleware work items (NDA class).
+constexpr int kServicePriority = 8;
+constexpr sim::Duration kCallTimeout = 100 * sim::kMillisecond;
+// How long a Find waits for an Offer before parked work fails.
+constexpr sim::Duration kFindTimeout = 200 * sim::kMillisecond;
+
 // Each node's transport needs its own retransmit-jitter stream — with a
 // shared stream every peer draws the same jitter sequence and a healed
 // partition still retries in lockstep. An explicit jitter_stream wins;
@@ -22,7 +32,6 @@ TransportConfig with_node_jitter_stream(TransportConfig config,
 
 ServiceRuntime::ServiceRuntime(os::Ecu& ecu, RuntimeConfig config)
     : ecu_(ecu),
-      config_(config),
       transport_([&ecu](net::Frame frame) { ecu.send(std::move(frame)); },
                  ecu.medium() != nullptr ? ecu.medium()->max_payload()
                                          : 1500,
@@ -48,13 +57,12 @@ ServiceRuntime::ServiceRuntime(os::Ecu& ecu, RuntimeConfig config)
     bind_latency_ns_ = &metrics.histogram(prefix + "bind_latency_ns");
     transport_.set_metrics(metrics, prefix + "transport.");
     transport_.set_coverage(&ecu_.trace()->coverage());
-    if (config_.trace_sample_every != 0) {
-      tracer_ = std::make_unique<obs::ChainTracer>(
-          ecu_.trace()->buffer(), metrics, ecu_.name() + "/chain",
-          static_cast<std::uint32_t>(ecu_.node_id()),
-          obs::ChainTracerConfig{config_.trace_sample_every});
-      transport_.set_tracer(tracer_.get());
-    }
+    // A platform samples every chain.
+    tracer_ = std::make_unique<obs::ChainTracer>(
+        ecu_.trace()->buffer(), metrics, ecu_.name() + "/chain",
+        static_cast<std::uint32_t>(ecu_.node_id()),
+        obs::ChainTracerConfig{.sample_every = 1});
+    transport_.set_tracer(tracer_.get());
   }
 }
 
@@ -64,15 +72,13 @@ std::uint32_t ServiceRuntime::flow_for(ServiceId service,
 }
 
 void ServiceRuntime::charge(std::size_t bytes, std::function<void()> fn) {
-  if (!config_.charge_cpu || ecu_.failed() ||
-      ecu_.processor().halted()) {
+  if (ecu_.failed() || ecu_.processor().halted()) {
     if (!ecu_.failed()) fn();
     return;
   }
   const std::uint64_t instructions =
-      config_.instructions_per_message +
-      config_.instructions_per_kib * (bytes / 1024);
-  ecu_.processor().submit("mw", instructions, config_.service_priority,
+      kInstructionsPerMessage + kInstructionsPerKib * (bytes / 1024);
+  ecu_.processor().submit("mw", instructions, kServicePriority,
                           os::TaskClass::kNonDeterministic, std::move(fn));
 }
 
@@ -201,7 +207,7 @@ void ServiceRuntime::when_provider_known(ServiceId service,
   header.service = service;
   send_message(net::kBroadcast, header, {}, net::kPriorityHighest);
   find_timeouts_[service] = ecu_.simulator().schedule_in(
-      config_.find_timeout, [this, service] {
+      kFindTimeout, [this, service] {
         find_timeouts_.erase(service);
         // Provider never appeared: *run* the parked work against the
         // still-unknown provider so callers observe the failure (an RPC's
@@ -373,7 +379,7 @@ void ServiceRuntime::call(ServiceId service, ElementId method,
         PendingCall pending;
         pending.handler = std::move(on_response);
         pending.timeout = ecu_.simulator().schedule_in(
-            config_.call_timeout, [this, session] {
+            kCallTimeout, [this, session] {
               auto it = pending_calls_.find(session);
               if (it == pending_calls_.end()) return;
               auto handler = std::move(it->second.handler);

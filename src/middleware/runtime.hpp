@@ -40,24 +40,10 @@
 namespace dynaplat::middleware {
 
 struct RuntimeConfig {
-  /// Route middleware processing through the CPU scheduler.
-  bool charge_cpu = true;
-  std::uint64_t instructions_per_message = 2000;
-  std::uint64_t instructions_per_kib = 500;
-  /// Priority of middleware work items (NDA class).
-  int service_priority = 8;
-  /// RPC timeout.
-  sim::Duration call_timeout = 100 * sim::kMillisecond;
-  /// How long a Find waits for an Offer before parked work fails.
-  sim::Duration find_timeout = 200 * sim::kMillisecond;
   /// Segmentation/reassembly + reliability knobs (TTL eviction, CRC32 +
   /// ack/retry reliable mode). Enable `transport.reliable` on every node of
   /// a platform at once — the flag changes the unicast wire format.
   TransportConfig transport;
-  /// Causal chain tracing: sample 1 in N outbound chains (publish / RPC /
-  /// stream) with an obs::TraceContext on the wire. 0 disables tracing
-  /// entirely; only effective when the ECU carries a sim::Trace.
-  std::uint32_t trace_sample_every = 1;
 };
 
 using EventHandler =
@@ -234,10 +220,9 @@ class ServiceRuntime {
   }
 
   os::Ecu& ecu_;
-  RuntimeConfig config_;
   Transport transport_;
   // Chain tracing policy (sampling + hop attribution); null when the ECU
-  // has no trace or trace_sample_every == 0.
+  // has no trace.
   std::unique_ptr<obs::ChainTracer> tracer_;
 
   std::map<ServiceId, std::uint32_t> offered_;           // service -> version

@@ -9,6 +9,13 @@ namespace dynaplat::middleware {
 
 namespace {
 
+// Seed of every transport's retransmit-jitter stream; transports differ by
+// stream (TransportConfig::jitter_stream), not by seed.
+constexpr std::uint64_t kJitterSeed = 0x7261'6E64'6A69'7474ULL;  // "randjitt"
+// Recently delivered message ids remembered per peer (duplicate
+// suppression window).
+constexpr std::size_t kDedupWindow = 64;
+
 // Slicing-by-8 CRC32 (IEEE 802.3, reflected 0xEDB88320). Table 0 is the
 // classic byte-at-a-time table; tables 1..7 shift each entry one byte
 // further, so eight input bytes fold in one step. Produces bit-identical
@@ -85,8 +92,7 @@ Transport::Transport(std::function<void(net::Frame)> send_frame,
       max_frame_payload_(max_frame_payload),
       sim_(simulator),
       config_(config),
-      retry_rng_(
-          sim::Random::stream(config.jitter_seed, config.jitter_stream)) {
+      retry_rng_(sim::Random::stream(kJitterSeed, config.jitter_stream)) {
   assert(max_frame_payload_ > kFragmentHeader &&
          "medium payload too small for fragment header");
   if (sim_ != nullptr && config_.reassembly_ttl > 0) {
@@ -322,7 +328,7 @@ void Transport::arm_retry(std::uint16_t id) {
     if (coverage_ != nullptr) coverage_->hit(cov_retransmit_);
     pending.backoff = std::min<sim::Duration>(
         static_cast<sim::Duration>(static_cast<double>(pending.backoff) *
-                                   config_.backoff_factor),
+                                   kBackoffFactor),
         config_.max_backoff);
     send_fragments(id, pending.dst, pending.priority, pending.flow_id,
                    pending.message, pending.traced);
@@ -370,12 +376,11 @@ void Transport::evict_stale() {
 }
 
 bool Transport::remember_delivery(net::NodeId src, std::uint16_t id) {
-  if (config_.dedup_window == 0) return true;
   PeerHistory& history = delivered_history_[src];
   if (!history.seen) {
     history.seen = std::make_unique<std::uint64_t[]>(PeerHistory::kBitmapWords);
     std::fill_n(history.seen.get(), PeerHistory::kBitmapWords, 0);
-    history.ring.resize(config_.dedup_window, 0);
+    history.ring.resize(kDedupWindow, 0);
   }
   std::uint64_t& word = history.seen[id >> 6];
   const std::uint64_t bit = 1ull << (id & 63);

@@ -81,24 +81,21 @@ struct TransportConfig {
   bool reliable = false;
   sim::Duration ack_timeout = 20 * sim::kMillisecond;
   int max_retries = 5;
-  double backoff_factor = 2.0;
+  /// Cap of the exponential retransmit backoff (ack_timeout *
+  /// Transport::kBackoffFactor^n).
   sim::Duration max_backoff = 200 * sim::kMillisecond;
   /// Symmetric jitter applied to each armed retransmit delay: the timer
   /// fires after backoff * (1 ± retry_jitter * u), u uniform in [0, 1).
   /// Without it every peer that lost frames in the same partition window
   /// retries in lockstep after heal and the retry burst collides again.
-  /// The exponential base (`ack_timeout`, `backoff_factor`, `max_backoff`)
+  /// The exponential base (`ack_timeout`, the backoff factor, `max_backoff`)
   /// is unchanged — only the scheduled delay is perturbed. 0 disables
-  /// (exact legacy timing). Draws come from
-  /// sim::Random::stream(jitter_seed, jitter_stream), so runs are
-  /// bit-reproducible; give each transport a distinct stream (the runtime
-  /// wires the ECU's node id) or peers jitter in lockstep anyway.
+  /// (exact legacy timing). Draws come from one fixed seed and
+  /// `jitter_stream`, so runs are bit-reproducible; give each transport a
+  /// distinct stream (the runtime wires the ECU's node id) or peers jitter
+  /// in lockstep anyway.
   double retry_jitter = 0.1;
-  std::uint64_t jitter_seed = 0x7261'6E64'6A69'7474ULL;  // "randjitt"
   std::uint64_t jitter_stream = 0;
-  /// Recently delivered message ids remembered per peer (duplicate
-  /// suppression window).
-  std::size_t dedup_window = 64;
 };
 
 /// IEEE 802.3 CRC32 (reflected, 0xEDB88320), the end-to-end integrity check
@@ -110,6 +107,9 @@ std::uint32_t crc32(const net::Payload& payload, std::size_t length);
 
 class Transport {
  public:
+  /// Growth of the reliable-mode retransmit backoff per retry.
+  static constexpr double kBackoffFactor = 2.0;
+
   /// `send_frame` submits one frame towards the medium (the Ecu's send path,
   /// so failure gating applies). Incoming frames are fed via on_frame().
   /// `simulator` powers TTL eviction and retry timers; without one (legacy
@@ -229,7 +229,7 @@ class Transport {
   struct PeerHistory {
     static constexpr std::size_t kBitmapWords = 65536 / 64;
     std::unique_ptr<std::uint64_t[]> seen;  // 8 KiB, lazily allocated
-    std::vector<std::uint16_t> ring;        // sized to dedup_window
+    std::vector<std::uint16_t> ring;        // sized to the window
     std::size_t head = 0;
     std::size_t count = 0;
   };

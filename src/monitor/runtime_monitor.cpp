@@ -4,6 +4,19 @@
 
 namespace dynaplat::monitor {
 
+namespace {
+
+// CPU cost per sampling pass and watched task.
+constexpr std::uint64_t kInstructionsPerTask = 500;
+// Priority of the sampling work item. Top priority: the monitor is a tiny
+// platform service that must observe even a fully overloaded ECU (an
+// overload is exactly when its faults matter).
+constexpr int kPriority = 0;
+// Trace records kept as pre-fault context in each fault record.
+constexpr std::size_t kFlightRecorderDepth = 32;
+
+}  // namespace
+
 RuntimeMonitor::RuntimeMonitor(os::Ecu& ecu, MonitorConfig config)
     : ecu_(ecu), config_(config) {}
 
@@ -23,9 +36,8 @@ void RuntimeMonitor::start() {
       config_.sampling_period, [this] {
         // The sampling pass itself is CPU work on the monitored ECU.
         const std::uint64_t cost =
-            config_.instructions_per_task *
-            std::max<std::uint64_t>(watches_.size(), 1);
-        ecu_.processor().submit("monitor", cost, config_.priority,
+            kInstructionsPerTask * std::max<std::uint64_t>(watches_.size(), 1);
+        ecu_.processor().submit("monitor", cost, kPriority,
                                 os::TaskClass::kNonDeterministic,
                                 [this] { sample(); });
       });
@@ -50,7 +62,7 @@ void RuntimeMonitor::raise(const std::string& subject, const std::string& kind,
   if (trace != nullptr) {
     // Flight recorder: materialize only the newest N events — with a
     // ring-bounded trace this stays O(depth) regardless of run length.
-    record.context = trace->tail(config_.flight_recorder_depth);
+    record.context = trace->tail(kFlightRecorderDepth);
     if (trace->enabled(sim::TraceCategory::kFault)) {
       trace->record(record.at, sim::TraceCategory::kFault,
                     ecu_.name() + "/" + subject, "monitor_" + kind,

@@ -25,14 +25,6 @@ namespace dynaplat::monitor {
 
 struct MonitorConfig {
   sim::Duration sampling_period = 10 * sim::kMillisecond;
-  /// CPU cost per sampling pass (scales with watched-task count).
-  std::uint64_t instructions_per_task = 500;
-  /// Priority of the sampling work item. Top priority: the monitor is a
-  /// tiny platform service that must observe even a fully overloaded ECU
-  /// (an overload is exactly when its faults matter).
-  int priority = 0;
-  /// Trace records kept as pre-fault context in each fault record.
-  std::size_t flight_recorder_depth = 32;
 };
 
 /// The monitored contract of one deterministic task, drawn from the model.

@@ -5,6 +5,16 @@
 
 namespace dynaplat::net {
 
+namespace {
+
+// Arbitration id = priority * kIdStride + flow_id % kIdStride, so the
+// unified Priority maps onto the CAN id space.
+constexpr std::uint32_t kIdStride = 0x80;
+// CAN FD data-phase bitrate.
+constexpr std::uint64_t kDataBitrateBps = 2'000'000;
+
+}  // namespace
+
 CanBus::CanBus(sim::Simulator& simulator, std::string name,
                CanBusConfig config)
     : Medium(simulator, std::move(name)), config_(config) {}
@@ -32,13 +42,12 @@ sim::Duration CanBus::frame_duration(std::size_t dlc) const {
   const std::uint64_t data_bits = data_field_bits + data_field_bits / 5;
   return static_cast<sim::Duration>(
       arbitration_bits * sim::kSecond / config_.bitrate_bps +
-      data_bits * sim::kSecond / config_.data_bitrate_bps);
+      data_bits * sim::kSecond / kDataBitrateBps);
 }
 
 std::uint32_t CanBus::arbitration_id(const Frame& frame) const {
-  const std::uint32_t base =
-      std::uint32_t(frame.priority) * config_.id_stride;
-  return (base + frame.flow_id % config_.id_stride) & 0x7FF;
+  const std::uint32_t base = std::uint32_t(frame.priority) * kIdStride;
+  return (base + frame.flow_id % kIdStride) & 0x7FF;
 }
 
 void CanBus::enqueue(Frame& frame) {

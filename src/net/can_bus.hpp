@@ -16,14 +16,10 @@ namespace dynaplat::net {
 
 struct CanBusConfig {
   std::uint64_t bitrate_bps = 500'000;  ///< classic high-speed CAN
-  /// Arbitration id = priority * id_stride + flow_id % id_stride, so the
-  /// unified Priority maps onto the CAN id space.
-  std::uint32_t id_stride = 0x80;
   /// CAN FD: 64-byte payloads and a faster data phase. The arbitration
   /// phase stays at bitrate_bps (all nodes must contend), the data phase
-  /// switches to data_bitrate_bps.
+  /// switches to 2 Mbit/s.
   bool fd = false;
-  std::uint64_t data_bitrate_bps = 2'000'000;
 };
 
 class CanBus final : public Medium {
@@ -40,7 +36,7 @@ class CanBus final : public Medium {
 
   /// On-wire duration of a frame with `dlc` payload bytes, including
   /// worst-case stuff bits and interframe space. Classic: 0..8 bytes at the
-  /// single bitrate. FD: 0..64 bytes, data phase at data_bitrate_bps.
+  /// single bitrate. FD: 0..64 bytes, data phase at 2 Mbit/s.
   sim::Duration frame_duration(std::size_t dlc) const;
 
   /// Effective 11-bit arbitration id used for a frame.

@@ -5,6 +5,13 @@
 
 namespace dynaplat::net {
 
+namespace {
+
+// Standard Ethernet MTU.
+constexpr std::size_t kMaxPayloadBytes = 1500;
+
+}  // namespace
+
 GateControlList GateControlList::tt_window(sim::Duration cycle,
                                            sim::Duration tt_len,
                                            Priority tt_max_priority) {
@@ -24,6 +31,8 @@ GateControlList GateControlList::tt_window(sim::Duration cycle,
 EthernetSwitch::EthernetSwitch(sim::Simulator& simulator, std::string name,
                                EthernetConfig config)
     : Medium(simulator, std::move(name)), config_(config) {}
+
+std::size_t EthernetSwitch::max_payload() const { return kMaxPayloadBytes; }
 
 sim::Duration EthernetSwitch::frame_duration(std::size_t payload) const {
   // 46-byte minimum payload, 18 bytes header+FCS, 4 bytes 802.1Q tag,
@@ -49,15 +58,15 @@ void EthernetSwitch::send(Frame frame) {
   sim::Time& free_at = ingress_free_at_[frame.src];
   const sim::Time start = std::max(free_at, sim_.now());
   const sim::Time done = start + frame_duration(frame.payload.size()) +
-                         config_.propagation_delay;
-  free_at = done - config_.propagation_delay;
+                         kPropagationDelay;
+  free_at = done - kPropagationDelay;
   const std::uint32_t slot = park(std::move(frame));
   sim_.schedule_at(done, [this, slot] { on_ingress_complete(slot); });
 }
 
 void EthernetSwitch::on_ingress_complete(std::uint32_t slot) {
   // Store-and-forward: the whole frame is now in switch memory.
-  sim_.schedule_in(config_.processing_delay, [this, slot] {
+  sim_.schedule_in(kProcessingDelay, [this, slot] {
     const NodeId dst = parked(slot).dst;
     if (dst != kBroadcast) {
       enqueue_egress(dst, slot);
@@ -147,7 +156,7 @@ void EthernetSwitch::try_transmit(NodeId node) {
       } else {
         trace_tx_span(*open, *open + tx);
       }
-      sim_.schedule_at(*open + tx + config_.propagation_delay,
+      sim_.schedule_at(*open + tx + kPropagationDelay,
                        [this, node, slot] {
                          egress_[node].busy = false;
                          deliver(unpark(slot));

@@ -40,21 +40,20 @@ struct GateControlList {
 
 struct EthernetConfig {
   std::uint64_t link_bps = 100'000'000;        ///< 100BASE-T1
-  sim::Duration processing_delay = 2'000;      ///< store-and-forward switch
-  sim::Duration propagation_delay = 100;       ///< per hop
-  std::size_t max_payload_bytes = 1500;
   std::size_t queue_capacity = 256;            ///< frames per egress queue
 };
 
 class EthernetSwitch final : public Medium {
  public:
+  /// Store-and-forward processing in the switch, and propagation per hop.
+  static constexpr sim::Duration kProcessingDelay = 2'000;
+  static constexpr sim::Duration kPropagationDelay = 100;
+
   EthernetSwitch(sim::Simulator& simulator, std::string name,
                  EthernetConfig config);
 
   void send(Frame frame) override;
-  std::size_t max_payload() const override {
-    return config_.max_payload_bytes;
-  }
+  std::size_t max_payload() const override;
 
   /// Installs a time-aware gate on the egress port towards `node`.
   void set_gate_control(NodeId node, GateControlList gcl);

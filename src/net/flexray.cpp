@@ -4,15 +4,25 @@
 
 namespace dynaplat::net {
 
+namespace {
+
+[[maybe_unused]] constexpr std::size_t kMaxStaticPayload = 64;
+constexpr std::size_t kMaxDynamicPayload = 254;
+// Length of one dynamic-segment minislot.
+constexpr sim::Duration kMinislotDuration = 10 * sim::kMicrosecond;
+
+}  // namespace
+
 FlexRayBus::FlexRayBus(sim::Simulator& simulator, std::string name,
                        FlexRayConfig config)
     : Medium(simulator, std::move(name)), config_(config) {}
 
+std::size_t FlexRayBus::max_payload() const { return kMaxDynamicPayload; }
+
 sim::Duration FlexRayBus::cycle_duration() const {
   return static_cast<sim::Duration>(config_.static_slots) *
              config_.static_slot_duration +
-         static_cast<sim::Duration>(config_.minislots) *
-             config_.minislot_duration;
+         static_cast<sim::Duration>(config_.minislots) * kMinislotDuration;
 }
 
 sim::Duration FlexRayBus::frame_duration(std::size_t payload) const {
@@ -48,10 +58,10 @@ void FlexRayBus::enqueue(Frame frame) {
   frame.enqueued_at = sim_.now();
   frame.seq = seq_++;
   if (flow_slot_.count(frame.flow_id)) {
-    assert(frame.payload.size() <= config_.max_static_payload);
+    assert(frame.payload.size() <= kMaxStaticPayload);
     static_pending_[frame.flow_id].push_back(std::move(frame));
   } else {
-    assert(frame.payload.size() <= config_.max_dynamic_payload);
+    assert(frame.payload.size() <= kMaxDynamicPayload);
     dynamic_pending_.emplace(std::make_pair(frame.priority, frame.seq),
                              std::move(frame));
   }
@@ -98,15 +108,15 @@ void FlexRayBus::run_cycle() {
   while (it != dynamic_pending_.end() && minislot < config_.minislots) {
     const sim::Duration tx = frame_duration(it->second.payload.size());
     const auto slots_needed = static_cast<std::size_t>(
-        (tx + config_.minislot_duration - 1) / config_.minislot_duration);
+        (tx + kMinislotDuration - 1) / kMinislotDuration);
     if (minislot + slots_needed > config_.minislots) break;
     const std::uint32_t frame_slot = park(std::move(it->second));
     it = dynamic_pending_.erase(it);
     const sim::Time done =
         dynamic_start + static_cast<sim::Duration>(minislot + slots_needed) *
-                            config_.minislot_duration;
-    trace_tx_span(dynamic_start + static_cast<sim::Duration>(minislot) *
-                                      config_.minislot_duration,
+                            kMinislotDuration;
+    trace_tx_span(dynamic_start +
+                      static_cast<sim::Duration>(minislot) * kMinislotDuration,
                   done);
     sim_.schedule_at(done,
                      [this, frame_slot] { deliver(unpark(frame_slot)); });

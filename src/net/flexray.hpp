@@ -20,9 +20,6 @@ struct FlexRayConfig {
   std::size_t static_slots = 30;
   sim::Duration static_slot_duration = 50'000;   ///< 50 us
   std::size_t minislots = 100;
-  sim::Duration minislot_duration = 10'000;      ///< 10 us
-  std::size_t max_static_payload = 64;
-  std::size_t max_dynamic_payload = 254;
 };
 
 class FlexRayBus final : public Medium {
@@ -41,9 +38,7 @@ class FlexRayBus final : public Medium {
   /// scheduling check runs once. Same queue state and cycle alignment as N
   /// send() calls.
   void send_batch(std::vector<Frame>& frames) override;
-  std::size_t max_payload() const override {
-    return config_.max_dynamic_payload;
-  }
+  std::size_t max_payload() const override;
 
   sim::Duration cycle_duration() const;
   /// On-wire duration of a dynamic-segment frame with `payload` bytes

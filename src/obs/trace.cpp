@@ -73,7 +73,7 @@ std::size_t Interner::size() const {
 
 void TraceBuffer::set_enabled(bool on) {
   if (on) {
-    mask_ = saved_mask_ != 0 ? saved_mask_ : kAllCategories;
+    mask_ = saved_mask_;
   } else {
     if (mask_ != 0) saved_mask_ = mask_;
     mask_ = 0;

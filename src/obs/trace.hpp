@@ -87,17 +87,13 @@ class Interner {
 struct TraceBufferConfig {
   /// Maximum retained events; 0 = unbounded (the pre-v2 behaviour).
   std::size_t capacity = 0;
-  std::uint32_t category_mask = kAllCategories;
 };
 
 class TraceBuffer {
  public:
   TraceBuffer() = default;
   explicit TraceBuffer(TraceBufferConfig config)
-      : capacity_(config.capacity),
-        mask_(config.category_mask),
-        saved_mask_(config.category_mask ? config.category_mask
-                                         : kAllCategories) {}
+      : capacity_(config.capacity) {}
 
   /// The disabled fast path: one load + branch, no argument evaluation when
   /// call sites check this before building names or values.
@@ -172,7 +168,8 @@ class TraceBuffer {
   std::size_t capacity_ = 0;
   std::size_t head_ = 0;  // index of the oldest event once the ring wrapped
   std::uint32_t mask_ = kAllCategories;
-  std::uint32_t saved_mask_ = kAllCategories;  // restored by set_enabled(true)
+  // Last non-zero mask (never 0), restored by set_enabled(true).
+  std::uint32_t saved_mask_ = kAllCategories;
   std::uint64_t dropped_ = 0;
   std::uint64_t recorded_ = 0;
 };

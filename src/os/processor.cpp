@@ -224,16 +224,7 @@ void Processor::on_complete() {
     instructions_retired_ += task.config.instructions;
     ++task.stats.completions;
     task.stats.response_time.add(static_cast<double>(response));
-    if (task.config.period > 0) {
-      task.stats.completion_jitter.add(
-          static_cast<double>((sim_.now() - done.job.release) %
-                              task.config.period));
-    }
-    if (task.first_dispatch) {
-      task.stats.activation_jitter.add(
-          static_cast<double>(*task.first_dispatch - done.job.release));
-      task.first_dispatch.reset();
-    }
+    task.dispatched = false;
     const bool missed = done.job.absolute_deadline != sim::kTimeNever &&
                         sim_.now() > done.job.absolute_deadline;
     if (missed) {
@@ -296,8 +287,8 @@ void Processor::reevaluate() {
                task_it != tasks_.end()) {
       auto& task = task_it->second;
       run.trace_source = task.trace_source;
-      if (!task.first_dispatch) {
-        task.first_dispatch = sim_.now();
+      if (!task.dispatched) {
+        task.dispatched = true;
       } else if (last_dispatched_ != run.job.task) {
         ++task.stats.preemptions;
       }

@@ -95,9 +95,9 @@ class Processor {
     std::uint64_t release_count = 0;
     std::uint32_t trace_source = 0;  // interned "<core>/<task>" lane id
     double overrun_scale = 1.0;      // fault-injected execution inflation
-    // First dispatch of the task's oldest unfinished job; completion turns
-    // it into an activation-jitter sample and clears it.
-    std::optional<sim::Time> first_dispatch;
+    // The task's oldest unfinished job has been dispatched, so a later
+    // dispatch after another job ran is a preemption; completion clears it.
+    bool dispatched = false;
   };
 
   // A submitted one-shot job, held in one_shots_ at ReadyJob::one_shot

@@ -42,9 +42,7 @@ using JobBody = std::function<void()>;
 /// Per-task runtime measurements; also the data source for the paper's
 /// runtime monitoring (Sec. 3.4).
 struct TaskStats {
-  sim::Stats response_time;      ///< release -> completion, ns
-  sim::Stats activation_jitter;  ///< |actual - ideal release|, ns
-  sim::Stats completion_jitter;  ///< completion offset within the period, ns
+  sim::Stats response_time;  ///< release -> completion, ns
   std::uint64_t releases = 0;
   std::uint64_t completions = 0;
   std::uint64_t deadline_misses = 0;

@@ -6,6 +6,13 @@
 
 namespace dynaplat::platform {
 
+namespace {
+
+// Static one-way path-delay compensation added to announced timestamps.
+constexpr sim::Duration kPathDelayEstimate = 20 * sim::kMicrosecond;
+
+}  // namespace
+
 ClockSyncService::ClockSyncService(middleware::ServiceRuntime& runtime,
                                    os::LocalClock& clock, bool master,
                                    ClockSyncConfig config)
@@ -35,7 +42,7 @@ ClockSyncService::ClockSyncService(middleware::ServiceRuntime& runtime,
                 static_cast<double>(std::llabs(clock_.true_error())));
             // The announcement aged by ~path delay on its way here.
             const sim::Duration correction =
-                (master_time + config_.path_delay_estimate) - local_time;
+                (master_time + kPathDelayEstimate) - local_time;
             clock_.adjust(correction);
             ++corrections_;
           } catch (const std::out_of_range&) {

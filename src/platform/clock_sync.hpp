@@ -20,8 +20,6 @@ inline constexpr middleware::ElementId kSyncEvent = 1;
 
 struct ClockSyncConfig {
   sim::Duration sync_period = 100 * sim::kMillisecond;
-  /// Static one-way path-delay compensation added to announced timestamps.
-  sim::Duration path_delay_estimate = 20 * sim::kMicrosecond;
 };
 
 class ClockSyncService {

@@ -19,8 +19,7 @@ PlatformNode::PlatformNode(DynamicPlatform& platform, os::Ecu& ecu,
     : platform_(platform), ecu_(ecu), config_(config) {
   runtime_ =
       std::make_unique<middleware::ServiceRuntime>(ecu_, config_.middleware);
-  monitor_ =
-      std::make_unique<monitor::RuntimeMonitor>(ecu_, config_.monitor);
+  monitor_ = std::make_unique<monitor::RuntimeMonitor>(ecu_);
   tts_.resize(ecu_.core_count(), nullptr);
   for (std::size_t core = 0; core < ecu_.core_count(); ++core) {
     if (config_.time_triggered) {
@@ -31,7 +30,8 @@ PlatformNode::PlatformNode(DynamicPlatform& platform, os::Ecu& ecu,
     }
     ecu_.processor(core).start();
   }
-  if (config_.monitoring) monitor_->start();
+  // Every node runs the runtime monitor (Sec. 3.4).
+  monitor_->start();
 }
 
 PlatformNode::~PlatformNode() = default;
@@ -157,7 +157,6 @@ void PlatformNode::bind_tasks(AppInstance& inst) {
 }
 
 void PlatformNode::watch_tasks(AppInstance& inst) {
-  if (!config_.monitoring) return;
   // DA apps carry strict contracts; NDA (QM) apps are watched too, with a
   // looser miss budget — the degradation manager can only shed a
   // misbehaving best-effort app if the monitor sees it misbehave.

@@ -29,10 +29,7 @@ struct NodeConfig {
   bool time_triggered = true;
   /// Run the local admission test before installing (Sec. 5.3 [6], [19]).
   bool admission_control = true;
-  /// Start the runtime monitor (Sec. 3.4).
-  bool monitoring = true;
   middleware::RuntimeConfig middleware = {};
-  monitor::MonitorConfig monitor = {};
 };
 
 /// One hosted application instance. An app may briefly have two instances

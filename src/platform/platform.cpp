@@ -4,6 +4,13 @@
 
 namespace dynaplat::platform {
 
+namespace {
+
+// Seed of the platform key server's key material.
+constexpr std::uint64_t kSecuritySeed = 42;
+
+}  // namespace
+
 DynamicPlatform::DynamicPlatform(sim::Simulator& simulator,
                                  model::SystemModel system_model,
                                  model::DeploymentDef deployment,
@@ -12,7 +19,7 @@ DynamicPlatform::DynamicPlatform(sim::Simulator& simulator,
       model_(std::move(system_model)),
       deployment_(std::move(deployment)),
       config_(config),
-      key_server_(config.security_seed) {
+      key_server_(kSecuritySeed) {
   backend_client_ =
       std::make_unique<::dynaplat::backend::BackendClient>(sim_);
   backend_client_->set_loopback(&backend_);

@@ -36,7 +36,6 @@ struct PlatformConfig {
   security::AuthMode auth_mode = security::AuthMode::kNone;
   /// Enforce the model-derived access matrix on every node.
   bool access_control = false;
-  std::uint64_t security_seed = 42;
 };
 
 class DynamicPlatform {

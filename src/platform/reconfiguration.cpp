@@ -68,14 +68,13 @@ std::string ReconfigurationManager::place(
   for (const auto& candidate : preferred) {
     if (try_node(candidate)) return candidate;
   }
-  if (config_.allow_any_node) {
-    for (const auto& ecu_def : platform_.system_model().ecus()) {
-      if (std::find(preferred.begin(), preferred.end(), ecu_def.name) !=
-          preferred.end()) {
-        continue;  // already tried
-      }
-      if (try_node(ecu_def.name)) return ecu_def.name;
+  // Then any node with capacity, outside the modeled candidate list.
+  for (const auto& ecu_def : platform_.system_model().ecus()) {
+    if (std::find(preferred.begin(), preferred.end(), ecu_def.name) !=
+        preferred.end()) {
+      continue;  // already tried
     }
+    if (try_node(ecu_def.name)) return ecu_def.name;
   }
   return {};
 }

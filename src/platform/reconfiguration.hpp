@@ -22,9 +22,6 @@ namespace dynaplat::platform {
 struct ReconfigConfig {
   /// Liveness sweep period.
   sim::Duration check_period = 50 * sim::kMillisecond;
-  /// Allow placement on nodes outside the app's modeled candidate list
-  /// (capacity-permitting). Off = strictly model-driven variants.
-  bool allow_any_node = true;
 };
 
 struct Migration {

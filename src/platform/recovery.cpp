@@ -10,6 +10,31 @@ namespace dynaplat::platform {
 
 namespace {
 
+// Liveness / placement sweep period (the detect step's clock).
+constexpr sim::Duration kCheckPeriod = 50 * sim::kMillisecond;
+// Post-apply observation window before a plan may commit. Any new deadline
+// miss on a target node during the soak rolls the plan back.
+constexpr sim::Duration kCommitSoak = 100 * sim::kMillisecond;
+// Spacing between consecutive plan steps (bounds reconfiguration burst load
+// on the network and the target CPUs).
+constexpr sim::Duration kStepSpacing = 1 * sim::kMillisecond;
+// Whole-vehicle remap: annealing seed (perturbed per plan) and chains, run
+// on the calling thread.
+constexpr std::uint64_t kDseSeed = 1;
+constexpr std::size_t kDseChains = 2;
+constexpr std::size_t kDseThreads = 0;
+// Backoff of the retry queue: attempt N waits kRetryBackoff * 2^(N-1),
+// capped at RecoveryConfig::retry_max_backoff.
+constexpr sim::Duration kRetryBackoff = 100 * sim::kMillisecond;
+// Live apps on cores whose utilization exceeds this are remapped too (only
+// piggybacked onto a fault-triggered plan, never a plan of its own).
+constexpr double kMisplacedUtilThreshold = 1.0;
+// Post-placement utilization cap per target core. A nominally-100% packed
+// core passes the utilization admission test but misses deadlines in
+// practice (dispatch overhead, TT window padding) — the soak gate would
+// reject it after the fact; cheaper to never propose it.
+constexpr double kPlacementHeadroom = 0.90;
+
 /// True when `label` serves `app`: the plain name or an update-suffixed
 /// instance ("App" matches "App" and "App#v2", never "AppX").
 bool matches_app(const std::string& label, const std::string& app) {
@@ -56,8 +81,8 @@ void RecoveryOrchestrator::engage() {
   if (engaged_) return;
   engaged_ = true;
   sweeper_ = platform_.simulator().schedule_every(
-      platform_.simulator().now() + config_.check_period,
-      config_.check_period, [this] { sweep(); });
+      platform_.simulator().now() + kCheckPeriod, kCheckPeriod,
+      [this] { sweep(); });
 }
 
 void RecoveryOrchestrator::disengage() {
@@ -167,12 +192,12 @@ RecoveryOrchestrator::collect_displaced() {
   }
   // Misplaced apps piggyback on a fault-triggered plan only: an otherwise
   // healthy vehicle is not continuously re-shuffled.
-  if (!displaced.empty() && config_.relocate_misplaced) {
+  if (!displaced.empty()) {
     for (const auto& [def, site] : live_apps) {
       PlatformNode* node = platform_.node(site.ecu);
       if (node == nullptr) continue;
       const double util = core_utilization(node->analysis_tasks(site.core));
-      if (util > config_.misplaced_util_threshold) {
+      if (util > kMisplacedUtilThreshold) {
         displaced.push_back(Displaced{def, site.ecu, site.label});
       }
     }
@@ -208,7 +233,7 @@ bool RecoveryOrchestrator::admits(
   double post_util = 0.0;
   for (const auto& task : existing) post_util += task.utilization();
   for (const auto& task : incoming) post_util += task.utilization();
-  if (post_util > config_.placement_headroom) return false;
+  if (post_util > kPlacementHeadroom) return false;
   dse::AdmissionController admission;
   if (!admission.admit(existing, incoming).admitted) return false;
   if (def.app_class == model::AppClass::kDeterministic) {
@@ -287,8 +312,8 @@ std::map<std::string, std::string> RecoveryOrchestrator::solve_placement(
   // not be re-proposed verbatim on every retry.
   dse::ExplorationResult result = explorer.simulated_annealing(
       config_.dse_iterations,
-      config_.dse_seed + static_cast<std::uint64_t>(next_plan_id_),
-      config_.dse_chains, config_.dse_threads);
+      kDseSeed + static_cast<std::uint64_t>(next_plan_id_), kDseChains,
+      kDseThreads);
   *candidates += result.candidates_evaluated;
   if (!result.feasible) {
     result = explorer.greedy();
@@ -425,7 +450,7 @@ void RecoveryOrchestrator::apply_step(std::size_t index) {
   const int plan_id = plan.id;
   auto continue_with_next = [this, plan_id, index] {
     platform_.simulator().schedule_in(
-        config_.step_spacing, [this, plan_id, index] {
+        kStepSpacing, [this, plan_id, index] {
           if (active_ == nullptr || active_->plan.id != plan_id) return;
           apply_step(index + 1);
         });
@@ -486,7 +511,7 @@ void RecoveryOrchestrator::apply_step(std::size_t index) {
   entry.def = inst->def;
   entry.state = inst->app->serialize_state();
   updates_.staged_migration(
-      *from, step.label, *to, config_.update,
+      *from, step.label, *to, UpdateConfig{},
       [this, plan_id, index, continue_with_next,
        entry = std::move(entry)](const UpdateReport& report) mutable {
         if (active_ == nullptr || active_->plan.id != plan_id) return;
@@ -515,7 +540,7 @@ void RecoveryOrchestrator::begin_soak() {
     }
   }
   const int plan_id = plan.id;
-  platform_.simulator().schedule_in(config_.commit_soak, [this, plan_id] {
+  platform_.simulator().schedule_in(kCommitSoak, [this, plan_id] {
     if (active_ == nullptr || active_->plan.id != plan_id) return;
     for (const RecoveryStep& step : active_->plan.steps) {
       if (!step.applied) continue;
@@ -690,7 +715,7 @@ void RecoveryOrchestrator::strand(const std::string& app,
   }
   const int shift = std::min(retry.attempts - 1, 16);
   const sim::Duration backoff =
-      std::min(config_.retry_backoff * (sim::Duration{1} << shift),
+      std::min(kRetryBackoff * (sim::Duration{1} << shift),
                config_.retry_max_backoff);
   retry.next_due = platform_.simulator().now() + backoff;
 }

@@ -36,38 +36,13 @@
 namespace dynaplat::platform {
 
 struct RecoveryConfig {
-  /// Liveness / placement sweep period (the detect step's clock).
-  sim::Duration check_period = 50 * sim::kMillisecond;
-  /// Post-apply observation window before a plan may commit. Any new
-  /// deadline miss on a target node during the soak rolls the plan back.
-  sim::Duration commit_soak = 100 * sim::kMillisecond;
-  /// Spacing between consecutive plan steps (bounds reconfiguration burst
-  /// load on the network and the target CPUs).
-  sim::Duration step_spacing = 1 * sim::kMillisecond;
   /// Simulated-annealing budget of the whole-vehicle remap.
   std::uint64_t dse_iterations = 2'000;
-  std::uint64_t dse_seed = 1;
-  std::size_t dse_chains = 2;
-  std::size_t dse_threads = 0;
   /// Plan attempts per app before the orchestrator gives up and escalates
   /// the app's origin ECU to limp-home.
   int retry_budget = 4;
-  /// Backoff of the retry queue: attempt N waits retry_backoff * 2^(N-1),
-  /// capped at retry_max_backoff.
-  sim::Duration retry_backoff = 100 * sim::kMillisecond;
+  /// Cap of the retry queue's exponential backoff.
   sim::Duration retry_max_backoff = 1'600 * sim::kMillisecond;
-  /// Also remap live apps sitting on cores whose utilization exceeds
-  /// misplaced_util_threshold (only piggybacked onto a fault-triggered
-  /// plan, never a plan of its own).
-  bool relocate_misplaced = true;
-  double misplaced_util_threshold = 1.0;
-  /// Post-placement utilization cap per target core. A nominally-100%
-  /// packed core passes the utilization admission test but misses
-  /// deadlines in practice (dispatch overhead, TT window padding) — the
-  /// soak gate would reject it after the fact; cheaper to never propose it.
-  double placement_headroom = 0.90;
-  /// Staged-migration tuning for live moves.
-  UpdateConfig update;
   /// Test hook: abort the apply phase once this many steps have been
   /// journaled (0 = before the first step), forcing a whole-plan rollback.
   /// -1 = off.

@@ -6,6 +6,9 @@ namespace dynaplat::platform {
 
 namespace {
 constexpr middleware::ElementId kHeartbeatEvent = 1;
+// Heartbeats missed before the rank-1 standby takes over; rank-k waits k
+// times as long (staggered timeouts).
+constexpr int kMissedForFailover = 3;
 }
 
 RedundancyManager::RedundancyManager(DynamicPlatform& platform,
@@ -179,7 +182,7 @@ void RedundancyManager::supervise(std::size_t rank) {
             platform_.simulator().now() - self.last_heartbeat_seen;
         const sim::Duration limit =
             static_cast<sim::Duration>(stagger_of(rank)) *
-            static_cast<sim::Duration>(config_.missed_for_failover) *
+            static_cast<sim::Duration>(kMissedForFailover) *
             config_.heartbeat_period;
         if (silence <= limit) return;
         if (!self.node->comm().provider_of(hb_service_)) {

@@ -21,9 +21,6 @@ namespace dynaplat::platform {
 
 struct RedundancyConfig {
   sim::Duration heartbeat_period = 10 * sim::kMillisecond;
-  /// Heartbeats missed before the rank-1 standby takes over; rank-k waits
-  /// k times as long (staggered timeouts).
-  int missed_for_failover = 3;
   /// Ship serialized state on every heartbeat (hot standby) or only every
   /// n-th (warm standby).
   int state_every_n_heartbeats = 1;

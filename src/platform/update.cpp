@@ -5,6 +5,10 @@
 namespace dynaplat::platform {
 namespace {
 
+// Phase 1 -> 2: how long the shadow instance warms up under observation.
+// The update aborts if the shadow misses any deadline in that time.
+constexpr sim::Duration kParallelWarmup = 50 * sim::kMillisecond;
+
 std::string versioned_label(const model::AppDef& def) {
   return def.name + "#v" + std::to_string(def.version);
 }
@@ -87,13 +91,12 @@ void UpdateManager::staged_update(PlatformNode& node,
         phase_mark(node, "phase1_shadow", false);
         phase_mark(node, "warmup", true);
         // Phase 2 after warm-up: verify shadow health, then sync state.
-        simulator.schedule_in(config.parallel_warmup, [this, &node,
-                                                       current_label,
-                                                       new_label, config,
-                                                       done, report] {
+        simulator.schedule_in(kParallelWarmup, [this, &node, current_label,
+                                                new_label, config, done,
+                                                report] {
           auto& simulator = platform_.simulator();
           phase_mark(node, "warmup", false);
-          if (config.verify_phases && shadow_misses(node, new_label) > 0) {
+          if (shadow_misses(node, new_label) > 0) {
             // Rollback: the new version cannot hold its deadlines here.
             node.uninstall(new_label);
             phase_mark(node, "update:staged", false);
@@ -252,13 +255,12 @@ void UpdateManager::staged_migration(PlatformNode& from,
         }
         phase_mark(to, "phase1_shadow", false);
         phase_mark(to, "warmup", true);
-        simulator.schedule_in(config.parallel_warmup, [this, &from, &to,
-                                                       label, new_label,
-                                                       config, done,
-                                                       report] {
+        simulator.schedule_in(kParallelWarmup, [this, &from, &to, label,
+                                                new_label, config, done,
+                                                report] {
           auto& simulator = platform_.simulator();
           phase_mark(to, "warmup", false);
-          if (config.verify_phases && shadow_misses(to, new_label) > 0) {
+          if (shadow_misses(to, new_label) > 0) {
             to.uninstall(new_label);
             phase_mark(to, "update:migration", false);
             report->success = false;
@@ -446,7 +448,7 @@ void UpdateManager::run_distributed_step(
         // component ("verifying the safety of every intermediate update
         // step").
         platform_.simulator().schedule_in(
-            config.parallel_warmup,
+            kParallelWarmup,
             [this, path, index, config, report,
              done = std::move(done)]() mutable {
               run_distributed_step(path, index + 1, config, report,
@@ -481,7 +483,7 @@ void UpdateManager::central_switch_update(PlatformNode& node,
     return;
   }
   auto& simulator = platform_.simulator();
-  const sim::Time switch_at = simulator.now() + config.parallel_warmup;
+  const sim::Time switch_at = simulator.now() + kParallelWarmup;
   // The "stop old" and "start new" commands are issued for the same instant
   // by the central coordinator, but arrive skewed by the clock error.
   simulator.schedule_at(switch_at, [&node, current_label] {

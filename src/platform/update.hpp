@@ -29,14 +29,10 @@
 namespace dynaplat::platform {
 
 struct UpdateConfig {
-  /// Phase 1 -> 2: how long the shadow instance warms up under observation.
-  sim::Duration parallel_warmup = 50 * sim::kMillisecond;
   /// CPU instructions to verify/unpack the package before installing
   /// (signature check + decompression). Staged pays this while the old
   /// version still serves; stop-restart pays it inside the outage.
   std::uint64_t preinstall_instructions = 5'000'000;
-  /// Abort if the shadow instance misses any deadline during warm-up.
-  bool verify_phases = true;
   /// Clock-sync error of the central_switch baseline.
   sim::Duration clock_error = 20 * sim::kMillisecond;
   /// Fault injection for rollback testing: abort the staged protocol at
@@ -118,7 +114,7 @@ class UpdateManager {
   /// Updates a distributed function "step-by-step via defined update paths"
   /// (Sec. 3.2): each step is a full staged update, and the next step only
   /// starts after the previous one completed and the updated instance
-  /// stayed healthy for `config.parallel_warmup`. A failing step stops the
+  /// stayed healthy for one shadow warm-up period. A failing step stops the
   /// path — earlier steps remain (every intermediate mix of old and new
   /// versions must itself be a safe configuration, which is why interface
   /// versions are checked at bind time).

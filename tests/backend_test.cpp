@@ -87,7 +87,7 @@ TEST(FleetBackend, SubmitDeliversFeasibleArtifactAfterSimLatency) {
   EXPECT_TRUE(seen.artifact->validated);
   EXPECT_FALSE(seen.cache_hit);
   // At least the round trip plus the service-time floor elapsed.
-  EXPECT_GE(delivered_at, service.config().uplink_rtt +
+  EXPECT_GE(delivered_at, FleetScheduleService::kUplinkRtt +
                               service.config().min_service_time);
   EXPECT_EQ(service.completed(), 1u);
   EXPECT_EQ(service.queue_depth(), 0u);
@@ -153,11 +153,12 @@ TEST(FleetBackend, SaturatedQueueShedsRoutineAndPreemptsForRecovery) {
   EXPECT_EQ(service.shed(Criticality::kRecovery), 0u);
 }
 
-// Regression: shed/backpressure verdicts ride the downlink for uplink_rtt
-// before the vehicle sees them. Those in-flight rejection notices must not
-// count toward admission depth, or a saturated backend rejects new work on
-// the strength of its own reject traffic — a self-sustaining congestion
-// state the fleet bench used to collapse into at 10k sessions.
+// Regression: shed/backpressure verdicts ride the downlink for the uplink
+// round trip before the vehicle sees them. Those in-flight rejection
+// notices must not count toward admission depth, or a saturated backend
+// rejects new work on the strength of its own reject traffic — a
+// self-sustaining congestion state the fleet bench used to collapse into at
+// 10k sessions.
 TEST(FleetBackend, RejectTrafficCarriesNoAdmissionWeight) {
   sim::Simulator simulator;
   ServiceConfig config;
@@ -166,7 +167,6 @@ TEST(FleetBackend, RejectTrafficCarriesNoAdmissionWeight) {
   config.recovery_reserve = 1;
   config.workers = 1;
   config.min_service_time = 100 * sim::kMillisecond;
-  config.uplink_rtt = 10 * sim::kMillisecond;
   FleetScheduleService service(simulator, config);
 
   // A recovery occupies the single real queue slot (not preemptible).
@@ -359,10 +359,7 @@ deploy Maps -> A
 
   FleetScheduleService service(simulator);
   BackendClient& client = dp.connect_backend(service);
-  platform::RecoveryConfig recovery_config;
-  recovery_config.check_period = 50 * sim::kMillisecond;
-  recovery_config.commit_soak = 100 * sim::kMillisecond;
-  platform::RecoveryOrchestrator orchestrator(dp, recovery_config);
+  platform::RecoveryOrchestrator orchestrator(dp);
   orchestrator.engage();
 
   fault::FaultCampaign campaign(simulator);
@@ -569,7 +566,6 @@ TEST(TransportJitter, ZeroJitterPreservesExactLegacyTiming) {
   middleware::TransportConfig config;
   config.reliable = true;
   config.ack_timeout = 20 * sim::kMillisecond;
-  config.backoff_factor = 2.0;
   config.max_backoff = 200 * sim::kMillisecond;
   config.max_retries = 3;
   config.retry_jitter = 0.0;
@@ -603,7 +599,7 @@ TEST(TransportJitter, JitterStaysWithinConfiguredBand) {
     EXPECT_LE(gap, hi + 1) << "retry " << i;
     base = std::min<sim::Duration>(
         static_cast<sim::Duration>(static_cast<double>(base) *
-                                   config.backoff_factor),
+                                   middleware::Transport::kBackoffFactor),
         config.max_backoff);
   }
 }

@@ -258,8 +258,6 @@ obs::CoverageMap coverage_scenario(sim::ScenarioRun& run) {
   if (!dp.install_all()) return {};
 
   platform::RecoveryConfig rconfig;
-  rconfig.check_period = 50 * sim::kMillisecond;
-  rconfig.commit_soak = 100 * sim::kMillisecond;
   rconfig.dse_iterations = 100;
   platform::RecoveryOrchestrator orchestrator(dp, rconfig);
   orchestrator.engage();

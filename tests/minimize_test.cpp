@@ -119,7 +119,7 @@ TEST(Minimizer, BisectsTheHorizonToTheObservationBoundary) {
   // far below the original 2s.
   const sim::Duration floor = 400 * sim::kMillisecond;
   EXPECT_GE(repro.horizon, floor);
-  EXPECT_LE(repro.horizon, floor + MinimizeConfig{}.horizon_resolution);
+  EXPECT_LE(repro.horizon, floor + Minimizer::kHorizonResolution);
   // And the bisected horizon still satisfies the actual failure condition
   // (crash at 200ms observed for >= 100ms).
   EXPECT_GE(repro.horizon, 300 * sim::kMillisecond);

@@ -32,7 +32,7 @@ Frame make_frame(std::uint32_t flow, NodeId src, NodeId dst, Priority prio,
 
 TEST(CanBus, FrameDurationMatchesBitModel) {
   sim::Simulator simulator;
-  CanBus bus(simulator, "can0", CanBusConfig{500'000, 0x80});
+  CanBus bus(simulator, "can0", CanBusConfig{.bitrate_bps = 500'000});
   // 8-byte frame: 44 + 64 data bits + stuff((34+64-1)/4 = 24) + 3 ifs
   // = 135 bits at 500 kbit/s = 270 us.
   EXPECT_EQ(bus.frame_duration(8), 270'000);
@@ -182,7 +182,6 @@ TEST(CanBusFd, CarriesUpTo64BytesFasterThanClassic) {
   sim::Simulator simulator;
   CanBusConfig fd_config;
   fd_config.fd = true;
-  fd_config.data_bitrate_bps = 2'000'000;
   CanBus fd(simulator, "canfd", fd_config);
   CanBus classic(simulator, "can", CanBusConfig{});
   EXPECT_EQ(fd.max_payload(), 64u);
@@ -234,8 +233,6 @@ TEST(Ethernet, LatencyIncludesTwoHopsAndProcessing) {
   sim::Simulator simulator;
   EthernetConfig config;
   config.link_bps = 100'000'000;
-  config.processing_delay = 2'000;
-  config.propagation_delay = 100;
   EthernetSwitch sw(simulator, "eth0", config);
   sim::Time delivered = 0;
   sw.attach(1, [&](const Frame&) { delivered = simulator.now(); });
@@ -245,8 +242,8 @@ TEST(Ethernet, LatencyIncludesTwoHopsAndProcessing) {
   // On wire: (100+22+20) bytes * 8 = 1136 bits at 100 Mbit/s = 11.36 us per
   // hop; two hops + processing + 2x propagation.
   const sim::Duration hop = sw.frame_duration(100);
-  EXPECT_EQ(delivered, 2 * hop + config.processing_delay +
-                           2 * config.propagation_delay);
+  EXPECT_EQ(delivered, 2 * hop + EthernetSwitch::kProcessingDelay +
+                           2 * EthernetSwitch::kPropagationDelay);
 }
 
 TEST(Ethernet, StrictPriorityServesUrgentFirst) {
@@ -336,7 +333,6 @@ TEST(FlexRay, StaticSlotDeliversAtSlotBoundary) {
   config.static_slots = 4;
   config.static_slot_duration = 100 * sim::kMicrosecond;
   config.minislots = 10;
-  config.minislot_duration = 10 * sim::kMicrosecond;
   FlexRayBus bus(simulator, "fr0", config);
   bus.assign_static_slot(2, 77);  // flow 77 owns slot 2
   sim::Time delivered = 0;
@@ -387,7 +383,6 @@ TEST(FlexRay, OversizedDynamicFrameWaitsForNextCycle) {
   sim::Simulator simulator;
   FlexRayConfig config;
   config.minislots = 2;
-  config.minislot_duration = 10 * sim::kMicrosecond;
   FlexRayBus bus(simulator, "fr0", config);
   int delivered = 0;
   bus.attach(1, [&](const Frame&) { ++delivered; });

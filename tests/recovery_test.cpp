@@ -57,10 +57,7 @@ struct World {
 /// Fast orchestrator tuning shared by the tests.
 RecoveryConfig fast_recovery() {
   RecoveryConfig config;
-  config.check_period = 50 * sim::kMillisecond;
-  config.commit_soak = 100 * sim::kMillisecond;
   config.dse_iterations = 500;
-  config.retry_backoff = 100 * sim::kMillisecond;
   config.retry_max_backoff = 800 * sim::kMillisecond;
   return config;
 }

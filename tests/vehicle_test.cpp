@@ -168,6 +168,105 @@ TEST(Vehicle, UndeclaredNetworkThrowsNamingEcuAndNetwork) {
   }
 }
 
+// --- Platform-wide security (Sec. 4.2) --------------------------------------
+
+// A producer on A, its modeled consumer on B, and C, which hosts no
+// consumer of Tick. The access matrix is derived from this model.
+const char* kSecuredVehicle = R"(
+network Net kind=ethernet bitrate=100M
+ecu A mips=1000 memory=64M asil=D network=Net
+ecu B mips=1000 memory=64M asil=D network=Net
+ecu C mips=1000 memory=64M asil=D network=Net
+interface Tick paradigm=event payload=8 period=10ms
+app Producer class=deterministic asil=B memory=4M
+  task work period=10ms wcet=100K priority=1
+  provides Tick
+app Consumer class=nondeterministic asil=QM memory=4M
+  task poll period=50ms wcet=50K priority=8
+  consumes Tick
+deploy Producer -> A
+deploy Consumer -> B
+)";
+
+class TickSource final : public Application {
+ public:
+  void on_task(const std::string&) override {
+    const std::string& tick = context_.def->provides[0];
+    context_.comm->publish(context_.service_id(tick), 1, {0},
+                           context_.priority_of(tick));
+  }
+};
+
+class TickSink final : public Application {
+ public:
+  explicit TickSink(int& received) : received_(received) {}
+  void on_start(const AppContext& context) override {
+    Application::on_start(context);
+    context.comm->subscribe(
+        context.service_id(context.def->consumes[0]), 1,
+        [this](std::vector<std::uint8_t>, net::NodeId) { ++received_; });
+  }
+
+ private:
+  int& received_;
+};
+
+struct SecurityProbe {
+  int modeled = 0;            ///< events B's Consumer received
+  int unmodeled = 0;          ///< events C's direct subscription received
+  std::uint64_t rejected = 0;  ///< inbound messages refused, every node
+};
+
+SecurityProbe run_secured_vehicle(security::AuthMode mode,
+                                  bool access_control) {
+  sim::Simulator simulator;
+  VehicleConfig config;
+  config.platform.auth_mode = mode;
+  config.platform.access_control = access_control;
+  Vehicle vehicle(simulator, model::parse_system(kSecuredVehicle), config);
+  DynamicPlatform& platform = vehicle.platform();
+  SecurityProbe probe;
+  platform.register_app("Producer",
+                        [] { return std::make_unique<TickSource>(); });
+  platform.register_app("Consumer", [&probe] {
+    return std::make_unique<TickSink>(probe.modeled);
+  });
+  std::string reason;
+  EXPECT_TRUE(platform.install_all(&reason)) << reason;
+  platform.node("C")->comm().subscribe(
+      platform.service_id("Tick"), 1,
+      [&probe](std::vector<std::uint8_t>, net::NodeId) { ++probe.unmodeled; });
+  simulator.run_until(sim::seconds(1));
+  for (const std::string& name : platform.node_names()) {
+    probe.rejected += platform.node(name)->comm().rejected_messages();
+  }
+  return probe;
+}
+
+TEST(Vehicle, AccessControlAdmitsOnlyModeledConsumers) {
+  const SecurityProbe open =
+      run_secured_vehicle(security::AuthMode::kNone, false);
+  EXPECT_GT(open.modeled, 0);
+  EXPECT_GT(open.unmodeled, 0);
+  EXPECT_EQ(open.rejected, 0u);
+
+  // The model-derived matrix refuses C's subscription at the provider and
+  // leaves B's traffic untouched.
+  const SecurityProbe guarded =
+      run_secured_vehicle(security::AuthMode::kNone, true);
+  EXPECT_EQ(guarded.modeled, open.modeled);
+  EXPECT_EQ(guarded.unmodeled, 0);
+  EXPECT_GT(guarded.rejected, 0u);
+
+  // Session authentication on top: B still receives once its handshake is
+  // paid; C still gets nothing.
+  const SecurityProbe session =
+      run_secured_vehicle(security::AuthMode::kSession, true);
+  EXPECT_GT(session.modeled, 0);
+  EXPECT_EQ(session.unmodeled, 0);
+  EXPECT_GT(session.rejected, 0u);
+}
+
 
 // --- Generated models: what the verifier accepts, the platform installs -----
 
