@@ -99,13 +99,12 @@ TransportOutcome run_transport(double loss, bool reliable) {
   };
   a = std::make_unique<middleware::Transport>(
       [&](net::Frame frame) { wire(b.get(), 1)(std::move(frame)); }, 16,
-      &simulator, config);
+      simulator, config);
   b = std::make_unique<middleware::Transport>(
       [&](net::Frame frame) { wire(a.get(), 2)(std::move(frame)); }, 16,
-      &simulator, config);
-  b->set_handler([&outcome](net::NodeId, std::vector<std::uint8_t>) {
-    ++outcome.delivered;
-  });
+      simulator, config);
+  b->set_handler([&outcome](net::NodeId, net::Payload,
+                            const obs::TraceContext&) { ++outcome.delivered; });
 
   constexpr int kMessages = 200;
   const std::vector<std::uint8_t> message(25, 0x5A);  // 3 fragments

@@ -310,16 +310,17 @@ struct ZeroCopyHarness {
   net::BufferRef body;
 
   ZeroCopyHarness(std::size_t max_payload, bool reliable)
-      : tx([this](net::Frame f) { feed(rx, std::move(f)); }, max_payload, &sim,
+      : tx([this](net::Frame f) { feed(rx, std::move(f)); }, max_payload, sim,
            transport_config(reliable)),
-        rx([this](net::Frame f) { feed(tx, std::move(f)); }, max_payload, &sim,
+        rx([this](net::Frame f) { feed(tx, std::move(f)); }, max_payload, sim,
            transport_config(reliable)),
         writer(tx.arena()) {
     tx.set_batch_sender([this](std::vector<net::Frame>& frames) {
       for (net::Frame& f : frames) feed(rx, std::move(f));
       frames.clear();
     });
-    rx.set_chain_handler([this](net::NodeId src, net::Payload message) {
+    rx.set_handler([this](net::NodeId src, net::Payload message,
+                          const obs::TraceContext&) {
       ++stats.delivered;
       if (fingerprint) {
         stats.delivered_fp = fnv_u64(stats.delivered_fp, src);

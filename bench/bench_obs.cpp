@@ -214,22 +214,22 @@ DemoResult run_demo() {
         sim.schedule_in(10 * sim::kMicrosecond,
                         [&b, frame] { b->on_frame(frame); });
       },
-      64, &sim, config);
+      64, sim, config);
   b = std::make_unique<middleware::Transport>(
       [&](net::Frame frame) {
         frame.src = 2;
         sim.schedule_in(10 * sim::kMicrosecond,
                         [&a, frame] { a->on_frame(frame); });
       },
-      64, &sim, config);
+      64, sim, config);
   a->set_tracer(&tracer_a);
   b->set_tracer(&tracer_b);
   a->set_coverage(&coverage);
   b->set_coverage(&coverage);
 
   std::uint64_t delivered = 0;
-  b->set_traced_handler([&](net::NodeId, net::Payload message,
-                            const obs::TraceContext& ctx) {
+  b->set_handler([&](net::NodeId, net::Payload message,
+                     const obs::TraceContext& ctx) {
     ++delivered;
     (void)message;
     if (ctx.sampled()) {

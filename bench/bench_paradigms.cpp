@@ -149,7 +149,7 @@ int main() {
         // Frames per message: header (21 B) + payload through the
         // transport's fragmenter on this medium.
         middleware::Transport probe([](net::Frame) {},
-                                    net.medium->max_payload());
+                                    net.medium->max_payload(), net.simulator);
         table.row({over_can ? "can_500k" : "eth_100M", bench::fmt(payload),
                    bench::fmt(latency.mean() / 1000.0, 1),
                    bench::fmt(probe.fragments_for(

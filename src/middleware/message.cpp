@@ -11,17 +11,10 @@ void MessageHeader::encode_header(PayloadWriter& w) const {
   w.u64(auth_tag);
 }
 
-std::vector<std::uint8_t> MessageHeader::encode(
-    const std::vector<std::uint8_t>& body) const {
-  PayloadWriter w;
-  encode_header(w);
-  w.raw(body.data(), body.size());
-  return w.take();
-}
-
-namespace {
-
-bool decode_fields(PayloadReader& r, MessageHeader& header) {
+bool MessageHeader::decode(const net::Payload& wire, MessageHeader& header,
+                           net::Payload& body) {
+  if (wire.size() < kWireSize) return false;
+  PayloadReader r(wire);
   const std::uint8_t type_raw = r.u8();
   if (type_raw > static_cast<std::uint8_t>(MsgType::kError)) return false;
   header.type = static_cast<MsgType>(type_raw);
@@ -30,26 +23,6 @@ bool decode_fields(PayloadReader& r, MessageHeader& header) {
   header.session = r.u32();
   header.sender = r.u32();
   header.auth_tag = r.u64();
-  return true;
-}
-
-}  // namespace
-
-bool MessageHeader::decode(const std::vector<std::uint8_t>& wire,
-                           MessageHeader& header,
-                           std::vector<std::uint8_t>& body) {
-  if (wire.size() < kWireSize) return false;
-  PayloadReader r(wire);
-  if (!decode_fields(r, header)) return false;
-  body.assign(wire.begin() + static_cast<long>(kWireSize), wire.end());
-  return true;
-}
-
-bool MessageHeader::decode(const net::Payload& wire, MessageHeader& header,
-                           net::Payload& body) {
-  if (wire.size() < kWireSize) return false;
-  PayloadReader r(wire);
-  if (!decode_fields(r, header)) return false;
   body = wire.subspan(kWireSize);
   return true;
 }

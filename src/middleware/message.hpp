@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "middleware/payload.hpp"
 #include "net/frame.hpp"
@@ -40,21 +39,14 @@ struct MessageHeader {
 
   static constexpr std::size_t kWireSize = 1 + 2 + 2 + 4 + 4 + 8;
 
-  /// Serializes header followed by `body`.
-  std::vector<std::uint8_t> encode(
-      const std::vector<std::uint8_t>& body) const;
-
-  /// Serializes just the header (kWireSize bytes) into `w` — with an
-  /// arena-mode writer the header lands in a recycled block and the body is
-  /// appended as a slice, no linearization.
+  /// Serializes the header (kWireSize bytes) into `w` — with an arena-mode
+  /// writer the header lands in a recycled block and the body is appended
+  /// as a slice, no linearization.
   void encode_header(PayloadWriter& w) const;
 
-  /// Decodes a full message; returns false on malformed input.
-  static bool decode(const std::vector<std::uint8_t>& wire,
-                     MessageHeader& header, std::vector<std::uint8_t>& body);
-
-  /// Chain decode: `body` becomes a sub-view of `wire` (refcount bumps
-  /// only, no byte copy). `wire` may be a reassembled multi-fragment chain.
+  /// Decodes a full message; returns false on malformed input. `body`
+  /// becomes a sub-view of `wire` (refcount bumps only, no byte copy).
+  /// `wire` may be a reassembled multi-fragment chain.
   static bool decode(const net::Payload& wire, MessageHeader& header,
                      net::Payload& body);
 };

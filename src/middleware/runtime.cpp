@@ -35,15 +35,15 @@ ServiceRuntime::ServiceRuntime(os::Ecu& ecu, RuntimeConfig config)
       transport_([&ecu](net::Frame frame) { ecu.send(std::move(frame)); },
                  ecu.medium() != nullptr ? ecu.medium()->max_payload()
                                          : 1500,
-                 &ecu.simulator(),
+                 ecu.simulator(),
                  with_node_jitter_stream(config.transport, ecu.node_id())) {
   ecu_.set_receive_handler(
       [this](const net::Frame& frame) { transport_.on_frame(frame); });
   transport_.set_batch_sender([&ecu](std::vector<net::Frame>& frames) {
     ecu.send_batch(frames);
   });
-  transport_.set_traced_handler([this](net::NodeId src, net::Payload message,
-                                       const obs::TraceContext& ctx) {
+  transport_.set_handler([this](net::NodeId src, net::Payload message,
+                                const obs::TraceContext& ctx) {
     on_message(src, std::move(message), ctx);
   });
   if (ecu_.trace() != nullptr) {

@@ -86,7 +86,7 @@ std::uint32_t crc32(const net::Payload& payload, std::size_t length) {
 }
 
 Transport::Transport(std::function<void(net::Frame)> send_frame,
-                     std::size_t max_frame_payload, sim::Simulator* simulator,
+                     std::size_t max_frame_payload, sim::Simulator& simulator,
                      TransportConfig config)
     : send_frame_(std::move(send_frame)),
       max_frame_payload_(max_frame_payload),
@@ -95,17 +95,16 @@ Transport::Transport(std::function<void(net::Frame)> send_frame,
       retry_rng_(sim::Random::stream(kJitterSeed, config.jitter_stream)) {
   assert(max_frame_payload_ > kFragmentHeader &&
          "medium payload too small for fragment header");
-  if (sim_ != nullptr && config_.reassembly_ttl > 0) {
-    sweep_timer_ = sim_->schedule_every(
-        sim_->now() + config_.reassembly_ttl, config_.reassembly_ttl,
+  if (config_.reassembly_ttl > 0) {
+    sweep_timer_ = sim_.schedule_every(
+        sim_.now() + config_.reassembly_ttl, config_.reassembly_ttl,
         [this] { evict_stale(); });
   }
 }
 
 Transport::~Transport() {
-  if (sim_ == nullptr) return;
-  sim_->cancel(sweep_timer_);
-  for (auto& [id, pending] : pending_reliable_) sim_->cancel(pending.timer);
+  sim_.cancel(sweep_timer_);
+  for (auto& [id, pending] : pending_reliable_) sim_.cancel(pending.timer);
 }
 
 void Transport::set_coverage(obs::CoverageMap* coverage) {
@@ -258,14 +257,11 @@ void Transport::send(net::NodeId dst, net::Priority priority,
   ++messages_sent_;
   const bool traced = ctx.active();
   if (traced) {
-    ctx.sent_ns = sim_ != nullptr ? static_cast<std::uint64_t>(sim_->now())
-                                  : ctx.origin_ns;
+    ctx.sent_ns = static_cast<std::uint64_t>(sim_.now());
     message = prepend_context(ctx, std::move(message));
     if (tracer_ != nullptr && ctx.sampled()) tracer_->on_send(ctx);
   }
-  const bool reliable =
-      config_.reliable && sim_ != nullptr && dst != net::kBroadcast;
-  if (!reliable) {
+  if (!config_.reliable || dst == net::kBroadcast) {
     send_fragments(id, dst, priority, flow_id, message, traced);
     return;
   }
@@ -308,7 +304,7 @@ void Transport::arm_retry(std::uint16_t id) {
     delay = std::max<sim::Duration>(
         static_cast<sim::Duration>(static_cast<double>(delay) * factor), 1);
   }
-  pending.timer = sim_->schedule_in(delay, [this, id] {
+  pending.timer = sim_.schedule_in(delay, [this, id] {
     auto it = pending_reliable_.find(id);
     if (it == pending_reliable_.end()) return;  // acked meanwhile
     PendingReliable& pending = it->second;
@@ -355,13 +351,12 @@ void Transport::send_ack(net::NodeId dst, std::uint16_t id) {
 void Transport::on_ack(std::uint16_t id) {
   auto it = pending_reliable_.find(id);
   if (it == pending_reliable_.end()) return;  // duplicate / late ack
-  if (sim_ != nullptr) sim_->cancel(it->second.timer);
+  sim_.cancel(it->second.timer);
   pending_reliable_.erase(it);
 }
 
 void Transport::evict_stale() {
-  if (sim_ == nullptr || config_.reassembly_ttl == 0) return;
-  const sim::Time now = sim_->now();
+  const sim::Time now = sim_.now();
   for (auto it = partial_.begin(); it != partial_.end();) {
     if (now - it->second.last_update > config_.reassembly_ttl) {
       ++reassembly_failures_;
@@ -399,23 +394,10 @@ bool Transport::remember_delivery(net::NodeId src, std::uint16_t id) {
   return true;
 }
 
-void Transport::deliver(net::NodeId src, net::Payload message,
-                        const obs::TraceContext& ctx) {
-  ++messages_received_;
-  if (traced_handler_) {
-    traced_handler_(src, std::move(message), ctx);
-  } else if (chain_handler_) {
-    chain_handler_(src, std::move(message));
-  } else if (handler_) {
-    handler_(src, message.to_vector());
-  }
-}
-
 void Transport::complete(net::NodeId src, std::uint16_t id, bool unicast,
                          bool traced, sim::Time first_arrival,
                          net::Payload message) {
-  const bool reliable = config_.reliable && sim_ != nullptr && unicast;
-  if (reliable) {
+  if (config_.reliable && unicast) {
     if (message.size() < kCrcTrailer) {
       ++reassembly_failures_;
       return;
@@ -463,18 +445,15 @@ void Transport::complete(net::NodeId src, std::uint16_t id, bool unicast,
     ctx = obs::TraceContext::decode(prefix);
     message = message.subspan(n);
     if (tracer_ != nullptr && ctx.sampled()) {
-      const std::uint64_t now =
-          sim_ != nullptr ? static_cast<std::uint64_t>(sim_->now()) : 0;
-      tracer_->on_receive(ctx, static_cast<std::uint64_t>(first_arrival), now);
+      tracer_->on_receive(ctx, static_cast<std::uint64_t>(first_arrival),
+                          static_cast<std::uint64_t>(sim_.now()));
     }
   }
-  deliver(src, std::move(message), ctx);
+  ++messages_received_;
+  if (handler_) handler_(src, std::move(message), ctx);
 }
 
 void Transport::on_frame(const net::Frame& frame) {
-  // TTL eviction runs on the periodic sweep timer; only sim-less transports
-  // (no timer) sweep inline as a fallback.
-  if (sim_ == nullptr) evict_stale();
   if (frame.payload.size() < kFragmentHeader) {
     ++reassembly_failures_;
     return;
@@ -511,7 +490,7 @@ void Transport::on_frame(const net::Frame& frame) {
     return;
   }
   const bool unicast = frame.dst != net::kBroadcast;
-  const sim::Time now = sim_ != nullptr ? sim_->now() : 0;
+  const sim::Time now = sim_.now();
 
   // Fragment body: a view into the frame's buffers, no copy. Single-slice
   // frames (the prepended-header fast path) skip the subspan walk.

@@ -26,9 +26,8 @@
 //  * Stale-reassembly TTL: a partial message that stops receiving fragments
 //    (loss, sender death) is evicted after `reassembly_ttl` instead of
 //    stranding buffer memory forever. Evictions count as reassembly
-//    failures. The periodic sweep timer armed in the constructor is the
-//    only eviction driver when a simulator is present; sim-less transports
-//    fall back to sweeping on frame arrival.
+//    failures. Only the periodic sweep timer armed in the constructor
+//    evicts; frame arrival never does.
 //  * Reliable mode (opt-in, unicast only): the sender appends a CRC32 over
 //    the whole message, the receiver acks CRC-valid reassembly, and the
 //    sender retries on ack timeout with capped exponential backoff.
@@ -56,19 +55,11 @@
 
 namespace dynaplat::middleware {
 
-/// Delivered when all fragments of a message have arrived (legacy
-/// linearizing form; prefer ChainHandler on hot paths).
-using MessageHandler =
-    std::function<void(net::NodeId src, std::vector<std::uint8_t> message)>;
-
-/// Zero-copy delivery: the message arrives as an ordered slice chain.
-using ChainHandler =
-    std::function<void(net::NodeId src, net::Payload message)>;
-
-/// Zero-copy delivery with the causal trace context that rode the wire
-/// (inactive for untraced messages).
-using TracedHandler = std::function<void(net::NodeId src, net::Payload message,
-                                         const obs::TraceContext& ctx)>;
+/// Delivered when all fragments of a message have arrived: the message as an
+/// ordered slice chain (zero-copy), plus the causal trace context that rode
+/// the wire (inactive for untraced messages).
+using MessageHandler = std::function<void(
+    net::NodeId src, net::Payload message, const obs::TraceContext& ctx)>;
 
 /// Invoked when a reliable message exhausts its retries.
 using DeliveryFailureHandler =
@@ -112,10 +103,10 @@ class Transport {
 
   /// `send_frame` submits one frame towards the medium (the Ecu's send path,
   /// so failure gating applies). Incoming frames are fed via on_frame().
-  /// `simulator` powers TTL eviction and retry timers; without one (legacy
-  /// unit-test construction) both features are inert.
+  /// `simulator` drives the TTL sweep, the retry timers and the send
+  /// timestamps of traced messages.
   Transport(std::function<void(net::Frame)> send_frame,
-            std::size_t max_frame_payload, sim::Simulator* simulator = nullptr,
+            std::size_t max_frame_payload, sim::Simulator& simulator,
             TransportConfig config = {});
   ~Transport();
 
@@ -142,14 +133,6 @@ class Transport {
   void on_frame(const net::Frame& frame);
 
   void set_handler(MessageHandler handler) { handler_ = std::move(handler); }
-  /// Zero-copy delivery; takes precedence over set_handler when both set.
-  void set_chain_handler(ChainHandler handler) {
-    chain_handler_ = std::move(handler);
-  }
-  /// Context-aware delivery; takes precedence over both other handlers.
-  void set_traced_handler(TracedHandler handler) {
-    traced_handler_ = std::move(handler);
-  }
   void set_delivery_failure_handler(DeliveryFailureHandler handler) {
     on_delivery_failure_ = std::move(handler);
   }
@@ -248,8 +231,6 @@ class Transport {
   void arm_retry(std::uint16_t id);
   void complete(net::NodeId src, std::uint16_t id, bool unicast, bool traced,
                 sim::Time first_arrival, net::Payload message);
-  void deliver(net::NodeId src, net::Payload message,
-               const obs::TraceContext& ctx);
   void evict_stale();
   bool remember_delivery(net::NodeId src, std::uint16_t id);
 
@@ -259,12 +240,10 @@ class Transport {
   std::function<void(net::Frame)> send_frame_;
   std::function<void(std::vector<net::Frame>&)> send_batch_;
   std::size_t max_frame_payload_;
-  sim::Simulator* sim_;
+  sim::Simulator& sim_;
   TransportConfig config_;
   sim::Random retry_rng_;  // seeded jitter stream for retransmit delays
   MessageHandler handler_;
-  ChainHandler chain_handler_;
-  TracedHandler traced_handler_;
   DeliveryFailureHandler on_delivery_failure_;
   obs::ChainTracer* tracer_ = nullptr;
   obs::CoverageMap* coverage_ = nullptr;
@@ -280,8 +259,8 @@ class Transport {
   std::map<std::pair<net::NodeId, std::uint16_t>, PartialMessage> partial_;
   std::map<std::uint16_t, PendingReliable> pending_reliable_;
   std::map<net::NodeId, PeerHistory> delivered_history_;
-  // Periodic TTL sweep (sole eviction driver when a simulator is present —
-  // the per-frame sweep would be redundant O(partials) hot-path work).
+  // Periodic TTL sweep, the only place partials are evicted (a per-frame
+  // sweep would be O(partials) hot-path work).
   sim::EventId sweep_timer_;
   std::uint64_t messages_sent_ = 0;
   std::uint64_t messages_received_ = 0;

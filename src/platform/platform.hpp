@@ -74,15 +74,10 @@ class DynamicPlatform {
   const PlatformConfig& config() const { return config_; }
   sim::Simulator& simulator() { return sim_; }
 
-  /// Backend schedule server (runs "in the cloud": its compute cost is not
-  /// charged to any ECU). Kept for tests and tooling that talk to the
-  /// engine directly; vehicle-side synthesis goes through backend_client().
-  dse::ScheduleServer& backend() { return backend_; }
-
   /// Resilient path to the backend: every vehicle-side synthesis call
   /// (node resync, recovery planning) goes through this client. Defaults
-  /// to loopback on the in-process ScheduleServer above — zero behavior
-  /// change for single-vehicle scenarios.
+  /// to loopback on the platform's in-process ScheduleServer — zero
+  /// behavior change for single-vehicle scenarios.
   ::dynaplat::backend::BackendClient& backend_client() {
     return *backend_client_;
   }
@@ -109,6 +104,8 @@ class DynamicPlatform {
   model::DeploymentDef deployment_;
   PlatformConfig config_;
   model::Verifier verifier_;
+  // Backend schedule server, run "in the cloud": its compute cost is not
+  // charged to any ECU. Reached only through the loopback backend client.
   dse::ScheduleServer backend_;
   std::unique_ptr<::dynaplat::backend::BackendClient> backend_client_;
   security::KeyServer key_server_;

@@ -9,8 +9,12 @@ namespace {
 // The update aborts if the shadow misses any deadline in that time.
 constexpr sim::Duration kParallelWarmup = 50 * sim::kMillisecond;
 
+std::string version_suffix(const model::AppDef& def) {
+  return "#v" + std::to_string(def.version);
+}
+
 std::string versioned_label(const model::AppDef& def) {
-  return def.name + "#v" + std::to_string(def.version);
+  return def.name + version_suffix(def);
 }
 
 // Update phases render as nested spans on the "<ecu>/update" timeline lane
@@ -39,319 +43,227 @@ std::uint64_t shadow_misses(PlatformNode& node, const std::string& label) {
   return misses;
 }
 
+// What tells an update from a migration in reports and spans.
+struct MoveNames {
+  const char* strategy;
+  const char* span;      // outer span
+  const char* phase3;    // handover span
+  const char* phase4;    // origin-removal span
+  const char* complete;  // success reason
+};
+
+constexpr MoveNames kUpdateNames{"staged", "update:staged", "phase3_redirect",
+                                 "phase4_stop_old", "staged update complete"};
+constexpr MoveNames kMigrationNames{
+    "staged_migration", "update:migration", "phase3_handover",
+    "phase4_stop_origin", "staged migration complete"};
+
+// One staged move (Sec. 3.2): a shadow of `def` starts on `target`, warms
+// up, takes over the state of `origin_label` on `origin`, then owns the
+// app's services while the origin instance is removed. An update moves an
+// app to its new version on one node; a migration moves it unchanged to
+// another node. The spans, CPU jobs and rollbacks are the same.
+struct Move {
+  Move(PlatformNode& origin, std::string origin_label, PlatformNode& target,
+       model::AppDef def, AppFactory factory, std::string suffix,
+       const MoveNames& names, UpdateConfig config, UpdateManager::Done done,
+       UpdateReport report)
+      : origin(origin),
+        origin_label(std::move(origin_label)),
+        target(target),
+        shadow_label(def.name + suffix),
+        def(std::move(def)),
+        factory(std::move(factory)),
+        suffix(std::move(suffix)),
+        names(names),
+        config(config),
+        done(std::move(done)),
+        report(std::move(report)) {}
+
+  PlatformNode& origin;
+  std::string origin_label;
+  PlatformNode& target;
+  std::string shadow_label;
+  model::AppDef def;
+  AppFactory factory;
+  std::string suffix;
+  const MoveNames& names;
+  UpdateConfig config;
+  UpdateManager::Done done;
+  UpdateReport report;
+  const char* phase = nullptr;  // open inner span, inside names.span
+  bool shadow_installed = false;
+  bool handed_over = false;
+};
+
+void open_phase(Move& m, const char* name) {
+  m.phase = name;
+  phase_mark(m.target, name, true);
+}
+
+void close_phase(Move& m) {
+  phase_mark(m.target, m.phase, false);
+  m.phase = nullptr;
+}
+
+// Moves service ownership from `from` on `giver` to `to` on `taker` within
+// one simulation instant, so it never gaps: a redirect on one node, demote +
+// promote across two.
+void hand_over(PlatformNode& giver, const std::string& from,
+               PlatformNode& taker, const std::string& to) {
+  if (&giver == &taker) {
+    giver.redirect(from, to);
+  } else {
+    giver.demote(from);
+    taker.promote(to);
+  }
+}
+
+// Closes the open spans innermost-first, then reports.
+void finish(Move& m, bool success, std::string reason) {
+  if (m.phase != nullptr) close_phase(m);
+  phase_mark(m.target, m.names.span, false);
+  m.report.success = success;
+  m.report.reason = std::move(reason);
+  if (success) m.report.serving_label = m.shadow_label;
+  m.report.finished = m.target.ecu().simulator().now();
+  m.done(m.report);
+}
+
+// The one abort path: ownership goes back to the origin and the shadow is
+// removed before the spans close, so every abort leaves the origin serving
+// with a zero ownership gap and the target clean.
+void roll_back(Move& m, std::string reason) {
+  if (m.handed_over) {
+    hand_over(m.target, m.shadow_label, m.origin, m.origin_label);
+  }
+  if (m.shadow_installed) m.target.uninstall(m.shadow_label);
+  finish(m, false, std::move(reason));
+}
+
+void run_move(std::shared_ptr<Move> move) {
+  Move& m = *move;
+  phase_mark(m.target, m.names.span, true);
+  open_phase(m, "pkg_verify");
+  // Package verification runs while the origin still serves: no ownership
+  // gap accrues here.
+  m.target.ecu().processor().submit(
+      "pkg_verify", m.config.preinstall_instructions, 9,
+      os::TaskClass::kNonDeterministic, [move] {
+        Move& m = *move;
+        close_phase(m);
+        // Phase 1: start the shadow (running, neither offering nor
+        // publishing).
+        m.report.phase_reached = 1;
+        open_phase(m, "phase1_shadow");
+        std::string why;
+        m.shadow_installed = m.target.install(m.def, m.factory, &why, m.suffix);
+        if (!m.shadow_installed ||
+            !m.target.start(m.shadow_label, /*shadow=*/true)) {
+          return roll_back(m, "phase 1 failed: " + why);
+        }
+        if (m.config.inject_failure_phase == 1) {
+          return roll_back(m, "phase 1 rollback: injected fault");
+        }
+        close_phase(m);
+        open_phase(m, "warmup");
+        m.target.ecu().simulator().schedule_in(kParallelWarmup, [move] {
+          Move& m = *move;
+          close_phase(m);
+          // Phase 2 after warm-up: verify shadow health, then sync state.
+          if (shadow_misses(m.target, m.shadow_label) > 0) {
+            return roll_back(m, "phase 2 rollback: shadow missed deadlines");
+          }
+          m.report.phase_reached = 2;
+          open_phase(m, "phase2_state_sync");
+          AppInstance* old_inst = m.origin.instance(m.origin_label);
+          AppInstance* new_inst = m.target.instance(m.shadow_label);
+          if (old_inst == nullptr || new_inst == nullptr) {
+            return roll_back(m, "phase 2 failed: instance vanished");
+          }
+          const auto state = old_inst->app->serialize_state();
+          new_inst->app->restore_state(state);
+          // State transfer costs CPU proportional to its size.
+          const std::uint64_t sync_cost = 1'000 + 50ull * state.size();
+          m.target.ecu().processor().submit(
+              "state_sync", sync_cost, 9, os::TaskClass::kNonDeterministic,
+              [move] {
+                Move& m = *move;
+                close_phase(m);
+                if (m.config.inject_failure_phase == 2) {
+                  return roll_back(m, "phase 2 rollback: injected fault");
+                }
+                m.report.phase_reached = 3;
+                open_phase(m, m.names.phase3);
+                hand_over(m.origin, m.origin_label, m.target, m.shadow_label);
+                m.handed_over = true;
+                if (m.config.inject_failure_phase == 3) {
+                  return roll_back(m, "phase 3 rollback: injected fault");
+                }
+                close_phase(m);
+                // Phase 4: remove the origin instance.
+                open_phase(m, m.names.phase4);
+                m.target.ecu().simulator().schedule_in(
+                    sim::kMillisecond, [move] {
+                      Move& m = *move;
+                      m.report.phase_reached = 4;
+                      if (m.config.inject_failure_phase == 4) {
+                        return roll_back(m,
+                                         "phase 4 rollback: injected fault");
+                      }
+                      m.origin.uninstall(m.origin_label);
+                      finish(m, true, m.names.complete);
+                    });
+              });
+        });
+      });
+}
+
 }  // namespace
 
 void UpdateManager::staged_update(PlatformNode& node,
                                   const std::string& current_label,
                                   model::AppDef new_def, AppFactory factory,
                                   UpdateConfig config, Done done) {
-  auto report = std::make_shared<UpdateReport>();
-  report->strategy = "staged";
-  report->app = new_def.name;
-  report->started = platform_.simulator().now();
-  report->serving_label = current_label;
-  const std::string new_label = versioned_label(new_def);
-  phase_mark(node, "update:staged", true);
-  phase_mark(node, "pkg_verify", true);
-
-  // Package verification runs while the old version still serves: no
-  // ownership gap accrues here.
-  node.ecu().processor().submit(
-      "pkg_verify", config.preinstall_instructions, 9,
-      os::TaskClass::kNonDeterministic,
-      [this, &node, current_label, new_def, new_label, factory, config,
-       done, report]() mutable {
-        auto& simulator = platform_.simulator();
-        phase_mark(node, "pkg_verify", false);
-        // Phase 1: start the new version in parallel (shadow).
-        report->phase_reached = 1;
-        phase_mark(node, "phase1_shadow", true);
-        std::string why;
-        const std::string suffix = "#v" + std::to_string(new_def.version);
-        if (!node.install(new_def, factory, &why, suffix) ||
-            !node.start(new_label, /*shadow=*/true)) {
-          phase_mark(node, "phase1_shadow", false);
-          phase_mark(node, "update:staged", false);
-          report->success = false;
-          report->reason = "phase 1 failed: " + why;
-          report->finished = simulator.now();
-          done(*report);
-          return;
-        }
-        if (config.inject_failure_phase == 1) {
-          node.uninstall(new_label);
-          phase_mark(node, "phase1_shadow", false);
-          phase_mark(node, "update:staged", false);
-          report->success = false;
-          report->reason = "phase 1 rollback: injected fault";
-          report->finished = simulator.now();
-          done(*report);
-          return;
-        }
-        phase_mark(node, "phase1_shadow", false);
-        phase_mark(node, "warmup", true);
-        // Phase 2 after warm-up: verify shadow health, then sync state.
-        simulator.schedule_in(kParallelWarmup, [this, &node, current_label,
-                                                new_label, config, done,
-                                                report] {
-          auto& simulator = platform_.simulator();
-          phase_mark(node, "warmup", false);
-          if (shadow_misses(node, new_label) > 0) {
-            // Rollback: the new version cannot hold its deadlines here.
-            node.uninstall(new_label);
-            phase_mark(node, "update:staged", false);
-            report->success = false;
-            report->reason = "phase 2 rollback: shadow missed deadlines";
-            report->finished = simulator.now();
-            done(*report);
-            return;
-          }
-          report->phase_reached = 2;
-          phase_mark(node, "phase2_state_sync", true);
-          AppInstance* old_inst = node.instance(current_label);
-          AppInstance* new_inst = node.instance(new_label);
-          if (old_inst == nullptr || new_inst == nullptr) {
-            phase_mark(node, "phase2_state_sync", false);
-            phase_mark(node, "update:staged", false);
-            report->success = false;
-            report->reason = "phase 2 failed: instance vanished";
-            report->finished = simulator.now();
-            done(*report);
-            return;
-          }
-          const auto state = old_inst->app->serialize_state();
-          new_inst->app->restore_state(state);
-          // State transfer costs CPU proportional to its size.
-          const std::uint64_t sync_cost = 1'000 + 50ull * state.size();
-          node.ecu().processor().submit(
-              "state_sync", sync_cost, 9, os::TaskClass::kNonDeterministic,
-              [this, &node, current_label, new_label, config, done, report] {
-                auto& simulator = platform_.simulator();
-                phase_mark(node, "phase2_state_sync", false);
-                if (config.inject_failure_phase == 2) {
-                  node.uninstall(new_label);
-                  phase_mark(node, "update:staged", false);
-                  report->success = false;
-                  report->reason = "phase 2 rollback: injected fault";
-                  report->finished = simulator.now();
-                  done(*report);
-                  return;
-                }
-                // Phase 3: redirect traffic (atomic on this node).
-                report->phase_reached = 3;
-                phase_mark(node, "phase3_redirect", true);
-                node.redirect(current_label, new_label);
-                if (config.inject_failure_phase == 3) {
-                  // Undo the redirect in the same instant: ownership flips
-                  // back before any traffic could be lost.
-                  node.redirect(new_label, current_label);
-                  node.uninstall(new_label);
-                  phase_mark(node, "phase3_redirect", false);
-                  phase_mark(node, "update:staged", false);
-                  report->success = false;
-                  report->reason = "phase 3 rollback: injected fault";
-                  report->finished = simulator.now();
-                  done(*report);
-                  return;
-                }
-                phase_mark(node, "phase3_redirect", false);
-                // Phase 4: stop and remove the old version.
-                phase_mark(node, "phase4_stop_old", true);
-                simulator.schedule_in(sim::kMillisecond, [&node,
-                                                          current_label,
-                                                          new_label, config,
-                                                          done, report,
-                                                          this] {
-                  report->phase_reached = 4;
-                  if (config.inject_failure_phase == 4) {
-                    // The old version is still installed: hand ownership
-                    // back and discard the new instance.
-                    node.redirect(new_label, current_label);
-                    node.uninstall(new_label);
-                    phase_mark(node, "phase4_stop_old", false);
-                    phase_mark(node, "update:staged", false);
-                    report->success = false;
-                    report->reason = "phase 4 rollback: injected fault";
-                    report->finished = platform_.simulator().now();
-                    done(*report);
-                    return;
-                  }
-                  node.uninstall(current_label);
-                  phase_mark(node, "phase4_stop_old", false);
-                  phase_mark(node, "update:staged", false);
-                  report->serving_label = new_label;
-                  report->success = true;
-                  report->reason = "staged update complete";
-                  report->ownership_gap = 0;  // redirect was atomic
-                  report->finished = platform_.simulator().now();
-                  done(*report);
-                });
-              });
-        });
-      });
+  UpdateReport report;
+  report.strategy = kUpdateNames.strategy;
+  report.app = new_def.name;
+  report.started = platform_.simulator().now();
+  report.serving_label = current_label;
+  std::string suffix = version_suffix(new_def);
+  run_move(std::make_shared<Move>(node, current_label, node, std::move(new_def),
+                                  std::move(factory), std::move(suffix),
+                                  kUpdateNames, config, std::move(done),
+                                  std::move(report)));
 }
 
 void UpdateManager::staged_migration(PlatformNode& from,
                                      const std::string& label,
                                      PlatformNode& to, UpdateConfig config,
                                      Done done) {
-  auto report = std::make_shared<UpdateReport>();
-  report->strategy = "staged_migration";
-  report->started = platform_.simulator().now();
-  report->serving_label = label;
+  UpdateReport report;
+  report.strategy = kMigrationNames.strategy;
+  report.started = platform_.simulator().now();
+  report.serving_label = label;
   const AppInstance* origin = from.instance(label);
   if (origin == nullptr) {
-    report->success = false;
-    report->reason = "'" + label + "' not hosted on " + from.ecu().name();
-    report->finished = report->started;
-    done(*report);
+    report.reason = "'" + label + "' not hosted on " + from.ecu().name();
+    report.finished = report.started;
+    done(report);
     return;
   }
-  const model::AppDef def = origin->def;
-  report->app = def.name;
-  AppFactory factory = platform_.factory_for(def.name);
+  report.app = origin->def.name;
+  AppFactory factory = platform_.factory_for(origin->def.name);
   if (!factory) {
-    report->success = false;
-    report->reason = "no registered package for '" + def.name + "'";
-    report->finished = report->started;
-    done(*report);
+    report.reason = "no registered package for '" + origin->def.name + "'";
+    report.finished = report.started;
+    done(report);
     return;
   }
-  const std::string new_label = def.name;  // plain name on the target
-  phase_mark(to, "update:migration", true);
-  phase_mark(to, "pkg_verify", true);
-
-  // The target verifies/unpacks while the origin still serves.
-  to.ecu().processor().submit(
-      "pkg_verify", config.preinstall_instructions, 9,
-      os::TaskClass::kNonDeterministic,
-      [this, &from, &to, label, def, new_label, factory, config, done,
-       report]() mutable {
-        auto& simulator = platform_.simulator();
-        phase_mark(to, "pkg_verify", false);
-        // Phase 1: shadow instance on the target node.
-        report->phase_reached = 1;
-        phase_mark(to, "phase1_shadow", true);
-        std::string why;
-        if (!to.install(def, factory, &why) ||
-            !to.start(new_label, /*shadow=*/true)) {
-          phase_mark(to, "phase1_shadow", false);
-          phase_mark(to, "update:migration", false);
-          report->success = false;
-          report->reason = "phase 1 failed: " + why;
-          report->finished = simulator.now();
-          done(*report);
-          return;
-        }
-        if (config.inject_failure_phase == 1) {
-          to.uninstall(new_label);
-          phase_mark(to, "phase1_shadow", false);
-          phase_mark(to, "update:migration", false);
-          report->success = false;
-          report->reason = "phase 1 rollback: injected fault";
-          report->finished = simulator.now();
-          done(*report);
-          return;
-        }
-        phase_mark(to, "phase1_shadow", false);
-        phase_mark(to, "warmup", true);
-        simulator.schedule_in(kParallelWarmup, [this, &from, &to, label,
-                                                new_label, config, done,
-                                                report] {
-          auto& simulator = platform_.simulator();
-          phase_mark(to, "warmup", false);
-          if (shadow_misses(to, new_label) > 0) {
-            to.uninstall(new_label);
-            phase_mark(to, "update:migration", false);
-            report->success = false;
-            report->reason = "phase 2 rollback: shadow missed deadlines";
-            report->finished = simulator.now();
-            done(*report);
-            return;
-          }
-          report->phase_reached = 2;
-          phase_mark(to, "phase2_state_sync", true);
-          AppInstance* old_inst = from.instance(label);
-          AppInstance* new_inst = to.instance(new_label);
-          if (old_inst == nullptr || new_inst == nullptr) {
-            to.uninstall(new_label);
-            phase_mark(to, "phase2_state_sync", false);
-            phase_mark(to, "update:migration", false);
-            report->success = false;
-            report->reason = "phase 2 failed: instance vanished";
-            report->finished = simulator.now();
-            done(*report);
-            return;
-          }
-          const auto state = old_inst->app->serialize_state();
-          new_inst->app->restore_state(state);
-          const std::uint64_t sync_cost = 1'000 + 50ull * state.size();
-          to.ecu().processor().submit(
-              "state_sync", sync_cost, 9, os::TaskClass::kNonDeterministic,
-              [this, &from, &to, label, new_label, config, done, report] {
-                auto& simulator = platform_.simulator();
-                phase_mark(to, "phase2_state_sync", false);
-                if (config.inject_failure_phase == 2) {
-                  to.uninstall(new_label);
-                  phase_mark(to, "update:migration", false);
-                  report->success = false;
-                  report->reason = "phase 2 rollback: injected fault";
-                  report->finished = simulator.now();
-                  done(*report);
-                  return;
-                }
-                // Phase 3: atomic cross-node ownership handover — the
-                // origin stops offering and the target takes over within
-                // one simulation instant, so ownership never gaps.
-                report->phase_reached = 3;
-                phase_mark(to, "phase3_handover", true);
-                from.demote(label);
-                to.promote(new_label);
-                if (config.inject_failure_phase == 3) {
-                  to.demote(new_label);
-                  from.promote(label);
-                  to.uninstall(new_label);
-                  phase_mark(to, "phase3_handover", false);
-                  phase_mark(to, "update:migration", false);
-                  report->success = false;
-                  report->reason = "phase 3 rollback: injected fault";
-                  report->finished = simulator.now();
-                  done(*report);
-                  return;
-                }
-                phase_mark(to, "phase3_handover", false);
-                // Phase 4: remove the origin instance.
-                phase_mark(to, "phase4_stop_origin", true);
-                simulator.schedule_in(sim::kMillisecond, [this, &from, &to,
-                                                          label, new_label,
-                                                          config, done,
-                                                          report] {
-                  report->phase_reached = 4;
-                  if (config.inject_failure_phase == 4) {
-                    to.demote(new_label);
-                    from.promote(label);
-                    to.uninstall(new_label);
-                    phase_mark(to, "phase4_stop_origin", false);
-                    phase_mark(to, "update:migration", false);
-                    report->success = false;
-                    report->reason = "phase 4 rollback: injected fault";
-                    report->finished = platform_.simulator().now();
-                    done(*report);
-                    return;
-                  }
-                  from.uninstall(label);
-                  phase_mark(to, "phase4_stop_origin", false);
-                  phase_mark(to, "update:migration", false);
-                  report->serving_label = new_label;
-                  report->success = true;
-                  report->reason = "staged migration complete";
-                  report->ownership_gap = 0;  // handover was atomic
-                  report->finished = platform_.simulator().now();
-                  done(*report);
-                });
-              });
-        });
-      });
+  // The migrated instance lands under the plain app name on the target.
+  run_move(std::make_shared<Move>(from, label, to, origin->def,
+                                  std::move(factory), "", kMigrationNames,
+                                  config, std::move(done), std::move(report)));
 }
 
 void UpdateManager::stop_restart_update(PlatformNode& node,
@@ -377,8 +289,7 @@ void UpdateManager::stop_restart_update(PlatformNode& node,
       [this, &node, new_def, new_label, factory, done, report,
        down_since]() mutable {
         std::string why;
-        if (!node.install(new_def, factory, &why,
-                          "#v" + std::to_string(new_def.version)) ||
+        if (!node.install(new_def, factory, &why, version_suffix(new_def)) ||
             !node.start(new_label)) {
           phase_mark(node, "update:stop_restart", false);
           report->success = false;
@@ -472,8 +383,7 @@ void UpdateManager::central_switch_update(PlatformNode& node,
   // Pre-stage the new version (shadow) like the staged protocol would --
   // the difference under test is the *switchover*, not the staging.
   std::string why;
-  if (!node.install(new_def, factory, &why,
-                    "#v" + std::to_string(new_def.version)) ||
+  if (!node.install(new_def, factory, &why, version_suffix(new_def)) ||
       !node.start(new_label, /*shadow=*/true)) {
     phase_mark(node, "update:central_switch", false);
     report->success = false;

@@ -14,14 +14,6 @@ TraceRecord Trace::materialize(const obs::Event& event) const {
                      buffer_.name_of(event.name), event.value};
 }
 
-std::vector<TraceRecord> Trace::records() const {
-  std::vector<TraceRecord> out;
-  out.reserve(buffer_.size());
-  buffer_.for_each(
-      [&](const obs::Event& event) { out.push_back(materialize(event)); });
-  return out;
-}
-
 std::vector<TraceRecord> Trace::tail(std::size_t n) const {
   const std::size_t total = buffer_.size();
   const std::size_t skip = total > n ? total - n : 0;
@@ -45,16 +37,6 @@ void Trace::refresh_self_metrics() {
       .set(static_cast<double>(buffer_.interner().size()));
   metrics_.gauge("obs.coverage.keys")
       .set(static_cast<double>(coverage_.size()));
-}
-
-std::vector<TraceRecord> Trace::filter(
-    const std::function<bool(const TraceRecord&)>& pred) const {
-  std::vector<TraceRecord> out;
-  buffer_.for_each([&](const obs::Event& event) {
-    TraceRecord record = materialize(event);
-    if (pred(record)) out.push_back(std::move(record));
-  });
-  return out;
 }
 
 }  // namespace dynaplat::sim

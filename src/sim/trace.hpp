@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,7 +28,7 @@ namespace dynaplat::sim {
 using TraceCategory = obs::Category;
 
 /// A materialized (string-valued) view of one obs::Event. Produced on
-/// demand by records()/tail()/filter(); not the storage format.
+/// demand by tail(); not the storage format.
 struct TraceRecord {
   Time at = 0;
   TraceCategory category = TraceCategory::kTask;
@@ -54,9 +53,8 @@ class Trace {
               std::string_view event, std::int64_t value = 0,
               obs::EventType type = obs::EventType::kInstant);
 
-  /// Retained records, oldest first, materialized with their strings.
-  std::vector<TraceRecord> records() const;
-  /// The newest `n` retained records (the flight-recorder read path).
+  /// The newest `n` retained records, oldest first, materialized with their
+  /// strings (the flight-recorder read path).
   std::vector<TraceRecord> tail(std::size_t n) const;
   void clear() { buffer_.clear(); }
 
@@ -64,10 +62,6 @@ class Trace {
   std::size_t count(TraceCategory cat, const std::string& event) const {
     return buffer_.count(cat, event);
   }
-
-  /// All retained records matching a predicate.
-  std::vector<TraceRecord> filter(
-      const std::function<bool(const TraceRecord&)>& pred) const;
 
   /// The underlying event buffer, for pre-interning hot paths, ring-bound
   /// configuration and the Chrome trace exporter.

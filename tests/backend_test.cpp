@@ -528,7 +528,7 @@ std::vector<sim::Time> retransmit_times(sim::Simulator& simulator,
   auto times = std::make_shared<std::vector<sim::Time>>();
   auto transport = std::make_shared<middleware::Transport>(
       [times, &simulator](net::Frame) { times->push_back(simulator.now()); },
-      64, &simulator, config);
+      64, simulator, config);
   std::vector<std::uint8_t> message(16, 0xAB);
   transport->send(2, 1, 0, message);
   simulator.run_until(simulator.now() + sim::seconds(10));

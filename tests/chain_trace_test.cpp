@@ -48,7 +48,7 @@ struct TracedLoopback {
           sim.schedule_in(10 * sim::kMicrosecond,
                           [this, frame] { b->on_frame(frame); });
         },
-        64, &sim, config);
+        64, sim, config);
     b = std::make_unique<middleware::Transport>(
         [this](net::Frame frame) {
           frame.src = 2;
@@ -56,7 +56,7 @@ struct TracedLoopback {
           sim.schedule_in(10 * sim::kMicrosecond,
                           [this, frame] { a->on_frame(frame); });
         },
-        64, &sim, config);
+        64, sim, config);
     a->set_tracer(&tracer_a);
     b->set_tracer(&tracer_b);
     a->set_coverage(&trace.coverage());
@@ -95,8 +95,8 @@ TEST(ChainTrace, ContextSurvivesFragmentationRetransmitAndDedup) {
   std::size_t delivered = 0;
   std::vector<std::uint8_t> got;
   obs::TraceContext got_ctx;
-  wire.b->set_traced_handler([&](net::NodeId src, net::Payload message,
-                                 const obs::TraceContext& ctx) {
+  wire.b->set_handler([&](net::NodeId src, net::Payload message,
+                          const obs::TraceContext& ctx) {
     EXPECT_EQ(src, 1u);
     ++delivered;
     got = message.to_vector();
@@ -148,8 +148,8 @@ TEST(ChainTrace, ChromeExportShowsCrossEcuCausalFlow) {
   TracedLoopback wire(config);
 
   std::size_t delivered = 0;
-  wire.b->set_traced_handler([&](net::NodeId, net::Payload,
-                                 const obs::TraceContext& ctx) {
+  wire.b->set_handler([&](net::NodeId, net::Payload,
+                          const obs::TraceContext& ctx) {
     ++delivered;
     if (ctx.sampled()) {
       const sim::Time at = wire.sim.now();
@@ -289,7 +289,7 @@ obs::CoverageMap coverage_scenario(sim::ScenarioRun& run) {
         sim.schedule_in(10 * sim::kMicrosecond,
                         [&rx, frame] { rx->on_frame(frame); });
       },
-      64, &sim, tconfig);
+      64, sim, tconfig);
   rx = std::make_unique<middleware::Transport>(
       [&](net::Frame frame) {
         frame.src = 102;
@@ -297,10 +297,11 @@ obs::CoverageMap coverage_scenario(sim::ScenarioRun& run) {
         sim.schedule_in(10 * sim::kMicrosecond,
                         [&tx, frame] { tx->on_frame(frame); });
       },
-      64, &sim, tconfig);
+      64, sim, tconfig);
   tx->set_coverage(&trace.coverage());
   rx->set_coverage(&trace.coverage());
-  rx->set_chain_handler([](net::NodeId, net::Payload) {});
+  rx->set_handler(
+      [](net::NodeId, net::Payload, const obs::TraceContext&) {});
   sim.schedule_at((10 + run.rng.next_below(40)) * sim::kMillisecond, [&] {
     std::vector<std::uint8_t> body(180);
     for (std::size_t i = 0; i < body.size(); ++i) {
@@ -322,8 +323,8 @@ obs::CoverageMap coverage_scenario(sim::ScenarioRun& run) {
         sim.schedule_in(10 * sim::kMicrosecond,
                         [&v, frame] { v->on_frame(frame); });
       },
-      64, &sim, uconfig);
-  v = std::make_unique<middleware::Transport>([](net::Frame) {}, 64, &sim,
+      64, sim, uconfig);
+  v = std::make_unique<middleware::Transport>([](net::Frame) {}, 64, sim,
                                               uconfig);
   v->set_coverage(&trace.coverage());
   sim.schedule_at(20 * sim::kMillisecond, [&] {

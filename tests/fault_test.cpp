@@ -168,7 +168,7 @@ struct Wire {
           sim.schedule_in(10 * sim::kMicrosecond,
                           [this, frame] { b->on_frame(frame); });
         },
-        16, &sim, config);
+        16, sim, config);
     b = std::make_unique<middleware::Transport>(
         [this](net::Frame frame) {
           frame.src = 2;
@@ -176,7 +176,7 @@ struct Wire {
           sim.schedule_in(10 * sim::kMicrosecond,
                           [this, frame] { a->on_frame(frame); });
         },
-        16, &sim, config);
+        16, sim, config);
   }
 
   sim::Simulator sim;
@@ -212,10 +212,11 @@ TEST(ReliableTransport, RetriesRecoverLostFragments) {
   };
   std::vector<std::uint8_t> got;
   int deliveries = 0;
-  wire.b->set_handler([&](net::NodeId, std::vector<std::uint8_t> message) {
-    got = std::move(message);
-    ++deliveries;
-  });
+  wire.b->set_handler(
+      [&](net::NodeId, net::Payload message, const obs::TraceContext&) {
+        got = message.to_vector();
+        ++deliveries;
+      });
   const std::vector<std::uint8_t> message(25, 0x5A);
   wire.a->send(2, net::kPriorityLowest, 1, message);
   wire.sim.run_until(sim::seconds(1));
@@ -238,7 +239,9 @@ TEST(ReliableTransport, DuplicateFromLostAckIsSuppressed) {
   };
   int deliveries = 0;
   wire.b->set_handler(
-      [&deliveries](net::NodeId, std::vector<std::uint8_t>) { ++deliveries; });
+      [&deliveries](net::NodeId, net::Payload, const obs::TraceContext&) {
+        ++deliveries;
+      });
   wire.a->send(2, net::kPriorityLowest, 1, std::vector<std::uint8_t>(25, 7));
   wire.sim.run_until(sim::seconds(1));
   // The retry re-delivered the full message; dedup swallowed the copy.
@@ -278,10 +281,11 @@ TEST(ReliableTransport, CrcRejectsCorruptionUntilCleanRetry) {
   };
   std::vector<std::uint8_t> got;
   int deliveries = 0;
-  wire.b->set_handler([&](net::NodeId, std::vector<std::uint8_t> message) {
-    got = std::move(message);
-    ++deliveries;
-  });
+  wire.b->set_handler(
+      [&](net::NodeId, net::Payload message, const obs::TraceContext&) {
+        got = message.to_vector();
+        ++deliveries;
+      });
   const std::vector<std::uint8_t> message{1, 2,  3,  4,  5,  6,  7, 8,
                                           9, 10, 11, 12, 13, 14, 15};
   wire.a->send(2, net::kPriorityLowest, 1, message);
@@ -300,7 +304,9 @@ TEST(ReassemblyTtl, EvictsStrandedPartials) {
   };
   int deliveries = 0;
   wire.b->set_handler(
-      [&deliveries](net::NodeId, std::vector<std::uint8_t>) { ++deliveries; });
+      [&deliveries](net::NodeId, net::Payload, const obs::TraceContext&) {
+        ++deliveries;
+      });
   wire.a->send(2, net::kPriorityLowest, 1, std::vector<std::uint8_t>(30, 9));
   wire.sim.run_until(10 * sim::kMillisecond);
   EXPECT_EQ(wire.b->partial_count(), 1u);  // stuck at 2/3 fragments

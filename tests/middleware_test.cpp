@@ -67,9 +67,12 @@ TEST(Message, HeaderRoundTrip) {
   h.sender = 7;
   h.auth_tag = 0xA1B2C3D4E5F60718ull;
   const std::vector<std::uint8_t> body{9, 8, 7};
-  const auto wire = h.encode(body);
+  PayloadWriter w;
+  h.encode_header(w);
+  w.raw(body.data(), body.size());
+  const net::Payload wire = w.take_chain();
   MessageHeader out;
-  std::vector<std::uint8_t> out_body;
+  net::Payload out_body;
   ASSERT_TRUE(MessageHeader::decode(wire, out, out_body));
   EXPECT_EQ(out.type, MsgType::kRequest);
   EXPECT_EQ(out.service, 0x1234);
@@ -77,12 +80,12 @@ TEST(Message, HeaderRoundTrip) {
   EXPECT_EQ(out.session, 99u);
   EXPECT_EQ(out.sender, 7u);
   EXPECT_EQ(out.auth_tag, 0xA1B2C3D4E5F60718ull);
-  EXPECT_EQ(out_body, body);
+  EXPECT_EQ(out_body.to_vector(), body);
 }
 
 TEST(Message, DecodeRejectsShortOrBadType) {
   MessageHeader h;
-  std::vector<std::uint8_t> body;
+  net::Payload body;
   EXPECT_FALSE(MessageHeader::decode({1, 2, 3}, h, body));
   std::vector<std::uint8_t> bad(MessageHeader::kWireSize, 0);
   bad[0] = 200;  // invalid MsgType
@@ -92,12 +95,14 @@ TEST(Message, DecodeRejectsShortOrBadType) {
 // --- Transport segmentation ------------------------------------------------------
 
 TEST(Transport, SingleFragmentFastPath) {
+  sim::Simulator simulator;
   std::vector<net::Frame> sent;
-  Transport tx([&](net::Frame f) { sent.push_back(std::move(f)); }, 100);
-  Transport rx([](net::Frame) {}, 100);
+  Transport tx([&](net::Frame f) { sent.push_back(std::move(f)); }, 100,
+               simulator);
+  Transport rx([](net::Frame) {}, 100, simulator);
   std::vector<std::uint8_t> received;
-  rx.set_handler([&](net::NodeId, std::vector<std::uint8_t> m) {
-    received = std::move(m);
+  rx.set_handler([&](net::NodeId, net::Payload m, const obs::TraceContext&) {
+    received = m.to_vector();
   });
   tx.send(5, 0, 1, {1, 2, 3});
   ASSERT_EQ(sent.size(), 1u);
@@ -106,16 +111,18 @@ TEST(Transport, SingleFragmentFastPath) {
 }
 
 TEST(Transport, FragmentsAndReassemblesLargeMessage) {
+  sim::Simulator simulator;
   std::vector<net::Frame> sent;
-  Transport tx([&](net::Frame f) { sent.push_back(std::move(f)); }, 64);
-  Transport rx([](net::Frame) {}, 64);
+  Transport tx([&](net::Frame f) { sent.push_back(std::move(f)); }, 64,
+               simulator);
+  Transport rx([](net::Frame) {}, 64, simulator);
   std::vector<std::uint8_t> message(1000);
   for (std::size_t i = 0; i < message.size(); ++i) {
     message[i] = static_cast<std::uint8_t>(i);
   }
   std::vector<std::uint8_t> received;
-  rx.set_handler([&](net::NodeId, std::vector<std::uint8_t> m) {
-    received = std::move(m);
+  rx.set_handler([&](net::NodeId, net::Payload m, const obs::TraceContext&) {
+    received = m.to_vector();
   });
   tx.send(5, 0, 1, message);
   EXPECT_EQ(sent.size(), tx.fragments_for(1000));
@@ -125,14 +132,16 @@ TEST(Transport, FragmentsAndReassemblesLargeMessage) {
 }
 
 TEST(Transport, OutOfOrderFragmentsStillReassemble) {
+  sim::Simulator simulator;
   std::vector<net::Frame> sent;
-  Transport tx([&](net::Frame f) { sent.push_back(std::move(f)); }, 32);
-  Transport rx([](net::Frame) {}, 32);
+  Transport tx([&](net::Frame f) { sent.push_back(std::move(f)); }, 32,
+               simulator);
+  Transport rx([](net::Frame) {}, 32, simulator);
   std::vector<std::uint8_t> message(200, 0x5A);
   int completed = 0;
-  rx.set_handler([&](net::NodeId, std::vector<std::uint8_t> m) {
+  rx.set_handler([&](net::NodeId, net::Payload m, const obs::TraceContext&) {
     ++completed;
-    EXPECT_EQ(m, message);
+    EXPECT_EQ(m.to_vector(), message);
   });
   tx.send(5, 0, 1, message);
   ASSERT_GT(sent.size(), 2u);
@@ -143,13 +152,15 @@ TEST(Transport, OutOfOrderFragmentsStillReassemble) {
 
 TEST(Transport, CanSizedFramesWork) {
   // 8-byte CAN frames leave 2 payload bytes per fragment.
+  sim::Simulator simulator;
   std::vector<net::Frame> sent;
-  Transport tx([&](net::Frame f) { sent.push_back(std::move(f)); }, 8);
-  Transport rx([](net::Frame) {}, 8);
+  Transport tx([&](net::Frame f) { sent.push_back(std::move(f)); }, 8,
+               simulator);
+  Transport rx([](net::Frame) {}, 8, simulator);
   std::vector<std::uint8_t> message{10, 20, 30, 40, 50};
   std::vector<std::uint8_t> received;
-  rx.set_handler([&](net::NodeId, std::vector<std::uint8_t> m) {
-    received = std::move(m);
+  rx.set_handler([&](net::NodeId, net::Payload m, const obs::TraceContext&) {
+    received = m.to_vector();
   });
   tx.send(5, 0, 1, message);
   EXPECT_EQ(sent.size(), 3u);  // ceil(5/2)
@@ -161,7 +172,8 @@ TEST(Transport, CanSizedFramesWork) {
 }
 
 TEST(Transport, CorruptFragmentCountsAsFailure) {
-  Transport rx([](net::Frame) {}, 64);
+  sim::Simulator simulator;
+  Transport rx([](net::Frame) {}, 64, simulator);
   net::Frame junk;
   junk.payload = {1, 2};  // shorter than fragment header
   rx.on_frame(junk);

@@ -322,26 +322,56 @@ TEST(StagedUpdate, RollsBackWhenShadowMissesDeadlines) {
   EXPECT_FALSE(node->hosts("Producer#v2"));
 }
 
-// Force the staged protocol to abort at every phase in turn: whatever the
-// phase, the rollback must leave the original instance serving (active,
-// zero ownership gap) with no shadow left behind on the node.
-class StagedUpdateRollback : public ::testing::TestWithParam<int> {};
+// The two entry points of the staged protocol, run on UpdateWorld's
+// Producer: `staged_update` moves it to `v2` on A, `staged_migration` moves
+// it unchanged from A to B.
+enum class Entry { kUpdate, kMigration };
+
+void run_staged(UpdateWorld& world, UpdateManager& updates, Entry entry,
+                const model::AppDef& v2, UpdateConfig config,
+                UpdateReport& report) {
+  auto done = [&report](UpdateReport r) { report = std::move(r); };
+  PlatformNode& a = *world.platform.node("A");
+  if (entry == Entry::kUpdate) {
+    updates.staged_update(a, "Producer", v2,
+                          [] { return std::make_unique<CounterApp>(); },
+                          config, done);
+  } else {
+    updates.staged_migration(a, "Producer", *world.platform.node("B"),
+                             config, done);
+  }
+}
+
+// Force the staged protocol to abort at every phase in turn, through both
+// entry points: whatever the phase, the rollback must leave the original
+// instance serving (active, zero ownership gap) with no shadow left behind.
+struct RollbackCase {
+  Entry entry;
+  int phase;
+};
+
+// Update cases print as the bare phase, migration cases as
+// "migration_<phase>"; these strings name the ctest cases.
+void PrintTo(const RollbackCase& c, std::ostream* os) {
+  if (c.entry == Entry::kMigration) *os << "migration_";
+  *os << c.phase;
+}
+
+class StagedUpdateRollback : public ::testing::TestWithParam<RollbackCase> {};
 
 TEST_P(StagedUpdateRollback, InjectedPhaseFailureRevertsCleanly) {
+  const RollbackCase c = GetParam();
   UpdateWorld world;
   UpdateManager updates(world.platform);
   UpdateConfig config;
-  config.inject_failure_phase = GetParam();
+  config.inject_failure_phase = c.phase;
   UpdateReport report;
-  updates.staged_update(*world.platform.node("A"), "Producer",
-                        world.v2_def(),
-                        [] { return std::make_unique<CounterApp>(); },
-                        config, [&](UpdateReport r) { report = r; });
+  run_staged(world, updates, c.entry, world.v2_def(), config, report);
   world.simulator.run_until(sim::seconds(2));
   EXPECT_FALSE(report.success);
   EXPECT_NE(report.reason.find("injected"), std::string::npos)
       << report.reason;
-  EXPECT_EQ(report.phase_reached, GetParam());
+  EXPECT_EQ(report.phase_reached, c.phase);
   EXPECT_EQ(report.serving_label, "Producer");
   EXPECT_EQ(report.ownership_gap, 0);
   auto* node = world.platform.node("A");
@@ -349,13 +379,228 @@ TEST_P(StagedUpdateRollback, InjectedPhaseFailureRevertsCleanly) {
   ASSERT_NE(old_inst, nullptr);
   EXPECT_TRUE(old_inst->running);
   EXPECT_TRUE(old_inst->app->active());
-  // No shadow leak: the v2 instance is fully gone.
-  EXPECT_FALSE(node->hosts("Producer#v2"));
+  // No shadow leak: the shadow instance is fully gone.
+  if (c.entry == Entry::kUpdate) {
+    EXPECT_FALSE(node->hosts("Producer#v2"));
+  } else {
+    EXPECT_FALSE(world.platform.node("B")->hosts("Producer"));
+  }
   EXPECT_EQ(node->instance_labels().size(), 1u);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllPhases, StagedUpdateRollback,
-                         ::testing::Values(1, 2, 3, 4));
+INSTANTIATE_TEST_SUITE_P(
+    AllPhases, StagedUpdateRollback,
+    ::testing::Values(RollbackCase{Entry::kUpdate, 1},
+                      RollbackCase{Entry::kUpdate, 2},
+                      RollbackCase{Entry::kUpdate, 3},
+                      RollbackCase{Entry::kUpdate, 4},
+                      RollbackCase{Entry::kMigration, 1},
+                      RollbackCase{Entry::kMigration, 2},
+                      RollbackCase{Entry::kMigration, 3},
+                      RollbackCase{Entry::kMigration, 4}));
+
+// The origin disappears in the middle of the warm-up: phase 2 finds nothing
+// to take the state from and must abort without leaving the shadow behind.
+TEST(StagedUpdate, VanishedOriginLeavesNoShadow) {
+  for (Entry entry : {Entry::kUpdate, Entry::kMigration}) {
+    SCOPED_TRACE(entry == Entry::kUpdate ? "staged_update"
+                                         : "staged_migration");
+    UpdateWorld world;
+    UpdateManager updates(world.platform);
+    UpdateReport report;
+    run_staged(world, updates, entry, world.v2_def(), UpdateConfig{},
+               report);
+    // pkg_verify takes 5 ms, so this lands 30 ms into the 50 ms warm-up.
+    world.simulator.schedule_in(35 * sim::kMillisecond, [&world] {
+      world.platform.node("A")->uninstall("Producer");
+    });
+    world.simulator.run_until(sim::seconds(2));
+    EXPECT_FALSE(report.success);
+    EXPECT_EQ(report.reason, "phase 2 failed: instance vanished");
+    EXPECT_EQ(report.phase_reached, 2);
+    if (entry == Entry::kUpdate) {
+      EXPECT_FALSE(world.platform.node("A")->hosts("Producer#v2"));
+    } else {
+      EXPECT_FALSE(world.platform.node("B")->hosts("Producer"));
+    }
+  }
+}
+
+// Pins, for both entry points through success and each injected phase plus
+// the update's shadow-deadline-miss rollback, the ordered kPlatform trace
+// records (spans and lifecycle events), the report and the instances left
+// on each node.
+struct SpanCase {
+  Entry entry;
+  int inject_phase;
+  bool broken_v2;  // v2 misses its deadlines during the warm-up
+  const char* strategy;
+  int phase_reached;
+  const char* reason;
+  const char* serving_label;
+  std::vector<std::string> records;  // "source event", oldest first
+  std::vector<std::string> on_a;
+  std::vector<std::string> on_b;
+};
+
+TEST(StagedUpdate, SpansAndReportsPerPath) {
+  const std::vector<SpanCase> cases = {
+      {Entry::kUpdate, 0, false, "staged", 4,
+       "staged update complete", "Producer#v2",
+       {"A/update update:staged", "A/update pkg_verify", "A/update pkg_verify",
+        "A/update phase1_shadow", "A install:Producer#v2",
+        "A start_shadow:Producer#v2", "A/update phase1_shadow",
+        "A/update warmup", "A/update warmup", "A/update phase2_state_sync",
+        "A/update phase2_state_sync", "A/update phase3_redirect",
+        "A redirect:Producer->Producer#v2", "A/update phase3_redirect",
+        "A/update phase4_stop_old", "A stop:Producer", "A uninstall:Producer",
+        "A/update phase4_stop_old", "A/update update:staged"},
+       {"Producer#v2"},
+       {"Consumer"}},
+      {Entry::kUpdate, 1, false, "staged", 1,
+       "phase 1 rollback: injected fault", "Producer",
+       {"A/update update:staged", "A/update pkg_verify", "A/update pkg_verify",
+        "A/update phase1_shadow", "A install:Producer#v2",
+        "A start_shadow:Producer#v2", "A stop:Producer#v2",
+        "A uninstall:Producer#v2", "A/update phase1_shadow",
+        "A/update update:staged"},
+       {"Producer"},
+       {"Consumer"}},
+      {Entry::kUpdate, 2, false, "staged", 2,
+       "phase 2 rollback: injected fault", "Producer",
+       {"A/update update:staged", "A/update pkg_verify", "A/update pkg_verify",
+        "A/update phase1_shadow", "A install:Producer#v2",
+        "A start_shadow:Producer#v2", "A/update phase1_shadow",
+        "A/update warmup", "A/update warmup", "A/update phase2_state_sync",
+        "A/update phase2_state_sync", "A stop:Producer#v2",
+        "A uninstall:Producer#v2", "A/update update:staged"},
+       {"Producer"},
+       {"Consumer"}},
+      {Entry::kUpdate, 3, false, "staged", 3,
+       "phase 3 rollback: injected fault", "Producer",
+       {"A/update update:staged", "A/update pkg_verify", "A/update pkg_verify",
+        "A/update phase1_shadow", "A install:Producer#v2",
+        "A start_shadow:Producer#v2", "A/update phase1_shadow",
+        "A/update warmup", "A/update warmup", "A/update phase2_state_sync",
+        "A/update phase2_state_sync", "A/update phase3_redirect",
+        "A redirect:Producer->Producer#v2", "A redirect:Producer#v2->Producer",
+        "A stop:Producer#v2", "A uninstall:Producer#v2",
+        "A/update phase3_redirect", "A/update update:staged"},
+       {"Producer"},
+       {"Consumer"}},
+      {Entry::kUpdate, 4, false, "staged", 4,
+       "phase 4 rollback: injected fault", "Producer",
+       {"A/update update:staged", "A/update pkg_verify", "A/update pkg_verify",
+        "A/update phase1_shadow", "A install:Producer#v2",
+        "A start_shadow:Producer#v2", "A/update phase1_shadow",
+        "A/update warmup", "A/update warmup", "A/update phase2_state_sync",
+        "A/update phase2_state_sync", "A/update phase3_redirect",
+        "A redirect:Producer->Producer#v2", "A/update phase3_redirect",
+        "A/update phase4_stop_old", "A redirect:Producer#v2->Producer",
+        "A stop:Producer#v2", "A uninstall:Producer#v2",
+        "A/update phase4_stop_old", "A/update update:staged"},
+       {"Producer"},
+       {"Consumer"}},
+      {Entry::kMigration, 0, false, "staged_migration", 4,
+       "staged migration complete", "Producer",
+       {"B/update update:migration", "B/update pkg_verify",
+        "B/update pkg_verify", "B/update phase1_shadow", "B install:Producer",
+        "B start_shadow:Producer", "B/update phase1_shadow", "B/update warmup",
+        "B/update warmup", "B/update phase2_state_sync",
+        "B/update phase2_state_sync", "B/update phase3_handover",
+        "A demote:Producer", "B promote:Producer", "B/update phase3_handover",
+        "B/update phase4_stop_origin", "A stop:Producer",
+        "A uninstall:Producer", "B/update phase4_stop_origin",
+        "B/update update:migration"},
+       {},
+       {"Consumer", "Producer"}},
+      {Entry::kMigration, 1, false, "staged_migration", 1,
+       "phase 1 rollback: injected fault", "Producer",
+       {"B/update update:migration", "B/update pkg_verify",
+        "B/update pkg_verify", "B/update phase1_shadow", "B install:Producer",
+        "B start_shadow:Producer", "B stop:Producer", "B uninstall:Producer",
+        "B/update phase1_shadow", "B/update update:migration"},
+       {"Producer"},
+       {"Consumer"}},
+      {Entry::kMigration, 2, false, "staged_migration", 2,
+       "phase 2 rollback: injected fault", "Producer",
+       {"B/update update:migration", "B/update pkg_verify",
+        "B/update pkg_verify", "B/update phase1_shadow", "B install:Producer",
+        "B start_shadow:Producer", "B/update phase1_shadow", "B/update warmup",
+        "B/update warmup", "B/update phase2_state_sync",
+        "B/update phase2_state_sync", "B stop:Producer",
+        "B uninstall:Producer", "B/update update:migration"},
+       {"Producer"},
+       {"Consumer"}},
+      {Entry::kMigration, 3, false, "staged_migration", 3,
+       "phase 3 rollback: injected fault", "Producer",
+       {"B/update update:migration", "B/update pkg_verify",
+        "B/update pkg_verify", "B/update phase1_shadow", "B install:Producer",
+        "B start_shadow:Producer", "B/update phase1_shadow", "B/update warmup",
+        "B/update warmup", "B/update phase2_state_sync",
+        "B/update phase2_state_sync", "B/update phase3_handover",
+        "A demote:Producer", "B promote:Producer", "B demote:Producer",
+        "A promote:Producer", "B stop:Producer", "B uninstall:Producer",
+        "B/update phase3_handover", "B/update update:migration"},
+       {"Producer"},
+       {"Consumer"}},
+      {Entry::kMigration, 4, false, "staged_migration", 4,
+       "phase 4 rollback: injected fault", "Producer",
+       {"B/update update:migration", "B/update pkg_verify",
+        "B/update pkg_verify", "B/update phase1_shadow", "B install:Producer",
+        "B start_shadow:Producer", "B/update phase1_shadow", "B/update warmup",
+        "B/update warmup", "B/update phase2_state_sync",
+        "B/update phase2_state_sync", "B/update phase3_handover",
+        "A demote:Producer", "B promote:Producer", "B/update phase3_handover",
+        "B/update phase4_stop_origin", "B demote:Producer",
+        "A promote:Producer", "B stop:Producer", "B uninstall:Producer",
+        "B/update phase4_stop_origin", "B/update update:migration"},
+       {"Producer"},
+       {"Consumer"}},
+      {Entry::kUpdate, 0, true, "staged", 1,
+       "phase 2 rollback: shadow missed deadlines", "Producer",
+       {"A/update update:staged", "A/update pkg_verify", "A/update pkg_verify",
+        "A/update phase1_shadow", "A install:Producer#v2",
+        "A start_shadow:Producer#v2", "A/update phase1_shadow",
+        "A/update warmup", "A/update warmup", "A stop:Producer#v2",
+        "A uninstall:Producer#v2", "A/update update:staged"},
+       {"Producer"},
+       {"Consumer"}},
+  };
+  for (const SpanCase& c : cases) {
+    SCOPED_TRACE(std::string(c.strategy) + " inject " +
+                 std::to_string(c.inject_phase) +
+                 (c.broken_v2 ? " broken v2" : ""));
+    UpdateWorld world;
+    UpdateManager updates(world.platform);
+    UpdateConfig config;
+    config.inject_failure_phase = c.inject_phase;
+    model::AppDef v2 = world.v2_def();
+    if (c.broken_v2) {
+      v2.tasks[0].instructions = 4'000'000;
+      v2.tasks[0].execution_jitter = 0.9;
+    }
+    world.trace.clear();
+    UpdateReport report;
+    run_staged(world, updates, c.entry, v2, config, report);
+    world.simulator.run_until(world.simulator.now() +
+                              200 * sim::kMillisecond);
+    std::vector<std::string> records;
+    for (const sim::TraceRecord& r :
+         world.trace.tail(world.trace.buffer().size())) {
+      if (r.category == sim::TraceCategory::kPlatform) {
+        records.push_back(r.source + " " + r.event);
+      }
+    }
+    EXPECT_EQ(records, c.records);
+    EXPECT_EQ(report.strategy, c.strategy);
+    EXPECT_EQ(report.phase_reached, c.phase_reached);
+    EXPECT_EQ(report.reason, c.reason);
+    EXPECT_EQ(report.serving_label, c.serving_label);
+    EXPECT_EQ(world.platform.node("A")->instance_labels(), c.on_a);
+    EXPECT_EQ(world.platform.node("B")->instance_labels(), c.on_b);
+  }
+}
 
 TEST(StagedMigration, MovesInstanceAcrossNodesWithoutGap) {
   UpdateWorld world;
@@ -381,28 +626,6 @@ TEST(StagedMigration, MovesInstanceAcrossNodesWithoutGap) {
   // State travelled with the instance and kept advancing.
   EXPECT_GT(static_cast<const CounterApp*>(moved->app.get())->counter(),
             counted_before);
-}
-
-TEST(StagedMigration, InjectedFailureLeavesOriginServing) {
-  UpdateWorld world;
-  UpdateManager updates(world.platform);
-  for (int phase = 1; phase <= 4; ++phase) {
-    UpdateConfig config;
-    config.inject_failure_phase = phase;
-    UpdateReport report;
-    updates.staged_migration(*world.platform.node("A"), "Producer",
-                             *world.platform.node("B"), config,
-                             [&](UpdateReport r) { report = r; });
-    world.simulator.run_until(world.simulator.now() + sim::seconds(2));
-    EXPECT_FALSE(report.success) << "phase " << phase;
-    EXPECT_EQ(report.ownership_gap, 0) << "phase " << phase;
-    const AppInstance* origin =
-        world.platform.node("A")->instance("Producer");
-    ASSERT_NE(origin, nullptr) << "phase " << phase;
-    EXPECT_TRUE(origin->app->active()) << "phase " << phase;
-    EXPECT_FALSE(world.platform.node("B")->hosts("Producer"))
-        << "phase " << phase;
-  }
 }
 
 TEST(StopRestartUpdate, IncursOwnershipGap) {

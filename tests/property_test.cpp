@@ -151,13 +151,16 @@ TEST_P(TransportFuzz, SurvivesLossAndReorderingExactly) {
     const std::size_t mtu = 8 + rng.next_below(1500);
     const double loss = rng.chance(0.5) ? 0.0 : rng.uniform(0.0, 0.2);
     std::vector<net::Frame> wire;
+    sim::Simulator simulator;
     middleware::Transport tx(
-        [&](net::Frame frame) { wire.push_back(std::move(frame)); }, mtu);
-    middleware::Transport rx([](net::Frame) {}, mtu);
+        [&](net::Frame frame) { wire.push_back(std::move(frame)); }, mtu,
+        simulator);
+    middleware::Transport rx([](net::Frame) {}, mtu, simulator);
     std::vector<std::vector<std::uint8_t>> received;
-    rx.set_handler([&](net::NodeId, std::vector<std::uint8_t> message) {
-      received.push_back(std::move(message));
-    });
+    rx.set_handler(
+        [&](net::NodeId, net::Payload message, const obs::TraceContext&) {
+          received.push_back(message.to_vector());
+        });
 
     std::vector<std::vector<std::uint8_t>> sent;
     const int messages = 1 + static_cast<int>(rng.next_below(5));

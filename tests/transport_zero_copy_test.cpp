@@ -159,6 +159,7 @@ TEST(TransportEdgeCases, MessageIdWrapsAndSkipsZero) {
   std::uint16_t prev = 0;
   bool wrapped = false;
   bool saw_zero = false;
+  sim::Simulator simulator;
   middleware::Transport tx(
       [&](net::Frame frame) {
         const std::uint16_t id = frame_message_id(frame);
@@ -169,7 +170,7 @@ TEST(TransportEdgeCases, MessageIdWrapsAndSkipsZero) {
         }
         prev = id;
       },
-      64);
+      64, simulator);
   for (int i = 0; i < 65600; ++i) {
     tx.send(2, 3, 0, net::Payload{});
   }
@@ -182,12 +183,14 @@ TEST(TransportEdgeCases, SenderIdReuseMidReassemblyRestarts) {
   // A rebooted sender reuses message id 7 with a different fragment count
   // while the receiver still holds a partial: the stale partial is dropped
   // (counted as a failure) and reassembly restarts for the new message.
+  sim::Simulator simulator;
   Capture out;
-  middleware::Transport rx(out.sink(), 16);
+  middleware::Transport rx(out.sink(), 16, simulator);
   std::vector<std::vector<std::uint8_t>> delivered;
-  rx.set_handler([&](net::NodeId, std::vector<std::uint8_t> message) {
-    delivered.push_back(std::move(message));
-  });
+  rx.set_handler(
+      [&](net::NodeId, net::Payload message, const obs::TraceContext&) {
+        delivered.push_back(message.to_vector());
+      });
 
   rx.on_frame(make_fragment(7, 0, 2, std::vector<std::uint8_t>(10, 'A')));
   EXPECT_EQ(rx.partial_count(), 1u);
@@ -210,10 +213,13 @@ TEST(TransportEdgeCases, SenderIdReuseMidReassemblyRestarts) {
 TEST(TransportEdgeCases, AckForUnknownIdIsIgnored) {
   // Late or forged acks (and unknown control codes) must be no-ops: no
   // delivery, no failure count, no partial state.
+  sim::Simulator simulator;
   Capture out;
-  middleware::Transport rx(out.sink(), 16);
+  middleware::Transport rx(out.sink(), 16, simulator);
   std::size_t delivered = 0;
-  rx.set_handler([&](net::NodeId, std::vector<std::uint8_t>) { ++delivered; });
+  rx.set_handler([&](net::NodeId, net::Payload, const obs::TraceContext&) {
+    ++delivered;
+  });
 
   rx.on_frame(make_fragment(999 & 0xFFFF, 0, 0, {}));  // ACK, never sent
   rx.on_frame(make_fragment(42, 5, 0, {}));            // unknown control code
@@ -235,13 +241,15 @@ TEST(TransportEdgeCases, AckForUnknownIdIsIgnored) {
 TEST(TransportEdgeCases, PayloadExactlyFillsSingleFragment) {
   // chunk = max_frame_payload - header = 26: a 26-byte message is exactly
   // one full frame; 27 bytes tips into two fragments.
+  sim::Simulator simulator;
   Capture out;
-  middleware::Transport tx(out.sink(), 32);
-  middleware::Transport rx([](net::Frame) {}, 32);
+  middleware::Transport tx(out.sink(), 32, simulator);
+  middleware::Transport rx([](net::Frame) {}, 32, simulator);
   std::vector<std::vector<std::uint8_t>> delivered;
-  rx.set_handler([&](net::NodeId, std::vector<std::uint8_t> message) {
-    delivered.push_back(std::move(message));
-  });
+  rx.set_handler(
+      [&](net::NodeId, net::Payload message, const obs::TraceContext&) {
+        delivered.push_back(message.to_vector());
+      });
 
   EXPECT_EQ(tx.fragments_for(26), 1u);
   EXPECT_EQ(tx.fragments_for(27), 2u);
@@ -279,14 +287,14 @@ struct Loopback {
           sim.schedule_in(10 * sim::kMicrosecond,
                           [this, frame] { b->on_frame(frame); });
         },
-        16, &sim, config);
+        16, sim, config);
     b = std::make_unique<middleware::Transport>(
         [this](net::Frame frame) {
           frame.src = 2;
           sim.schedule_in(10 * sim::kMicrosecond,
                           [this, frame] { a->on_frame(frame); });
         },
-        16, &sim, config);
+        16, sim, config);
   }
 
   sim::Simulator sim;
@@ -304,11 +312,12 @@ TEST(TransportEdgeCases, ZeroLengthReliableMessageRoundTrips) {
 
   std::size_t delivered = 0;
   std::size_t delivered_bytes = 0;
-  wire.b->set_chain_handler([&](net::NodeId src, net::Payload message) {
-    ++delivered;
-    delivered_bytes += message.size();
-    EXPECT_EQ(src, 1u);
-  });
+  wire.b->set_handler(
+      [&](net::NodeId src, net::Payload message, const obs::TraceContext&) {
+        ++delivered;
+        delivered_bytes += message.size();
+        EXPECT_EQ(src, 1u);
+      });
 
   wire.a->send(2, 3, 0, net::Payload{});
   wire.sim.run_until(100 * sim::kMillisecond);
@@ -327,10 +336,11 @@ TEST(WireFormat, HeadroomPrependMatchesHeaderBlockPath) {
   // The same message sent through the writer's headroom chain (header
   // prepended in place, one-slice frame) and through the legacy vector API
   // (separate header block) must be byte-identical on the wire.
+  sim::Simulator simulator;
   Capture chain_out;
-  middleware::Transport chain_tx(chain_out.sink(), 1500);
+  middleware::Transport chain_tx(chain_out.sink(), 1500, simulator);
   Capture vector_out;
-  middleware::Transport vector_tx(vector_out.sink(), 1500);
+  middleware::Transport vector_tx(vector_out.sink(), 1500, simulator);
 
   std::vector<std::uint8_t> body(48);
   for (std::size_t i = 0; i < body.size(); ++i) {
@@ -376,7 +386,7 @@ std::uint64_t middleware_scenario_fingerprint(sim::ScenarioRun& run) {
         run.simulator.schedule_in(10 * sim::kMicrosecond,
                                   [&b, frame] { b->on_frame(frame); });
       },
-      64, &run.simulator, config);
+      64, run.simulator, config);
   b = std::make_unique<middleware::Transport>(
       [&](net::Frame frame) {
         frame.src = 2;
@@ -384,10 +394,11 @@ std::uint64_t middleware_scenario_fingerprint(sim::ScenarioRun& run) {
         run.simulator.schedule_in(10 * sim::kMicrosecond,
                                   [&a, frame] { a->on_frame(frame); });
       },
-      64, &run.simulator, config);
-  b->set_chain_handler([&fp](net::NodeId, net::Payload message) {
-    fp = net::payload_fnv1a(message, fp);
-  });
+      64, run.simulator, config);
+  b->set_handler(
+      [&fp](net::NodeId, net::Payload message, const obs::TraceContext&) {
+        fp = net::payload_fnv1a(message, fp);
+      });
 
   middleware::PayloadWriter writer(a->arena());
   for (int i = 0; i < 30; ++i) {
