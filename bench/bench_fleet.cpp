@@ -138,24 +138,6 @@ backend::FleetConfig fleet_config(std::size_t sessions, std::uint64_t seed) {
   return config;
 }
 
-void latency_percentiles(const backend::FleetDriver& driver, double* p50,
-                         double* p95) {
-  if (driver.latencies().empty()) {
-    // Exact vector disabled (large tiers): log-histogram quantiles.
-    *p50 = driver.latency_quantile_ms(0.50);
-    *p95 = driver.latency_quantile_ms(0.95);
-    return;
-  }
-  std::vector<double> ms;
-  ms.reserve(driver.latencies().size());
-  for (const sim::Duration d : driver.latencies()) {
-    ms.push_back(static_cast<double>(d) / 1e6);
-  }
-  const bench::Percentiles p = bench::percentiles(std::move(ms));
-  *p50 = p.p50;
-  *p95 = p.p95;
-}
-
 StampedeRow run_stampede(std::size_t sessions) {
   StampedeRow row;
   row.sessions = sessions;
@@ -192,7 +174,8 @@ StampedeRow run_stampede(std::size_t sessions) {
   row.max_unsafe_ms =
       static_cast<double>(driver.max_unsafe_duration()) / 1e6;
   row.recoveries = driver.recoveries_completed();
-  latency_percentiles(driver, &row.p50_ms, &row.p95_ms);
+  row.p50_ms = driver.latency_quantile_ms(0.50);
+  row.p95_ms = driver.latency_quantile_ms(0.95);
 
   fault::InvariantChecker checker;
   checker.require_backend_drained(service);
@@ -338,7 +321,8 @@ ScaleRow run_scale_tier(std::size_t sessions) {
   row.max_unsafe_ms =
       static_cast<double>(driver.max_unsafe_duration()) / 1e6;
   row.recoveries = driver.recoveries_completed();
-  latency_percentiles(driver, &row.p50_ms, &row.p95_ms);
+  row.p50_ms = driver.latency_quantile_ms(0.50);
+  row.p95_ms = driver.latency_quantile_ms(0.95);
 
   fault::InvariantChecker checker;
   checker.require_backend_drained(service);

@@ -122,7 +122,6 @@ Result run(const std::string& regime, double nda_load) {
 
   Result result;
   std::uint64_t completions = 0, misses = 0;
-  sim::Stats responses;
   for (os::TaskId id : da_ids) {
     const auto& stats = cpu.stats(id);
     completions += stats.completions;

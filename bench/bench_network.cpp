@@ -17,6 +17,7 @@
 #include <memory>
 
 #include "bench/common.hpp"
+#include "obs/metrics.hpp"
 #include "net/can_bus.hpp"
 #include "net/ethernet.hpp"
 #include "net/flexray.hpp"
@@ -70,12 +71,11 @@ Outcome run(const std::string& medium_kind, double background_load) {
     medium = std::move(eth);
   }
 
-  sim::Stats latency;
+  obs::Histogram latency;
   std::uint64_t delivered = 0;
   medium->attach(2, [&](const net::Frame& frame) {
     if (frame.flow_id == 42) {
-      latency.add(static_cast<double>(frame.delivered_at -
-                                      frame.enqueued_at));
+      latency.observe(frame.delivered_at - frame.enqueued_at);
       ++delivered;
     }
   });

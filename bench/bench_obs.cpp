@@ -100,7 +100,7 @@ Sample run_histogram() {
   Sample sample;
   sample.config = "histogram_observe";
   sample.ns_per_event = watch.elapsed_ms() * 1e6 / static_cast<double>(kEvents);
-  sample.recorded = histogram.total_count();
+  sample.recorded = histogram.count();
   return sample;
 }
 

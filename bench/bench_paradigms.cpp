@@ -12,6 +12,7 @@
 #include <memory>
 
 #include "bench/common.hpp"
+#include "obs/metrics.hpp"
 #include "middleware/runtime.hpp"
 #include "net/can_bus.hpp"
 #include "net/ethernet.hpp"
@@ -60,12 +61,11 @@ int main() {
     for (std::size_t payload : {8u, 64u, 256u, 1024u, 4096u, 8192u}) {
       Net net(2);
       net.runtimes[0]->offer(1);
-      sim::Stats latency;
+      obs::Histogram latency;
       std::vector<sim::Time> sent_at;
       net.runtimes[1]->subscribe(
           1, 1, [&](std::vector<std::uint8_t>, net::NodeId) {
-            latency.add(static_cast<double>(net.simulator.now() -
-                                            sent_at[latency.count()]));
+            latency.observe(net.simulator.now() - sent_at[latency.count()]);
           });
       net.simulator.run_until(10 * sim::kMillisecond);
       const int messages = 200;
@@ -93,7 +93,7 @@ int main() {
           2, 1, [payload](const std::vector<std::uint8_t>&) {
             return std::vector<std::uint8_t>(payload, 0xAA);
           });
-      sim::Stats latency;
+      obs::Histogram latency;
       net.simulator.run_until(10 * sim::kMillisecond);
       const int calls = 200;
       for (int i = 0; i < calls; ++i) {
@@ -105,8 +105,7 @@ int main() {
                   [&latency, start, &net](bool ok,
                                           std::vector<std::uint8_t>) {
                     if (ok) {
-                      latency.add(
-                          static_cast<double>(net.simulator.now() - start));
+                      latency.observe(net.simulator.now() - start);
                     }
                   });
             });
@@ -128,12 +127,11 @@ int main() {
       for (std::size_t payload : {8u, 64u, 256u}) {
         Net net(2, over_can);
         net.runtimes[0]->offer(1);
-        sim::Stats latency;
+        obs::Histogram latency;
         std::vector<sim::Time> sent_at;
         net.runtimes[1]->subscribe(
             1, 1, [&](std::vector<std::uint8_t>, net::NodeId) {
-              latency.add(static_cast<double>(net.simulator.now() -
-                                              sent_at[latency.count()]));
+              latency.observe(net.simulator.now() - sent_at[latency.count()]);
             });
         net.simulator.run_until(200 * sim::kMillisecond);
         for (int i = 0; i < 50; ++i) {
@@ -167,7 +165,6 @@ int main() {
       Net net(2);
       net.runtimes[0]->offer(3);
       std::uint64_t received_bytes = 0;
-      sim::Stats latency;
       net.runtimes[1]->subscribe_stream(
           3, 1, [&](std::uint32_t, std::vector<std::uint8_t> data) {
             received_bytes += data.size();
@@ -204,13 +201,13 @@ int main() {
       Net net(fanout + 1);
       net.runtimes[0]->offer(4);
       std::uint64_t deliveries = 0;
-      sim::Stats latency;
+      obs::Histogram latency;
       sim::Time sent_at = 0;
       for (std::size_t s = 1; s <= fanout; ++s) {
         net.runtimes[s]->subscribe(
             4, 1, [&](std::vector<std::uint8_t>, net::NodeId) {
               ++deliveries;
-              latency.add(static_cast<double>(net.simulator.now() - sent_at));
+              latency.observe(net.simulator.now() - sent_at);
             });
       }
       net.simulator.run_until(20 * sim::kMillisecond);

@@ -19,6 +19,8 @@
 #include <sys/utsname.h>
 #endif
 
+#include "obs/metrics.hpp"
+
 namespace dynaplat::bench {
 
 /// Fixed-width tab-separated table writer.
@@ -82,27 +84,19 @@ inline void banner(const char* experiment, const char* title) {
 // results report the *minimum* over N repetitions and latency-style results
 // report percentiles over the per-rep samples.
 
-/// p50/p95/max over a sample set (nearest-rank; empty input yields zeros).
+/// p50/p95/max over a sample set (obs::Histogram nearest-rank; empty
+/// input yields zeros).
 struct Percentiles {
   double p50 = 0.0;
   double p95 = 0.0;
   double max = 0.0;
 };
 
-inline Percentiles percentiles(std::vector<double> samples) {
-  Percentiles p;
-  if (samples.empty()) return p;
-  std::sort(samples.begin(), samples.end());
-  auto rank = [&](double q) {
-    const std::size_t n = samples.size();
-    std::size_t i = static_cast<std::size_t>(q * static_cast<double>(n));
-    if (i >= n) i = n - 1;
-    return samples[i];
-  };
-  p.p50 = rank(0.50);
-  p.p95 = rank(0.95);
-  p.max = samples.back();
-  return p;
+inline Percentiles percentiles(const std::vector<double>& samples) {
+  obs::Histogram histogram;
+  for (const double sample : samples) histogram.observe(sample);
+  return {histogram.percentile(50), histogram.percentile(95),
+          histogram.max()};
 }
 
 /// Runs `fn` `reps` times and returns every per-rep wall time in ms.

@@ -15,7 +15,7 @@ constexpr std::uint64_t kTopologyStream = 0x1000'0000ull;
 constexpr std::uint64_t kWaveStream = 0x2000'0000ull;
 constexpr std::uint64_t kDriftStream = 0x3000'0000ull;
 
-/// Log-scale latency bucket: 4 sub-buckets per power of two (±~12%).
+/// Quarter-octave latency bucket: 4 sub-buckets per power of two.
 std::size_t latency_bucket(sim::Duration latency) {
   const std::uint64_t v =
       latency <= 0 ? 1ull : static_cast<std::uint64_t>(latency);
@@ -25,6 +25,23 @@ std::size_t latency_bucket(sim::Duration latency) {
 }
 
 }  // namespace
+
+std::array<std::uint64_t, kQuarterOctaves> quarter_octave_counts(
+    const obs::Histogram& latency) {
+  std::array<std::uint64_t, kQuarterOctaves> counts{};
+  for (std::size_t i = 0; i < obs::Histogram::kBuckets; ++i) {
+    const std::uint64_t n = latency.count_at(i);
+    if (n == 0) continue;
+    // A 1/16-octave bucket lies inside one quarter-octave bucket, so its
+    // lower edge names that bucket. Integer samples stay below 2^63; the
+    // underflow bucket (zero and below) folds to bucket 0.
+    const double lower = obs::Histogram::bucket_lower(i);
+    const std::size_t quarter =
+        lower < 1.0 ? 0 : latency_bucket(static_cast<sim::Duration>(lower));
+    counts[quarter] += n;
+  }
+  return counts;
+}
 
 std::vector<dse::AnalysisTask> FleetDriver::make_tasks(std::uint64_t seed,
                                                        std::size_t topology) {
@@ -345,33 +362,8 @@ void FleetDriver::mark_safe(std::uint32_t s, bool recovered) {
 }
 
 void FleetDriver::record_latency(sim::Duration latency) {
-  ++lat_count_;
-  lat_sum_ += static_cast<std::uint64_t>(latency);
-  lat_max_ = std::max(lat_max_, latency);
-  ++lat_hist_[std::min(latency_bucket(latency), kLatencyBuckets - 1)];
+  latency_.observe(latency);
   if (config_.record_latencies) latencies_.push_back(latency);
-}
-
-double FleetDriver::latency_quantile_ms(double q) const {
-  if (lat_count_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const std::uint64_t target = std::max<std::uint64_t>(
-      static_cast<std::uint64_t>(q * static_cast<double>(lat_count_) + 0.5),
-      1);
-  std::uint64_t cumulative = 0;
-  for (std::size_t idx = 0; idx < kLatencyBuckets; ++idx) {
-    cumulative += lat_hist_[idx];
-    if (cumulative < target) continue;
-    // Bucket midpoint in ns: bucket idx covers [2^m*(4+s)/4, 2^m*(5+s)/4).
-    const std::uint64_t msb = idx / 4;
-    const std::uint64_t sub = idx % 4;
-    const double lo =
-        static_cast<double>((1ull << msb) * (4 + sub)) / 4.0;
-    const double hi =
-        static_cast<double>((1ull << msb) * (5 + sub)) / 4.0;
-    return (lo + hi) / 2.0 / 1e6;
-  }
-  return static_cast<double>(lat_max_) / 1e6;
 }
 
 std::uint64_t FleetDriver::fingerprint() const {
@@ -397,10 +389,12 @@ std::uint64_t FleetDriver::fingerprint() const {
   hash = fnv1a_u64(hash, revalidated_);
   hash = fnv1a_u64(hash, engine_.exhausted());
   hash = fnv1a_u64(hash, engine_.failovers());
-  hash = fnv1a_u64(hash, lat_count_);
-  hash = fnv1a_u64(hash, lat_sum_);
-  hash = fnv1a_u64(hash, static_cast<std::uint64_t>(lat_max_));
-  for (const std::uint64_t bucket : lat_hist_) hash = fnv1a_u64(hash, bucket);
+  hash = fnv1a_u64(hash, latency_.count());
+  hash = fnv1a_u64(hash, static_cast<std::uint64_t>(latency_.sum()));
+  hash = fnv1a_u64(hash, static_cast<std::uint64_t>(latency_.max()));
+  for (const std::uint64_t n : quarter_octave_counts(latency_)) {
+    hash = fnv1a_u64(hash, n);
+  }
   hash = fnv1a_u64(hash, static_cast<std::uint64_t>(latencies_.size()));
   for (const sim::Duration latency : latencies_) {
     hash = fnv1a_u64(hash, static_cast<std::uint64_t>(latency));

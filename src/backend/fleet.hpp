@@ -53,9 +53,17 @@
 
 #include "backend/client_engine.hpp"
 #include "backend/service.hpp"
+#include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 
 namespace dynaplat::backend {
+
+/// FleetDriver::fingerprint() folds latency counts at quarter-octave
+/// resolution (4 buckets per power of two), the layout its pinned goldens
+/// were captured with. Derives them from an integer-fed histogram.
+inline constexpr std::size_t kQuarterOctaves = 256;
+std::array<std::uint64_t, kQuarterOctaves> quarter_octave_counts(
+    const obs::Histogram& latency);
 
 struct FleetConfig {
   std::size_t sessions = 1'000;
@@ -96,8 +104,8 @@ struct FleetConfig {
   /// (backend drained, recoveries complete) read a quiescent system.
   sim::Duration drain_grace = 2 * sim::kSecond;
   /// Keep the exact per-request latency vector (order-sensitive, folded
-  /// into the fingerprint). Disable at 1M sessions; the bounded log-scale
-  /// histogram still feeds quantiles either way.
+  /// into the fingerprint). Disable at 1M sessions; the latency histogram
+  /// still feeds quantiles either way.
   bool record_latencies = true;
 };
 
@@ -145,9 +153,12 @@ class FleetDriver : private ClientEngine::Host {
   /// FleetConfig::record_latencies is off (use the quantile surface).
   const std::vector<sim::Duration>& latencies() const { return latencies_; }
   /// Requests measured into the latency histogram (always maintained).
-  std::uint64_t latency_count() const { return lat_count_; }
-  /// Approximate quantile (log-bucket resolution, ±~12%) in milliseconds.
-  double latency_quantile_ms(double q) const;
+  std::uint64_t latency_count() const { return latency_.count(); }
+  /// Nearest-rank quantile, q in [0, 1], in milliseconds: within 3.1% of
+  /// the exact latency (obs::Histogram resolution).
+  double latency_quantile_ms(double q) const {
+    return latency_.percentile(q * 100.0) / 1e6;
+  }
 
   // --- Client-engine surface -----------------------------------------------
   std::uint64_t client_timeouts() const { return engine_.timeouts(); }
@@ -281,13 +292,9 @@ class FleetDriver : private ClientEngine::Host {
   std::uint64_t fallback_none_ = 0;
   std::uint64_t revalidated_ = 0;
 
-  // Latency record: bounded log-scale histogram always; exact vector only
-  // when config_.record_latencies.
-  static constexpr std::size_t kLatencyBuckets = 256;
-  std::array<std::uint64_t, kLatencyBuckets> lat_hist_{};
-  std::uint64_t lat_count_ = 0;
-  std::uint64_t lat_sum_ = 0;
-  sim::Duration lat_max_ = 0;
+  // Latency record: the histogram always; the exact vector only when
+  // config_.record_latencies.
+  obs::Histogram latency_;
   std::vector<sim::Duration> latencies_;
 };
 

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 
 namespace dynaplat::model {
 namespace {
@@ -39,6 +40,15 @@ bool parse_bool(const std::string& text, std::size_t line_no) {
   throw ParseError(line_no, "expected yes/no, got '" + text + "'");
 }
 
+/// `value` when it lies in [0, limit): a negative, NaN, infinite or too
+/// large literal is an error rather than an undefined integer cast.
+double in_range(const std::string& text, double value, double limit) {
+  if (!(value >= 0.0 && value < limit)) {
+    throw std::out_of_range("value '" + text + "' is negative or out of range");
+  }
+  return value;
+}
+
 std::uint64_t parse_scaled(const std::string& text, std::uint64_t k) {
   if (text.empty()) throw std::invalid_argument("empty numeric literal");
   std::size_t pos = 0;
@@ -53,7 +63,8 @@ std::uint64_t parse_scaled(const std::string& text, std::uint64_t k) {
         throw std::invalid_argument("bad suffix in '" + text + "'");
     }
   }
-  return static_cast<std::uint64_t>(value * static_cast<double>(scale));
+  return static_cast<std::uint64_t>(
+      in_range(text, value * static_cast<double>(scale), 0x1p64));
 }
 
 }  // namespace
@@ -69,7 +80,7 @@ sim::Duration parse_duration(const std::string& text) {
   else if (suffix == "ms") scale = 1e6;
   else if (suffix == "s") scale = 1e9;
   else throw std::invalid_argument("bad duration suffix '" + suffix + "'");
-  return static_cast<sim::Duration>(value * scale);
+  return static_cast<sim::Duration>(in_range(text, value * scale, 0x1p63));
 }
 
 std::uint64_t parse_size(const std::string& text) {
@@ -122,7 +133,11 @@ ParsedSystem parse_system(const std::string& text) {
         EcuDef def;
         def.name = tokens[1];
         const auto attrs = split_attrs(tokens, 2, line_no);
-        if (const auto* v = get(attrs, "mips")) def.mips = parse_scaled(*v, 1000);
+        if (const auto* v = get(attrs, "mips")) {
+          def.mips = parse_scaled(*v, 1000);
+          // Execution time is work / mips: a zero rate has no timing model.
+          if (def.mips == 0) throw ParseError(line_no, "mips must be positive");
+        }
         if (const auto* v = get(attrs, "cores")) def.cores = std::stoi(*v);
         if (const auto* v = get(attrs, "memory")) def.memory_bytes = parse_size(*v);
         if (const auto* v = get(attrs, "mmu")) def.has_mmu = parse_bool(*v, line_no);

@@ -20,10 +20,10 @@
 
 #include "net/frame.hpp"
 #include "obs/fnv.hpp"
+#include "obs/metrics.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/slot_pool.hpp"
-#include "sim/stats.hpp"
 #include "sim/trace.hpp"
 
 namespace dynaplat::net {
@@ -88,7 +88,7 @@ class Medium {
   sim::Simulator& simulator() { return sim_; }
 
   /// End-to-end frame latency samples (enqueue -> delivery), nanoseconds.
-  const sim::Stats& latency_stats() const { return latency_stats_; }
+  const obs::Histogram& latency_stats() const { return latency_stats_; }
   std::uint64_t frames_delivered() const { return frames_delivered_; }
   std::uint64_t frames_dropped() const { return frames_dropped_; }
   std::uint64_t frames_corrupted() const { return frames_corrupted_; }
@@ -277,8 +277,7 @@ class Medium {
 
  private:
   void count_delivery(const Frame& frame) {
-    latency_stats_.add(
-        static_cast<double>(frame.delivered_at - frame.enqueued_at));
+    latency_stats_.observe(frame.delivered_at - frame.enqueued_at);
     ++frames_delivered_;
     if (delivered_counter_ != nullptr) delivered_counter_->add();
   }
@@ -299,7 +298,7 @@ class Medium {
   std::string name_;
   sim::SlotPool<Frame> parked_;
   std::map<NodeId, ReceiveHandler> receivers_;
-  sim::Stats latency_stats_;
+  obs::Histogram latency_stats_;
   std::uint64_t frames_delivered_ = 0;
   std::uint64_t frames_dropped_ = 0;
   std::uint64_t frames_corrupted_ = 0;

@@ -1,9 +1,11 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <vector>
 
 #include "obs/json.hpp"
 
@@ -38,59 +40,93 @@ std::string fmt_double(double v) {
   return buf;
 }
 
+constexpr std::size_t kSubMask = (std::size_t{1} << Histogram::kSubBits) - 1;
+
 }  // namespace
 
-Histogram::Histogram(std::vector<double> upper_bounds)
-    : bounds_(std::move(upper_bounds)),
-      counts_(bounds_.size() + 1),
-      min_(std::numeric_limits<double>::infinity()),
-      max_(-std::numeric_limits<double>::infinity()) {
-  std::sort(bounds_.begin(), bounds_.end());
+Histogram::~Histogram() { delete[] buckets_.load(std::memory_order_relaxed); }
+
+std::size_t Histogram::bucket_of(double v) {
+  static_assert(kMinExp == -16 && kMaxExp == 64, "window literals below");
+  if (!(v >= 0x1p-16)) return 0;  // zero, negatives, NaN, below the window
+  if (v >= 0x1p64) return kBuckets - 1;
+  // v is normal here: the biased exponent field is floor(log2 v), and the
+  // mantissa's top kSubBits bits pick the sub-bucket.
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  const auto exp = static_cast<std::size_t>((bits >> 52) - 1023 - kMinExp);
+  return 1 + (exp << kSubBits) + ((bits >> (52 - kSubBits)) & kSubMask);
 }
 
-void Histogram::observe(double v) {
-  // First bound >= v, i.e. the first bucket whose inclusive upper bound
-  // admits v; bounds_ is sorted, so binary search. end() (NaN included —
-  // every comparison is false) lands in the overflow bucket.
-  const std::size_t bucket = static_cast<std::size_t>(
-      std::lower_bound(bounds_.begin(), bounds_.end(), v) - bounds_.begin());
-  counts_[bucket].fetch_add(1, std::memory_order_relaxed);
+std::size_t Histogram::bucket_of(std::int64_t v) {
+  if (v <= 0) return 0;
+  // Keep only the leading one and the kSubBits bits after it: the double
+  // conversion is then exact and cannot round up into the next bucket.
+  const auto u = static_cast<std::uint64_t>(v);
+  const int drop = std::max(0, 63 - std::countl_zero(u) - kSubBits);
+  return bucket_of(static_cast<double>(u >> drop << drop));
+}
+
+double Histogram::bucket_lower(std::size_t i) {
+  if (i == 0) return -std::numeric_limits<double>::infinity();
+  if (i >= kBuckets - 1) return std::ldexp(1.0, kMaxExp);
+  const int exp = kMinExp + static_cast<int>((i - 1) >> kSubBits);
+  return std::ldexp(static_cast<double>(((i - 1) & kSubMask) + kSubMask + 1),
+                    exp - kSubBits);
+}
+
+double Histogram::bucket_upper(std::size_t i) {
+  if (i == 0) return std::ldexp(1.0, kMinExp);
+  if (i >= kBuckets - 1) return std::numeric_limits<double>::infinity();
+  return bucket_lower(i + 1);
+}
+
+std::uint64_t Histogram::count_at(std::size_t i) const {
+  const auto* buckets = buckets_.load(std::memory_order_acquire);
+  return buckets == nullptr ? 0 : buckets[i].load(std::memory_order_relaxed);
+}
+
+std::atomic<std::uint64_t>* Histogram::install_buckets() {
+  auto* fresh = new std::atomic<std::uint64_t>[kBuckets]();
+  std::atomic<std::uint64_t>* current = nullptr;
+  if (buckets_.compare_exchange_strong(current, fresh,
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_acquire)) {
+    return fresh;
+  }
+  delete[] fresh;  // another thread installed first
+  return current;
+}
+
+void Histogram::record(std::size_t bucket, double v) {
+  auto* buckets = buckets_.load(std::memory_order_acquire);
+  if (buckets == nullptr) buckets = install_buckets();
+  buckets[bucket].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   atomic_add_double(sum_, v);
   atomic_min_double(min_, v);
   atomic_max_double(max_, v);
 }
 
-double Histogram::upper_bound(std::size_t i) const {
-  return i < bounds_.size() ? bounds_[i]
-                            : std::numeric_limits<double>::infinity();
-}
-
-double Histogram::quantile(double q) const {
-  // Nearest-rank over the bucket counts, matching the bench/common.hpp
-  // percentile convention (rank = ceil(q * n), 1-based). A bucket only
-  // tells us "<= bound", so the estimate is the bucket's upper bound
-  // clamped to the observed max; the overflow bucket reports the max.
-  const std::uint64_t n = total_count();
+double Histogram::percentile(double p) const {
+  const std::uint64_t n = count();
   if (n == 0) return 0.0;
-  if (q <= 0.0) return min();
-  std::uint64_t rank = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(n)));
-  if (rank < 1) rank = 1;
-  if (rank > n) rank = n;
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cumulative += counts_[i].load(std::memory_order_relaxed);
-    if (cumulative >= rank) {
-      if (i >= bounds_.size()) return max();  // overflow bucket
-      return std::min(bounds_[i], max());
-    }
+  if (!(p > 0.0)) return min();
+  if (p >= 100.0) return max();
+  const auto* buckets = buckets_.load(std::memory_order_acquire);
+  if (buckets == nullptr) return max();
+  const auto rank = std::clamp<std::uint64_t>(
+      static_cast<std::uint64_t>(std::ceil(p * static_cast<double>(n) / 100.0)),
+      1, n);
+  std::uint64_t seen = 0;
+  for (std::size_t i = 0; i < kBuckets; ++i) {
+    seen += buckets[i].load(std::memory_order_relaxed);
+    if (seen < rank) continue;
+    // The open-ended buckets have infinite midpoints, so the clamp turns
+    // underflow into min and overflow into max.
+    const double mid = 0.5 * (bucket_lower(i) + bucket_upper(i));
+    return std::min(std::max(mid, min()), max());
   }
   return max();
-}
-
-std::vector<double> MetricsRegistry::latency_buckets_ns() {
-  return {1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10};
 }
 
 Counter& MetricsRegistry::counter(std::string_view name) {
@@ -113,13 +149,12 @@ Gauge& MetricsRegistry::gauge(std::string_view name) {
   return gauges_.back().instrument;
 }
 
-Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      std::vector<double> upper_bounds) {
+Histogram& MetricsRegistry::histogram(std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
   std::string key(name);
   auto it = histogram_index_.find(key);
   if (it != histogram_index_.end()) return *it->second;
-  histograms_.emplace_back(key, std::move(upper_bounds));
+  histograms_.emplace_back(key);
   histogram_index_.emplace(std::move(key), &histograms_.back().instrument);
   return histograms_.back().instrument;
 }
@@ -179,22 +214,26 @@ std::string MetricsRegistry::snapshot_json() const {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    \"" + json::escape(*name) + "\": {\"count\": " +
-           std::to_string(h->total_count()) +
-           ", \"sum\": " + fmt_double(h->sum());
-    if (h->total_count() > 0) {
+           std::to_string(h->count()) + ", \"sum\": " + fmt_double(h->sum());
+    if (!h->empty()) {
       out += ", \"min\": " + fmt_double(h->min()) +
              ", \"max\": " + fmt_double(h->max()) +
-             ", \"p50\": " + fmt_double(h->quantile(0.50)) +
-             ", \"p95\": " + fmt_double(h->quantile(0.95)) +
-             ", \"p99\": " + fmt_double(h->quantile(0.99));
+             ", \"p50\": " + fmt_double(h->percentile(50)) +
+             ", \"p95\": " + fmt_double(h->percentile(95)) +
+             ", \"p99\": " + fmt_double(h->percentile(99));
     }
+    // Non-empty buckets only, each by its exclusive upper edge.
     out += ", \"buckets\": [";
-    for (std::size_t i = 0; i < h->bucket_count(); ++i) {
-      if (i != 0) out += ", ";
-      const double le = h->upper_bound(i);
-      out += "{\"le\": ";
-      out += std::isfinite(le) ? fmt_double(le) : std::string("\"inf\"");
-      out += ", \"count\": " + std::to_string(h->count_at(i)) + "}";
+    bool first_bucket = true;
+    for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
+      const std::uint64_t n = h->count_at(i);
+      if (n == 0) continue;
+      if (!first_bucket) out += ", ";
+      first_bucket = false;
+      const double lt = Histogram::bucket_upper(i);
+      out += "{\"lt\": ";
+      out += std::isfinite(lt) ? fmt_double(lt) : std::string("\"inf\"");
+      out += ", \"count\": " + std::to_string(n) + "}";
     }
     out += "]}";
   }

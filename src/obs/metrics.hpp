@@ -1,4 +1,4 @@
-// Vehicle-wide metrics registry: counters, gauges and fixed-bucket
+// Vehicle-wide metrics registry: counters, gauges and log-linear
 // histograms with interned names and lock-free updates.
 //
 // Registration (name -> instrument) takes a mutex once; the returned
@@ -14,11 +14,11 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 namespace dynaplat::obs {
 
@@ -48,48 +48,70 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed-bucket histogram: bucket i counts samples <= bounds[i], the last
-/// implicit bucket counts the overflow. Bounds are fixed at registration so
-/// observation is a branchless-ish scan over a handful of doubles plus one
-/// relaxed increment.
+/// Log-linear histogram, the one distribution type: a sample's bucket is
+/// its binary exponent plus the top kSubBits mantissa bits, so every
+/// bucket spans 1/16 of an octave and `observe` is O(1). Count, sum, min
+/// and max are exact; percentiles come from the buckets. Zero, negatives,
+/// NaN and values below the window share the underflow bucket; values at
+/// or above 2^64 share the overflow bucket. The bucket array (~10 KB) is
+/// installed on the first observe, so histograms nobody feeds cost no
+/// memory. Updates are relaxed atomics, safe from any thread.
 class Histogram {
  public:
-  explicit Histogram(std::vector<double> upper_bounds);
+  static constexpr int kSubBits = 4;
+  static constexpr int kMinExp = -16;  ///< window is [2^kMinExp, 2^kMaxExp)
+  static constexpr int kMaxExp = 64;
+  static constexpr std::size_t kBuckets =
+      2 + (static_cast<std::size_t>(kMaxExp - kMinExp) << kSubBits);
+
+  Histogram() = default;
+  ~Histogram();
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
-  void observe(double v);
-
-  std::uint64_t total_count() const {
-    return count_.load(std::memory_order_relaxed);
+  void observe(double v) { record(bucket_of(v), v); }
+  /// Integer samples bucket by their exact bits, so an int64 above 2^53
+  /// lands where its value lies rather than where its double rounds to.
+  void observe(std::int64_t v) {
+    record(bucket_of(v), static_cast<double>(v));
   }
+
+  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
+  bool empty() const { return count() == 0; }
+  /// Sum in observe order (bit-identical to a plain `+=` loop).
   double sum() const { return sum_.load(std::memory_order_relaxed); }
-  double min() const { return min_.load(std::memory_order_relaxed); }
-  double max() const { return max_.load(std::memory_order_relaxed); }
+  double min() const {
+    return empty() ? 0.0 : min_.load(std::memory_order_relaxed);
+  }
+  double max() const {
+    return empty() ? 0.0 : max_.load(std::memory_order_relaxed);
+  }
   double mean() const {
-    const std::uint64_t n = total_count();
-    return n == 0 ? 0.0 : sum() / static_cast<double>(n);
+    return empty() ? 0.0 : sum() / static_cast<double>(count());
   }
-  /// Nearest-rank quantile estimate from the bucket counts: the upper bound
-  /// of the bucket holding rank ceil(q * count), clamped to the observed
-  /// max (the overflow bucket reports the max). 0 when empty.
-  double quantile(double q) const;
+  /// Nearest-rank percentile, p in [0, 100]: the midpoint of the bucket
+  /// holding rank ceil(p/100 * count), clamped to [min, max], so the
+  /// estimate is within 2^-(kSubBits+1) (3.1%) of the exact sample.
+  /// p <= 0 gives min, p >= 100 max; 0 when empty.
+  double percentile(double p) const;
 
-  /// Number of buckets including the overflow bucket.
-  std::size_t bucket_count() const { return counts_.size(); }
-  /// Inclusive upper bound of bucket i (infinity for the overflow bucket).
-  double upper_bound(std::size_t i) const;
-  std::uint64_t count_at(std::size_t i) const {
-    return counts_[i].load(std::memory_order_relaxed);
-  }
+  static std::size_t bucket_of(double v);
+  static std::size_t bucket_of(std::int64_t v);
+  /// Bucket i covers [bucket_lower(i), bucket_upper(i)); the underflow
+  /// bucket's lower edge is -inf, the overflow bucket's upper edge +inf.
+  static double bucket_lower(std::size_t i);
+  static double bucket_upper(std::size_t i);
+  std::uint64_t count_at(std::size_t i) const;
 
  private:
-  std::vector<double> bounds_;  // sorted ascending
-  std::vector<std::atomic<std::uint64_t>> counts_;  // bounds_.size() + 1
+  void record(std::size_t bucket, double v);
+  std::atomic<std::uint64_t>* install_buckets();
+
+  std::atomic<std::atomic<std::uint64_t>*> buckets_{nullptr};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
-  std::atomic<double> min_;
-  std::atomic<double> max_;
+  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
+  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
 class MetricsRegistry {
@@ -102,13 +124,7 @@ class MetricsRegistry {
   /// use. References stay valid for the registry's lifetime.
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  /// `upper_bounds` is only used on first registration; later callers get
-  /// the existing histogram regardless of the bounds they pass.
-  Histogram& histogram(std::string_view name,
-                       std::vector<double> upper_bounds = latency_buckets_ns());
-
-  /// Default bucket ladder for nanosecond latencies: 1us .. 10s, decades.
-  static std::vector<double> latency_buckets_ns();
+  Histogram& histogram(std::string_view name);
 
   std::size_t counter_count() const;
   std::size_t gauge_count() const;

@@ -54,13 +54,11 @@ std::uint32_t Processor::lane(std::string_view task_name) {
 
 TaskId Processor::add_task(TaskConfig config, JobBody body) {
   const TaskId id = next_task_id_++;
-  TaskState state;
-  state.config = std::move(config);
-  state.body = std::move(body);
-  state.trace_source = lane(state.config.name);
-  tasks_.emplace(id, std::move(state));
-  if (started_ && !halted_ && tasks_[id].config.period > 0) {
-    auto& ts = tasks_[id];
+  TaskState& ts = tasks_[id];  // built in place: TaskStats does not move
+  ts.config = std::move(config);
+  ts.body = std::move(body);
+  ts.trace_source = lane(ts.config.name);
+  if (started_ && !halted_ && ts.config.period > 0) {
     const sim::Duration period = ts.config.period;
     sim::Time first = ts.config.offset;
     if (first < sim_.now()) {
@@ -223,7 +221,7 @@ void Processor::on_complete() {
     TaskState& task = it->second;
     instructions_retired_ += task.config.instructions;
     ++task.stats.completions;
-    task.stats.response_time.add(static_cast<double>(response));
+    task.stats.response_time.observe(response);
     task.dispatched = false;
     const bool missed = done.job.absolute_deadline != sim::kTimeNever &&
                         sim_.now() > done.job.absolute_deadline;

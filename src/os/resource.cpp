@@ -16,7 +16,7 @@ void ResourceArbiter::request(int priority, sim::Duration service_time,
 
 std::size_t ResourceArbiter::queued() const { return queue_.size(); }
 
-const sim::Stats& ResourceArbiter::wait_stats(int priority) const {
+const obs::Histogram& ResourceArbiter::wait_stats(int priority) const {
   return wait_stats_[priority];
 }
 
@@ -29,8 +29,7 @@ void ResourceArbiter::start_next() {
   auto it = queue_.begin();
   Pending pending = std::move(it->second);
   queue_.erase(it);
-  wait_stats_[pending.priority].add(
-      static_cast<double>(sim_.now() - pending.requested_at));
+  wait_stats_[pending.priority].observe(sim_.now() - pending.requested_at);
   sim_.schedule_in(pending.service_time,
                    [this, done = std::move(pending.done)] {
                      ++served_;

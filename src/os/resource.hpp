@@ -20,8 +20,8 @@
 #include <queue>
 #include <string>
 
+#include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
-#include "sim/stats.hpp"
 
 namespace dynaplat::os {
 
@@ -40,7 +40,7 @@ class ResourceArbiter {
   bool busy() const { return busy_; }
   std::size_t queued() const;
   /// Wait-time statistics (request -> service start) per priority level.
-  const sim::Stats& wait_stats(int priority) const;
+  const obs::Histogram& wait_stats(int priority) const;
   std::uint64_t served() const { return served_; }
   const std::string& name() const { return name_; }
 
@@ -63,7 +63,7 @@ class ResourceArbiter {
   std::map<std::pair<int, std::uint64_t>, Pending> queue_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t served_ = 0;
-  mutable std::map<int, sim::Stats> wait_stats_;
+  mutable std::map<int, obs::Histogram> wait_stats_;
 };
 
 }  // namespace dynaplat::os

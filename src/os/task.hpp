@@ -5,7 +5,7 @@
 #include <functional>
 #include <string>
 
-#include "sim/stats.hpp"
+#include "obs/metrics.hpp"
 #include "sim/time.hpp"
 
 namespace dynaplat::os {
@@ -42,7 +42,7 @@ using JobBody = std::function<void()>;
 /// Per-task runtime measurements; also the data source for the paper's
 /// runtime monitoring (Sec. 3.4).
 struct TaskStats {
-  sim::Stats response_time;  ///< release -> completion, ns
+  obs::Histogram response_time;  ///< release -> completion, ns
   std::uint64_t releases = 0;
   std::uint64_t completions = 0;
   std::uint64_t deadline_misses = 0;

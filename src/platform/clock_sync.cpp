@@ -38,8 +38,8 @@ ClockSyncService::ClockSyncService(middleware::ServiceRuntime& runtime,
             // Sample the *pre-correction* error: the worst drift the node
             // accumulated since the previous sync — the figure distributed
             // TT tables and central switchovers actually suffer from.
-            residual_.add(
-                static_cast<double>(std::llabs(clock_.true_error())));
+            residual_.observe(
+                static_cast<std::int64_t>(std::llabs(clock_.true_error())));
             // The announcement aged by ~path delay on its way here.
             const sim::Duration correction =
                 (master_time + kPathDelayEstimate) - local_time;

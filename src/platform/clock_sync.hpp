@@ -10,8 +10,8 @@
 #pragma once
 
 #include "middleware/runtime.hpp"
+#include "obs/metrics.hpp"
 #include "os/clock.hpp"
-#include "sim/stats.hpp"
 
 namespace dynaplat::platform {
 
@@ -31,7 +31,7 @@ class ClockSyncService {
 
   bool is_master() const { return master_; }
   /// Residual |local - global| sampled at every correction (slaves only).
-  const sim::Stats& residual_error() const { return residual_; }
+  const obs::Histogram& residual_error() const { return residual_; }
   std::uint64_t corrections() const { return corrections_; }
 
  private:
@@ -40,7 +40,7 @@ class ClockSyncService {
   bool master_;
   ClockSyncConfig config_;
   sim::EventId beacon_;
-  sim::Stats residual_;
+  obs::Histogram residual_;
   std::uint64_t corrections_ = 0;
 };
 

@@ -48,10 +48,6 @@ std::string base_app(const std::string& label) {
   return pos == std::string::npos ? label : label.substr(0, pos);
 }
 
-std::vector<double> latency_ms_buckets() {
-  return {1, 2, 5, 10, 20, 50, 100, 200, 500, 1'000, 2'000, 5'000};
-}
-
 double core_utilization(const std::vector<dse::AnalysisTask>& tasks) {
   double u = 0.0;
   for (const auto& task : tasks) u += task.utilization();
@@ -597,7 +593,7 @@ void RecoveryOrchestrator::commit() {
         .counter("recovery.steps_applied")
         .add(active_->journal.size());
     trace->metrics()
-        .histogram("recovery.latency_ms", latency_ms_buckets())
+        .histogram("recovery.latency_ms")
         .observe(static_cast<double>(plan.finished_at -
                                      plan.fault_detected_at) /
                  static_cast<double>(sim::kMillisecond));

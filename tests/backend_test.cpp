@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <limits>
 #include <memory>
 #include <set>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "platform/diagnostics.hpp"
 #include "platform/recovery.hpp"
 #include "platform/vehicle.hpp"
+#include "sim/random.hpp"
 #include "sim/sweep.hpp"
 
 namespace dynaplat {
@@ -1061,6 +1064,38 @@ TEST(FleetDriverScale, KernelTimersReproducePinnedFingerprints) {
   batched.workers = 2;
   batched.min_service_time = 500 * sim::kMicrosecond;
   EXPECT_EQ(fingerprint_of(grid, batched), 0x2e785d4a398bee74ull);
+}
+
+// The fingerprint folds 256 quarter-octave latency counts that used to live
+// in a private array. Deriving them from obs::Histogram's 1/16-octave
+// buckets must give the array the old per-sample loop built.
+TEST(FleetDriverScale, QuarterOctaveFoldMatchesPerSampleBuckets) {
+  const auto old_bucket = [](sim::Duration latency) {
+    const std::uint64_t v =
+        latency <= 0 ? 1ull : static_cast<std::uint64_t>(latency);
+    const int msb = 63 - __builtin_clzll(v);
+    const int sub = msb >= 2 ? static_cast<int>((v >> (msb - 2)) & 3u) : 0;
+    return static_cast<std::size_t>(msb * 4 + sub);
+  };
+  std::vector<sim::Duration> latencies = {
+      0, 1, 2, 3, 4, std::numeric_limits<sim::Duration>::max()};
+  for (int k = 1; k < 63; ++k) {
+    latencies.push_back((sim::Duration{1} << k) - 1);
+    latencies.push_back(sim::Duration{1} << k);
+  }
+  sim::Random rng(8);
+  for (int i = 0; i < 20'000; ++i) {
+    // Spread over every magnitude: a random 63-bit value shifted down.
+    latencies.push_back(static_cast<sim::Duration>(
+        (rng.next_u64() >> 1) >> rng.next_below(63)));
+  }
+  std::array<std::uint64_t, backend::kQuarterOctaves> expected{};
+  obs::Histogram histogram;
+  for (const sim::Duration latency : latencies) {
+    ++expected[old_bucket(latency)];
+    histogram.observe(latency);
+  }
+  EXPECT_EQ(backend::quarter_octave_counts(histogram), expected);
 }
 
 TEST(FleetDriverScale, FailoverAndAblationArmsReproducePinnedFingerprints) {

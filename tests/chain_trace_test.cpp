@@ -128,11 +128,11 @@ TEST(ChainTrace, ContextSurvivesFragmentationRetransmitAndDedup) {
 
   // Every hop histogram counted exactly once despite retransmit + dup.
   auto& metrics = wire.trace.metrics();
-  EXPECT_EQ(metrics.histogram("chain.serialize_ns").total_count(), 1u);
-  EXPECT_EQ(metrics.histogram("chain.bus_ns").total_count(), 1u);
-  EXPECT_EQ(metrics.histogram("chain.reassembly_ns").total_count(), 1u);
-  EXPECT_EQ(metrics.histogram("chain.dispatch_ns").total_count(), 1u);
-  EXPECT_EQ(metrics.histogram("chain.end_to_end_ns").total_count(), 1u);
+  EXPECT_EQ(metrics.histogram("chain.serialize_ns").count(), 1u);
+  EXPECT_EQ(metrics.histogram("chain.bus_ns").count(), 1u);
+  EXPECT_EQ(metrics.histogram("chain.reassembly_ns").count(), 1u);
+  EXPECT_EQ(metrics.histogram("chain.dispatch_ns").count(), 1u);
+  EXPECT_EQ(metrics.histogram("chain.end_to_end_ns").count(), 1u);
 
   // Transport edge paths landed in the coverage map.
   auto& coverage = wire.trace.coverage();

@@ -11,7 +11,7 @@
 #include "model/parser.hpp"
 #include "net/ethernet.hpp"
 #include "net/flexray.hpp"
-#include "sim/stats.hpp"
+#include "obs/metrics.hpp"
 
 namespace dynaplat {
 namespace {
@@ -78,36 +78,30 @@ TEST(RsaEdge, WrongLengthSignatureRejectedFast) {
   EXPECT_FALSE(crypto::rsa_verify(kp.pub, {1}, std::vector<std::uint8_t>(3)));
 }
 
-// --- Stats edge cases -----------------------------------------------------------------
+// --- Histogram edge cases -------------------------------------------------------------
 
 TEST(StatsEdge, SingleSample) {
-  sim::Stats stats;
-  stats.add(42.0);
+  obs::Histogram stats;
+  stats.observe(42.0);
+  EXPECT_EQ(stats.count(), 1u);
   EXPECT_EQ(stats.min(), 42.0);
   EXPECT_EQ(stats.max(), 42.0);
   EXPECT_EQ(stats.mean(), 42.0);
-  EXPECT_EQ(stats.stddev(), 0.0);
+  // A single-valued set is exact at every rank: the clamp to [min, max].
   EXPECT_EQ(stats.percentile(0), 42.0);
+  EXPECT_EQ(stats.percentile(50), 42.0);
   EXPECT_EQ(stats.percentile(100), 42.0);
 }
 
-TEST(StatsEdge, ClearResets) {
-  sim::Stats stats;
-  stats.add(1.0);
-  stats.add(2.0);
-  stats.clear();
-  EXPECT_TRUE(stats.empty());
-  EXPECT_EQ(stats.sum(), 0.0);
-  stats.add(5.0);
-  EXPECT_EQ(stats.mean(), 5.0);
-}
-
 TEST(StatsEdge, NegativeValues) {
-  sim::Stats stats;
-  for (double v : {-5.0, -1.0, 3.0}) stats.add(v);
+  obs::Histogram stats;
+  for (double v : {-5.0, -1.0, 3.0}) stats.observe(v);
   EXPECT_EQ(stats.min(), -5.0);
   EXPECT_EQ(stats.max(), 3.0);
   EXPECT_NEAR(stats.mean(), -1.0, 1e-12);
+  // Negatives share the underflow bucket, whose estimate is the minimum.
+  EXPECT_EQ(stats.count_at(0), 2u);
+  EXPECT_EQ(stats.percentile(50), -5.0);
 }
 
 // --- DSL parser corner cases -------------------------------------------------------------
@@ -135,7 +129,32 @@ TEST(ParserEdge, FractionalDurations) {
 
 TEST(ParserEdge, MalformedKeyValueRejected) {
   EXPECT_THROW(model::parse_system("ecu A =broken\n"), model::ParseError);
-  EXPECT_THROW(model::parse_system("ecu A mips=abc\n"), model::ParseError);
+  // Numbers the model cannot represent: negative, non-finite, past the
+  // integer range, or a zero execution rate.
+  for (const char* text : {
+           "ecu A mips=abc\n",
+           "ecu A mips=0\n",
+           "ecu A mips=0.0001\n",
+           "ecu A mips=-5\n",
+           "ecu A memory=1e30M\n",
+           "network N bitrate=inf\n",
+           "interface I period=-10ms\n",
+           "interface I max_latency=nan\n",
+           "app P\n  task t period=1e300s\n",
+           "app P\n  task t period=10ms wcet=-100K\n",
+           "app P\n  task t deadline=1e10s\n",
+       }) {
+    try {
+      model::parse_system(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const model::ParseError& e) {
+      // The error names the line that holds the literal.
+      const bool task = std::string(text).find("task") != std::string::npos;
+      EXPECT_EQ(e.line(), task ? 2u : 1u) << text << " -> " << e.what();
+    }
+  }
+  EXPECT_THROW(model::parse_duration("-1us"), std::out_of_range);
+  EXPECT_EQ(model::parse_duration("0"), 0);
 }
 
 // --- Schedulability degenerates -------------------------------------------------------------

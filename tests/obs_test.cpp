@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -23,6 +24,7 @@
 #include "obs/metrics.hpp"
 #include "obs/postmortem.hpp"
 #include "obs/trace.hpp"
+#include "sim/random.hpp"
 #include "sim/trace.hpp"
 #include "platform/update.hpp"
 #include "platform/vehicle.hpp"
@@ -143,28 +145,53 @@ TEST(ObsMetrics, CounterGaugeBasics) {
 }
 
 TEST(ObsMetrics, HistogramBucketsAndOverflow) {
+  using obs::Histogram;
   obs::MetricsRegistry registry;
-  auto& h = registry.histogram("lat", {10.0, 100.0});
+  auto& h = registry.histogram("lat");
+  EXPECT_EQ(h.count_at(0), 0u);  // no storage before the first observe
   h.observe(5.0);
-  h.observe(10.0);   // inclusive upper bound -> first bucket
-  h.observe(50.0);
-  h.observe(1e9);    // overflow
-  EXPECT_EQ(h.total_count(), 4u);
-  ASSERT_EQ(h.bucket_count(), 3u);
-  EXPECT_EQ(h.count_at(0), 2u);
-  EXPECT_EQ(h.count_at(1), 1u);
-  EXPECT_EQ(h.count_at(2), 1u);
-  EXPECT_DOUBLE_EQ(h.min(), 5.0);
-  EXPECT_DOUBLE_EQ(h.max(), 1e9);
-  EXPECT_DOUBLE_EQ(h.sum(), 5.0 + 10.0 + 50.0 + 1e9);
-  EXPECT_TRUE(std::isinf(h.upper_bound(2)));
+  h.observe(5.2);    // same 1/16-octave bucket as 5.0: [5, 5.25)
+  h.observe(5.25);   // next bucket
+  h.observe(1e9);
+  h.observe(1e30);   // past 2^64: overflow
+  h.observe(0.0);    // zero, negatives and NaN: underflow
+  h.observe(-3.0);
+  h.observe(std::nan(""));
+  EXPECT_EQ(h.count(), 8u);
+  EXPECT_EQ(h.count_at(Histogram::bucket_of(5.0)), 2u);
+  EXPECT_EQ(Histogram::bucket_lower(Histogram::bucket_of(5.0)), 5.0);
+  EXPECT_EQ(Histogram::bucket_upper(Histogram::bucket_of(5.0)), 5.25);
+  EXPECT_EQ(h.count_at(Histogram::bucket_of(5.25)), 1u);
+  EXPECT_EQ(h.count_at(Histogram::bucket_of(1e9)), 1u);
+  EXPECT_EQ(h.count_at(Histogram::kBuckets - 1), 1u);
+  EXPECT_EQ(h.count_at(0), 3u);
+  EXPECT_TRUE(std::isinf(Histogram::bucket_upper(Histogram::kBuckets - 1)));
+  EXPECT_EQ(Histogram::bucket_upper(0), std::ldexp(1.0, Histogram::kMinExp));
+  EXPECT_DOUBLE_EQ(h.min(), -3.0);
+  EXPECT_DOUBLE_EQ(h.max(), 1e30);
+  EXPECT_EQ(h.percentile(100), 1e30);  // overflow reports the max
+  // Every in-window value lies inside its bucket; integers bucket by their
+  // exact bits, so 2^k - 1 stays below 2^k even past 2^53.
+  for (const double v : {0x1p-16, 0.001, 1.0, 3.0, 1e6, 0x1p63}) {
+    const std::size_t i = Histogram::bucket_of(v);
+    EXPECT_LE(Histogram::bucket_lower(i), v);
+    EXPECT_LT(v, Histogram::bucket_upper(i));
+  }
+  for (int k = Histogram::kSubBits + 1; k < 63; ++k) {
+    const std::int64_t edge = std::int64_t{1} << k;
+    EXPECT_EQ(Histogram::bucket_of(edge),
+              Histogram::bucket_of(std::ldexp(1.0, k)));
+    EXPECT_EQ(Histogram::bucket_of(edge - 1) + 1, Histogram::bucket_of(edge));
+  }
+  EXPECT_EQ(Histogram::bucket_of(std::numeric_limits<std::int64_t>::max()),
+            Histogram::bucket_of(0x1p63) - 1);
 }
 
 TEST(ObsMetrics, ConcurrentUpdatesFromThreads) {
   obs::MetricsRegistry registry;
   auto& counter = registry.counter("c");
   auto& gauge = registry.gauge("g");
-  auto& histogram = registry.histogram("h", {0.5});
+  auto& histogram = registry.histogram("h");
   constexpr int kThreads = 8;
   constexpr int kPerThread = 10'000;
   {
@@ -182,16 +209,23 @@ TEST(ObsMetrics, ConcurrentUpdatesFromThreads) {
   }
   EXPECT_EQ(counter.value(), kThreads * kPerThread);
   EXPECT_DOUBLE_EQ(gauge.value(), kThreads * kPerThread);
-  EXPECT_EQ(histogram.total_count(), kThreads * kPerThread);
-  EXPECT_EQ(histogram.count_at(0) + histogram.count_at(1),
-            histogram.total_count());
+  // Every thread's first observe races to install the bucket array; one
+  // install must win and no sample may land in a discarded array.
+  EXPECT_EQ(histogram.count(), kThreads * kPerThread);
+  EXPECT_EQ(histogram.count_at(0), kThreads * kPerThread / 2);
+  EXPECT_EQ(histogram.count_at(obs::Histogram::bucket_of(1.0)),
+            kThreads * kPerThread / 2);
+  EXPECT_EQ(histogram.sum(), kThreads * kPerThread / 2);
+  EXPECT_EQ(histogram.min(), 0.0);
+  EXPECT_EQ(histogram.max(), 1.0);
 }
 
 TEST(ObsMetrics, SnapshotJsonRoundTrips) {
   obs::MetricsRegistry registry;
   registry.counter("faults.total").add(3);
   registry.gauge("bus.util").set(0.5);
-  registry.histogram("lat", {100.0}).observe(42.0);
+  registry.histogram("lat").observe(42.0);
+  registry.histogram("big").observe(1e30);
   obs::json::Value doc;
   std::string error;
   ASSERT_TRUE(obs::json::parse(registry.snapshot_json(), &doc, &error))
@@ -201,10 +235,14 @@ TEST(ObsMetrics, SnapshotJsonRoundTrips) {
   const auto& lat = doc.at("histograms").at("lat");
   EXPECT_DOUBLE_EQ(lat.at("count").number, 1.0);
   EXPECT_DOUBLE_EQ(lat.at("sum").number, 42.0);
-  ASSERT_EQ(lat.at("buckets").size(), 2u);
-  EXPECT_DOUBLE_EQ(lat.at("buckets")[0].at("le").number, 100.0);
+  // Only non-empty buckets are listed, each by its exclusive upper edge:
+  // 42 lies in [42, 44).
+  ASSERT_EQ(lat.at("buckets").size(), 1u);
+  EXPECT_DOUBLE_EQ(lat.at("buckets")[0].at("lt").number, 44.0);
   EXPECT_DOUBLE_EQ(lat.at("buckets")[0].at("count").number, 1.0);
-  EXPECT_EQ(lat.at("buckets")[1].at("le").string, "inf");
+  const auto& big = doc.at("histograms").at("big");
+  ASSERT_EQ(big.at("buckets").size(), 1u);
+  EXPECT_EQ(big.at("buckets")[0].at("lt").string, "inf");
 }
 
 // --- JSON parser -------------------------------------------------------------
@@ -547,25 +585,110 @@ TEST(ObsTraceBuffer, WrapAccountingStaysExactOverManyWraps) {
 
 TEST(ObsMetrics, HistogramSnapshotEmitsNearestRankQuantiles) {
   obs::MetricsRegistry registry;
-  auto& h = registry.histogram("rt.latency_ns", {10.0, 100.0, 1000.0});
-  for (int i = 0; i < 90; ++i) h.observe(5.0);    // -> bucket <=10
-  for (int i = 0; i < 9; ++i) h.observe(50.0);    // -> bucket <=100
-  h.observe(500.0);                               // -> bucket <=1000
+  auto& h = registry.histogram("rt.latency_ns");
+  for (int i = 0; i < 90; ++i) h.observe(5.0);    // -> [5, 5.25)
+  for (int i = 0; i < 9; ++i) h.observe(50.0);    // -> [50, 52)
+  h.observe(500.0);                               // -> [496, 512)
 
-  // Nearest-rank on bucket upper bounds: rank 50 and rank 99 both land
-  // within the cumulative counts 90 / 99, rank 100 reaches the last
-  // occupied bucket whose bound is capped at the observed max.
-  EXPECT_DOUBLE_EQ(h.quantile(0.50), 10.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.95), 100.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.99), 100.0);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 500.0);  // capped at observed max
+  // Nearest rank: rank 50 falls in the first bucket, ranks 95 and 99 in
+  // the second (cumulative counts 90 / 99); each reports its bucket's
+  // midpoint. Rank 100 is the maximum.
+  EXPECT_DOUBLE_EQ(h.percentile(50), 5.125);
+  EXPECT_DOUBLE_EQ(h.percentile(95), 51.0);
+  EXPECT_DOUBLE_EQ(h.percentile(99), 51.0);
+  EXPECT_DOUBLE_EQ(h.percentile(100), 500.0);
+  EXPECT_DOUBLE_EQ(h.percentile(0), 5.0);
 
   obs::json::Value doc;
   ASSERT_TRUE(obs::json::parse(registry.snapshot_json(), &doc));
   const obs::json::Value& hist = doc.at("histograms").at("rt.latency_ns");
-  EXPECT_EQ(hist.at("p50").number, 10.0);
-  EXPECT_EQ(hist.at("p95").number, 100.0);
-  EXPECT_EQ(hist.at("p99").number, 100.0);
+  EXPECT_EQ(hist.at("p50").number, 5.125);
+  EXPECT_EQ(hist.at("p95").number, 51.0);
+  EXPECT_EQ(hist.at("p99").number, 51.0);
+  EXPECT_EQ(hist.at("count").number, 100.0);
+  EXPECT_EQ(hist.at("buckets").size(), 3u);
+}
+
+// --- The one distribution type ----------------------------------------------
+
+TEST(Stats, EmptyAccumulatorIsZero) {
+  obs::Histogram stats;
+  EXPECT_TRUE(stats.empty());
+  EXPECT_EQ(stats.count(), 0u);
+  EXPECT_EQ(stats.sum(), 0.0);
+  EXPECT_EQ(stats.min(), 0.0);
+  EXPECT_EQ(stats.max(), 0.0);
+  EXPECT_EQ(stats.mean(), 0.0);
+  EXPECT_EQ(stats.percentile(50), 0.0);
+}
+
+TEST(Stats, BasicMoments) {
+  obs::Histogram stats;
+  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) stats.observe(v);
+  EXPECT_EQ(stats.count(), 8u);
+  EXPECT_EQ(stats.sum(), 40.0);
+  EXPECT_DOUBLE_EQ(stats.mean(), 5.0);
+  EXPECT_EQ(stats.min(), 2.0);
+  EXPECT_EQ(stats.max(), 9.0);
+}
+
+TEST(Stats, PercentilesAreMonotone) {
+  obs::Histogram stats;
+  sim::Random rng(3);
+  for (int i = 0; i < 1000; ++i) stats.observe(rng.uniform(0, 100));
+  double prev = stats.percentile(0);
+  for (double p : {10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 100.0}) {
+    const double v = stats.percentile(p);
+    EXPECT_GE(v, prev);
+    prev = v;
+  }
+}
+
+TEST(Stats, PercentileOfUniformMatchesValue) {
+  obs::Histogram stats;
+  for (int i = 0; i <= 100; ++i) stats.observe(static_cast<double>(i));
+  // Nearest rank of 0..100: p50 is 50 and p90 is 90, up to the 1/32
+  // relative resolution.
+  EXPECT_NEAR(stats.percentile(50), 50.0, 50.0 / 32);
+  EXPECT_NEAR(stats.percentile(90), 90.0, 90.0 / 32);
+}
+
+// Differential check against the exact nearest-rank sample: for each
+// shape, every estimate is within 2^-(kSubBits+1) of the exact value, and
+// p0/p100 are the exact min and max.
+TEST(ObsHistogram, PercentilesMatchExactNearestRank) {
+  sim::Random rng(21);
+  std::map<std::string, std::vector<double>> shapes;
+  for (int i = 0; i <= 100; ++i) shapes["integers"].push_back(i);
+  for (int i = 0; i < 20000; ++i) {
+    shapes["uniform"].push_back(rng.uniform(1e3, 1e7));
+    // Lognormal ns latencies, whole nanoseconds (the integer path).
+    shapes["lognormal_ns"].push_back(
+        std::round(std::exp(rng.normal(std::log(50'000.0), 1.0))));
+    shapes["fractions"].push_back(rng.uniform(0.001, 0.9));
+  }
+  shapes["constant"].assign(500, 16'000.0);
+  const double bound = std::ldexp(1.0, -(obs::Histogram::kSubBits + 1));
+  for (auto& [name, samples] : shapes) {
+    obs::Histogram h;
+    for (const double v : samples) {
+      if (name == "lognormal_ns") {
+        h.observe(static_cast<std::int64_t>(v));
+      } else {
+        h.observe(v);
+      }
+    }
+    std::sort(samples.begin(), samples.end());
+    const double n = static_cast<double>(samples.size());
+    for (const double p : {1.0, 25.0, 50.0, 90.0, 95.0, 99.0, 99.9}) {
+      const auto rank = static_cast<std::size_t>(std::ceil(p * n / 100.0));
+      const double exact = samples[rank - 1];
+      EXPECT_LE(std::abs(h.percentile(p) - exact), bound * exact)
+          << name << " p" << p;
+    }
+    EXPECT_EQ(h.percentile(0), samples.front()) << name;
+    EXPECT_EQ(h.percentile(100), samples.back()) << name;
+  }
 }
 
 // --- Post-mortem bundle ------------------------------------------------------

@@ -1,9 +1,10 @@
-// Unit tests for the discrete-event simulation kernel, the scenario sweep,
-// RNG and statistics.
+// Unit tests for the discrete-event simulation kernel, the scenario sweep
+// and the RNG.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -19,7 +20,6 @@
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/slot_pool.hpp"
-#include "sim/stats.hpp"
 #include "sim/sweep.hpp"
 #include "sim/trace.hpp"
 
@@ -787,10 +787,17 @@ TEST(Random, ExponentialMeanApproximatelyCorrect) {
 
 TEST(Random, NormalMomentsApproximatelyCorrect) {
   Random rng(13);
-  Stats stats;
-  for (int i = 0; i < 20000; ++i) stats.add(rng.normal(10.0, 2.0));
-  EXPECT_NEAR(stats.mean(), 10.0, 0.1);
-  EXPECT_NEAR(stats.stddev(), 2.0, 0.1);
+  const int n = 20000;
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const double x = rng.normal(10.0, 2.0);
+    sum += x;
+    sum_sq += x * x;
+  }
+  const double mean = sum / n;
+  EXPECT_NEAR(mean, 10.0, 0.1);
+  EXPECT_NEAR(std::sqrt((sum_sq - n * mean * mean) / (n - 1)), 2.0, 0.1);
 }
 
 TEST(Random, ForkProducesIndependentStream) {
@@ -801,13 +808,6 @@ TEST(Random, ForkProducesIndependentStream) {
     if (a.next_u64() == b.next_u64()) ++same;
   }
   EXPECT_LT(same, 3);
-}
-
-TEST(Stats, EmptyAccumulatorIsZero) {
-  Stats stats;
-  EXPECT_TRUE(stats.empty());
-  EXPECT_EQ(stats.mean(), 0.0);
-  EXPECT_EQ(stats.percentile(50), 0.0);
 }
 
 TEST(SlotPool, ReusesFreedSlotsAndReleasesTakenValues) {
@@ -828,34 +828,6 @@ TEST(SlotPool, ReusesFreedSlotsAndReleasesTakenValues) {
   for (int i = 0; i < 1000; ++i) pool.take(pool.put(nullptr));
   EXPECT_EQ(pool.capacity(), 3u);
   EXPECT_EQ(pool.size(), 2u);
-}
-
-TEST(Stats, BasicMoments) {
-  Stats stats;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) stats.add(v);
-  EXPECT_DOUBLE_EQ(stats.mean(), 5.0);
-  EXPECT_EQ(stats.min(), 2.0);
-  EXPECT_EQ(stats.max(), 9.0);
-  EXPECT_NEAR(stats.stddev(), 2.138, 0.01);
-}
-
-TEST(Stats, PercentilesAreMonotone) {
-  Stats stats;
-  Random rng(3);
-  for (int i = 0; i < 1000; ++i) stats.add(rng.uniform(0, 100));
-  double prev = stats.percentile(0);
-  for (double p : {10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 100.0}) {
-    const double v = stats.percentile(p);
-    EXPECT_GE(v, prev);
-    prev = v;
-  }
-}
-
-TEST(Stats, PercentileOfUniformMatchesValue) {
-  Stats stats;
-  for (int i = 0; i <= 100; ++i) stats.add(static_cast<double>(i));
-  EXPECT_NEAR(stats.percentile(50), 50.0, 1.0);
-  EXPECT_NEAR(stats.percentile(90), 90.0, 1.0);
 }
 
 TEST(Trace, RecordsAndCounts) {
