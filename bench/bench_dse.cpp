@@ -84,17 +84,6 @@ ThroughputSample sample_of(const dse::ExplorationResult& result,
   return s;
 }
 
-void json_sample(std::FILE* f, const char* key, const ThroughputSample& s,
-                 bool trailing_comma) {
-  std::fprintf(f,
-               "    \"%s\": {\"candidates\": %llu, \"wall_ms\": %.3f, "
-               "\"candidates_per_sec\": %.1f, \"cache_hits\": %llu, "
-               "\"cache_hit_rate\": %.4f, \"cost\": %.6f}%s\n",
-               key, static_cast<unsigned long long>(s.candidates), s.wall_ms,
-               s.per_second(), static_cast<unsigned long long>(s.cache_hits),
-               s.hit_rate(), s.cost, trailing_comma ? "," : "");
-}
-
 /// E5b: serial always-reverify baseline (cache off, threads 0 — the legacy
 /// evaluation path) vs. the parallel memoized path, on the largest E5 case.
 /// Returns whether the threaded genetic cost equals the serial one.
@@ -172,31 +161,34 @@ bool throughput_experiment() {
   std::printf("genetic cost serial vs threads=%zu: %s\n", kThreads,
               deterministic ? "identical" : "DIVERGED");
 
-  std::FILE* f = std::fopen("BENCH_dse.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_dse.json\n");
-    return deterministic;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"experiment\": \"E5b_parallel_dse\",\n");
-  bench::fprint_host_json(f);
-  std::fprintf(f, "  \"apps\": %zu,\n  \"ecus\": %zu,\n", kApps, kEcus);
-  std::fprintf(f, "  \"threads\": %zu,\n", kThreads);
-  std::fprintf(f, "  \"genetic\": {\n");
-  json_sample(f, "serial_baseline", genetic_serial, true);
-  json_sample(f, "parallel_memoized", genetic_parallel, true);
-  std::fprintf(f, "    \"speedup\": %.3f,\n", genetic_speedup);
-  std::fprintf(f, "    \"deterministic\": %s\n",
-               deterministic ? "true" : "false");
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"annealing\": {\n");
-  json_sample(f, "serial_baseline", anneal_serial, true);
-  json_sample(f, "parallel_memoized", anneal_parallel, true);
-  std::fprintf(f, "    \"speedup\": %.3f\n", anneal_speedup);
-  std::fprintf(f, "  }\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote BENCH_dse.json\n");
+  bench::write_result(
+      "BENCH_dse.json", "E5b_parallel_dse", [&](obs::json::Writer& out) {
+        const auto sample = [&out](const char* key,
+                                   const ThroughputSample& s) {
+          out.key(key)
+              .begin_object()
+              .member("candidates", s.candidates)
+              .member("wall_ms", bench::rounded(s.wall_ms, 3))
+              .member("candidates_per_sec", bench::rounded(s.per_second(), 1))
+              .member("cache_hits", s.cache_hits)
+              .member("cache_hit_rate", bench::rounded(s.hit_rate(), 4))
+              .member("cost", bench::rounded(s.cost, 6))
+              .end_object();
+        };
+        out.member("apps", kApps)
+            .member("ecus", kEcus)
+            .member("threads", kThreads);
+        out.key("genetic").begin_object();
+        sample("serial_baseline", genetic_serial);
+        sample("parallel_memoized", genetic_parallel);
+        out.member("speedup", bench::rounded(genetic_speedup, 3))
+            .member("deterministic", deterministic)
+            .end_object();
+        out.key("annealing").begin_object();
+        sample("serial_baseline", anneal_serial);
+        sample("parallel_memoized", anneal_parallel);
+        out.member("speedup", bench::rounded(anneal_speedup, 3)).end_object();
+      });
   return deterministic;
 }
 

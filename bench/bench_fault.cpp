@@ -350,18 +350,17 @@ SweepRun run_seed_sweep(std::size_t workers, std::size_t seeds) {
   return result;
 }
 
-void fprint_failures(std::FILE* f, const char* key,
-                     const std::vector<const CampaignOutcome*>& failures) {
-  std::fprintf(f, "  \"%s\": [", key);
-  for (std::size_t i = 0; i < failures.size(); ++i) {
-    const CampaignOutcome& o = *failures[i];
-    std::fprintf(f, "%s\n    {\"seed\": %llu, \"invariant\": \"%s\", "
-                 "\"detail\": \"%s\"}", i == 0 ? "" : ",",
-                 static_cast<unsigned long long>(o.seed),
-                 obs::json::escape(o.violated).c_str(),
-                 obs::json::escape(o.violation).c_str());
+void write_failures(obs::json::Writer& out, const char* key,
+                    const std::vector<const CampaignOutcome*>& failures) {
+  out.key(key).begin_array();
+  for (const CampaignOutcome* o : failures) {
+    out.begin_object()
+        .member("seed", o->seed)
+        .member("invariant", o->violated)
+        .member("detail", o->violation)
+        .end_object();
   }
-  std::fprintf(f, "%s],\n", failures.empty() ? "" : "\n  ");
+  out.end_array();
 }
 
 /// `threads` counts executing threads: the serial arm runs on the caller
@@ -407,14 +406,10 @@ int sweep_main(std::size_t seeds, std::size_t threads) {
   }
 
   bench::Table table({"arm", "threads", "wall_ms", "merged_fingerprint"});
-  char fp[32];
-  std::snprintf(fp, sizeof fp, "%016llx",
-                static_cast<unsigned long long>(serial.merged));
-  table.row({"serial", "1", bench::fmt(serial.wall_ms, 1), fp});
-  std::snprintf(fp, sizeof fp, "%016llx",
-                static_cast<unsigned long long>(threaded.merged));
+  table.row({"serial", "1", bench::fmt(serial.wall_ms, 1),
+             fault::hex_u64(serial.merged)});
   table.row({"threaded", bench::fmt(threads), bench::fmt(threaded.wall_ms, 1),
-             fp});
+             fault::hex_u64(threaded.merged)});
 
   const unsigned hw = bench::host_info().hardware_threads;
   const double speedup = serial.wall_ms / threaded.wall_ms;
@@ -426,35 +421,27 @@ int sweep_main(std::size_t seeds, std::size_t threads) {
               speedup, hw);
   if (!identical) return 1;
 
-  std::FILE* f = std::fopen("BENCH_fault_sweep.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_fault_sweep.json\n");
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"experiment\": \"E13s_parallel_seed_sweep\",\n");
-  bench::fprint_host_json(f);
-  std::fprintf(f, "  \"seeds\": %zu,\n", seeds);
-  std::fprintf(f, "  \"threads\": %zu,\n", threads);
-  // An A/B on a box with fewer hardware threads than the parallel arm
-  // measures scheduling overhead, not speedup -- flag it so readers don't
-  // quote the number as a parallelism result.
-  std::fprintf(f, "  \"speedup_meaningful\": %s,\n",
-               hw >= threads ? "true" : "false");
-  std::fprintf(f, "  \"bit_identical\": %s,\n", identical ? "true" : "false");
-  std::fprintf(f, "  \"invariants_passed\": %zu,\n", passed);
-  fprint_failures(f, "expected_failures", expected);
-  fprint_failures(f, "unexpected_failures", unexpected);
-  std::fprintf(f, "  \"merged_fingerprint\": \"%016llx\",\n",
-               static_cast<unsigned long long>(serial.merged));
-  std::fprintf(f, "  \"wall_ms_serial\": %.2f,\n", serial.wall_ms);
-  std::fprintf(f, "  \"wall_ms_%zu_threads\": %.2f,\n", threads,
-               threaded.wall_ms);
-  std::fprintf(f, "  \"thread_speedup\": %.2f\n", speedup);
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote BENCH_fault_sweep.json\n");
-  return unexpected.empty() && expected_passes == 0 ? 0 : 1;
+  const std::string threaded_wall_key =
+      "wall_ms_" + std::to_string(threads) + "_threads";
+  const bool written = bench::write_result(
+      "BENCH_fault_sweep.json", "E13s_parallel_seed_sweep",
+      [&](obs::json::Writer& out) {
+        // An A/B on a box with fewer hardware threads than the parallel arm
+        // measures scheduling overhead, not speedup -- flag it so readers
+        // don't quote the number as a parallelism result.
+        out.member("seeds", seeds)
+            .member("threads", threads)
+            .member("speedup_meaningful", hw >= threads)
+            .member("bit_identical", identical)
+            .member("invariants_passed", passed);
+        write_failures(out, "expected_failures", expected);
+        write_failures(out, "unexpected_failures", unexpected);
+        out.member("merged_fingerprint", fault::hex_u64(serial.merged))
+            .member("wall_ms_serial", bench::rounded(serial.wall_ms, 2))
+            .member(threaded_wall_key, bench::rounded(threaded.wall_ms, 2))
+            .member("thread_speedup", bench::rounded(speedup, 2));
+      });
+  return written && unexpected.empty() && expected_passes == 0 ? 0 : 1;
 }
 
 // --- Fuzz mode (E20): coverage-guided search vs blind sweep -------------------
@@ -634,63 +621,60 @@ int fuzz_main() {
   }
 
   // --- Artifacts --------------------------------------------------------------
-  std::FILE* journal = std::fopen("fuzz_coverage.json", "w");
-  if (journal != nullptr) {
-    std::fputs(serial_journal.c_str(), journal);
-    std::fclose(journal);
-  }
-
-  std::FILE* f = std::fopen("BENCH_fuzz.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_fuzz.json\n");
+  if (!obs::json::write_file("fuzz_coverage.json", serial_journal)) {
+    std::fprintf(stderr, "cannot write fuzz_coverage.json\n");
     return 1;
   }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"experiment\": \"E20_coverage_guided_fuzz\",\n");
-  bench::fprint_host_json(f);
-  std::fprintf(f, "  \"master_seed\": %llu,\n",
-               static_cast<unsigned long long>(fuzz_config.master_seed));
-  std::fprintf(f, "  \"budget_scenarios\": %zu,\n", budget);
-  std::fprintf(f, "  \"blind\": {\"unique_keys\": %zu, \"violations\": %zu, "
-               "\"wall_ms\": %.1f},\n", blind_keys, blind_violations,
-               blind_ms);
-  std::fprintf(f, "  \"fuzz\": {\"unique_keys\": %zu, \"failures\": %zu, "
-               "\"wall_ms\": %.1f, \"corpus\": %zu, \"rounds\": %d, "
-               "\"batch\": %d},\n", fuzz_keys, fuzzer.failures().size(),
-               fuzz_ms, fuzzer.corpus().size(), fuzzer.rounds_completed(),
-               fuzz_config.batch);
-  std::fprintf(f, "  \"scenarios_per_sec\": %.1f,\n",
-               1000.0 * static_cast<double>(budget) / fuzz_ms);
-  std::fprintf(f, "  \"strictly_more_coverage\": %s,\n",
-               more_coverage ? "true" : "false");
-  std::fprintf(f, "  \"coverage_timeline_blind\": [");
-  for (std::size_t i = 0; i < blind_timeline.size(); ++i) {
-    std::fprintf(f, "%s%zu", i == 0 ? "" : ", ", blind_timeline[i]);
-  }
-  std::fprintf(f, "],\n");
-  std::fprintf(f, "  \"coverage_timeline_fuzz\": [");
-  for (std::size_t i = 0; i < fuzzer.timeline().size(); ++i) {
-    std::fprintf(f, "%s%zu", i == 0 ? "" : ", ", fuzzer.timeline()[i]);
-  }
-  std::fprintf(f, "],\n");
-  std::fprintf(f, "  \"thread_determinism\": {\"threads\": [0, 2, 3], "
-               "\"bit_identical\": %s, \"coverage_fingerprint\": "
-               "\"%016llx\"},\n", threads_identical ? "true" : "false",
-               static_cast<unsigned long long>(serial_cov_fp));
-  std::fprintf(f, "  \"minimization_demo\": {\"failing\": %s, "
-               "\"invariant\": \"%s\", \"original_events\": %zu, "
-               "\"minimized_events\": %zu, \"original_horizon_ns\": %llu, "
-               "\"minimized_horizon_ns\": %llu, \"probe_runs\": %zu, "
-               "\"wall_ms\": %.1f, \"repro_file\": \"fuzz_repro.json\", "
-               "\"repro_retrips\": %s}\n", repro.failing ? "true" : "false",
-               repro.invariant.c_str(), repro.original_events,
-               repro.plan.size(),
-               static_cast<unsigned long long>(demo_horizon),
-               static_cast<unsigned long long>(repro.horizon),
-               repro.runs_used, min_ms, repro_retrips ? "true" : "false");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote BENCH_fuzz.json, fuzz_coverage.json, fuzz_repro.json\n");
+  const bool written = bench::write_result(
+      "BENCH_fuzz.json", "E20_coverage_guided_fuzz",
+      [&](obs::json::Writer& out) {
+        out.member("master_seed", fuzz_config.master_seed)
+            .member("budget_scenarios", budget);
+        out.key("blind")
+            .begin_object()
+            .member("unique_keys", blind_keys)
+            .member("violations", blind_violations)
+            .member("wall_ms", bench::rounded(blind_ms, 1))
+            .end_object();
+        out.key("fuzz")
+            .begin_object()
+            .member("unique_keys", fuzz_keys)
+            .member("failures", fuzzer.failures().size())
+            .member("wall_ms", bench::rounded(fuzz_ms, 1))
+            .member("corpus", fuzzer.corpus().size())
+            .member("rounds", fuzzer.rounds_completed())
+            .member("batch", fuzz_config.batch)
+            .end_object();
+        const double per_sec = 1000.0 * static_cast<double>(budget) / fuzz_ms;
+        out.member("scenarios_per_sec", bench::rounded(per_sec, 1))
+            .member("strictly_more_coverage", more_coverage);
+        out.key("coverage_timeline_blind").begin_array();
+        for (const std::size_t keys : blind_timeline) out.value(keys);
+        out.end_array();
+        out.key("coverage_timeline_fuzz").begin_array();
+        for (const std::size_t keys : fuzzer.timeline()) out.value(keys);
+        out.end_array();
+        out.key("thread_determinism").begin_object();
+        out.key("threads").begin_array().value(0).value(2).value(3);
+        out.end_array()
+            .member("bit_identical", threads_identical)
+            .member("coverage_fingerprint", fault::hex_u64(serial_cov_fp))
+            .end_object();
+        out.key("minimization_demo")
+            .begin_object()
+            .member("failing", repro.failing)
+            .member("invariant", repro.invariant)
+            .member("original_events", repro.original_events)
+            .member("minimized_events", repro.plan.size())
+            .member("original_horizon_ns", demo_horizon)
+            .member("minimized_horizon_ns", repro.horizon)
+            .member("probe_runs", repro.runs_used)
+            .member("wall_ms", bench::rounded(min_ms, 1))
+            .member("repro_file", "fuzz_repro.json")
+            .member("repro_retrips", repro_retrips)
+            .end_object();
+      });
+  if (!written) return 1;
 
   // E20 gates, in CI-smoke order of severity: a fuzz-found invariant
   // violation is a platform bug; the rest are fuzzer regressions.
@@ -761,13 +745,11 @@ int main(int argc, char** argv) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     sim::Simulator simulator;
     const CampaignOutcome outcome = run_campaign(simulator, seed);
-    char fp[32];
-    std::snprintf(fp, sizeof(fp), "%016llx",
-                  static_cast<unsigned long long>(outcome.fingerprint));
     seed_table.row({bench::fmt(outcome.seed), bench::fmt(outcome.injected),
                     bench::fmt(outcome.failovers),
                     bench::fmt(outcome.worst_outage_ms, 1),
-                    outcome.invariants_passed ? "PASS" : "FAIL", fp,
+                    outcome.invariants_passed ? "PASS" : "FAIL",
+                    fault::hex_u64(outcome.fingerprint),
                     bench::fmt(outcome.wall_ms, 1)});
     if (!outcome.invariants_passed) {
       std::printf("%s\n", outcome.report.c_str());
@@ -775,49 +757,35 @@ int main(int argc, char** argv) {
     campaign_samples.push_back(outcome);
   }
 
-  std::FILE* f = std::fopen("BENCH_fault.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_fault.json\n");
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"experiment\": \"E13_fault_robustness\",\n");
-  bench::fprint_host_json(f);
-  std::fprintf(f, "  \"transport_loss_sweep\": [\n");
-  for (std::size_t i = 0; i < transport_samples.size(); ++i) {
-    const TransportOutcome& s = transport_samples[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"loss\": %.2f,\n", s.loss);
-    std::fprintf(f, "      \"reliable\": %s,\n", s.reliable ? "true" : "false");
-    std::fprintf(f, "      \"sent\": %d,\n", s.sent);
-    std::fprintf(f, "      \"delivered\": %d,\n", s.delivered);
-    std::fprintf(f, "      \"retries\": %llu,\n",
-                 static_cast<unsigned long long>(s.retries));
-    std::fprintf(f, "      \"delivery_failures\": %llu,\n",
-                 static_cast<unsigned long long>(s.delivery_failures));
-    std::fprintf(f, "      \"frames_per_message\": %.3f\n",
-                 s.frames_per_message);
-    std::fprintf(f, "    }%s\n", i + 1 < transport_samples.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"campaign_seed_sweep\": [\n");
-  for (std::size_t i = 0; i < campaign_samples.size(); ++i) {
-    const CampaignOutcome& s = campaign_samples[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"seed\": %llu,\n",
-                 static_cast<unsigned long long>(s.seed));
-    std::fprintf(f, "      \"events_injected\": %zu,\n", s.injected);
-    std::fprintf(f, "      \"failovers\": %zu,\n", s.failovers);
-    std::fprintf(f, "      \"worst_outage_ms\": %.3f,\n", s.worst_outage_ms);
-    std::fprintf(f, "      \"invariants_passed\": %s,\n",
-                 s.invariants_passed ? "true" : "false");
-    std::fprintf(f, "      \"fingerprint\": \"%016llx\",\n",
-                 static_cast<unsigned long long>(s.fingerprint));
-    std::fprintf(f, "      \"wall_ms\": %.2f\n", s.wall_ms);
-    std::fprintf(f, "    }%s\n", i + 1 < campaign_samples.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote BENCH_fault.json\n");
-  return 0;
+  const bool written = bench::write_result(
+      "BENCH_fault.json", "E13_fault_robustness", [&](obs::json::Writer& out) {
+        out.key("transport_loss_sweep").begin_array();
+        for (const TransportOutcome& s : transport_samples) {
+          out.begin_object()
+              .member("loss", bench::rounded(s.loss, 2))
+              .member("reliable", s.reliable)
+              .member("sent", s.sent)
+              .member("delivered", s.delivered)
+              .member("retries", s.retries)
+              .member("delivery_failures", s.delivery_failures)
+              .member("frames_per_message",
+                      bench::rounded(s.frames_per_message, 3))
+              .end_object();
+        }
+        out.end_array();
+        out.key("campaign_seed_sweep").begin_array();
+        for (const CampaignOutcome& s : campaign_samples) {
+          out.begin_object()
+              .member("seed", s.seed)
+              .member("events_injected", s.injected)
+              .member("failovers", s.failovers)
+              .member("worst_outage_ms", bench::rounded(s.worst_outage_ms, 3))
+              .member("invariants_passed", s.invariants_passed)
+              .member("fingerprint", fault::hex_u64(s.fingerprint))
+              .member("wall_ms", bench::rounded(s.wall_ms, 2))
+              .end_object();
+        }
+        out.end_array();
+      });
+  return written ? 0 : 1;
 }

@@ -102,6 +102,7 @@ struct OutageRow {
   std::uint64_t breaker_opens = 0;
   std::uint64_t client_timeouts = 0;
   std::uint64_t recoveries = 0;
+  double heal_to_last_recovery_ms = 0.0;
   bool invariants_ok = false;
   std::string verdict;
 };
@@ -216,6 +217,10 @@ OutageRow run_outage(bool resilient) {
   row.breaker_opens = driver.client_breaker_opens();
   row.client_timeouts = driver.client_timeouts();
   row.recoveries = driver.recoveries_completed();
+  row.heal_to_last_recovery_ms =
+      static_cast<double>(driver.last_recovery_completed() -
+                          driver.heal_time()) /
+      1e6;
 
   fault::InvariantChecker checker;
   checker.require_backend_drained(service);
@@ -542,14 +547,17 @@ int main(int argc, char** argv) {
   const OutageRow stranded = run_outage(/*resilient=*/false);
   bench::Table outage_table({"arm", "peak_unsafe", "max_unsafe_ms", "fb_cache",
                              "fb_local", "fb_none", "breaker_opens",
-                             "timeouts", "recoveries", "invariants"});
+                             "timeouts", "recoveries", "last_rec_after_heal_ms",
+                             "invariants"});
   for (const OutageRow* row : {&resilient, &stranded}) {
     outage_table.row(
         {row->arm, bench::fmt(row->peak_unsafe),
          bench::fmt(row->max_unsafe_ms, 1), bench::fmt(row->fallback_cache),
          bench::fmt(row->fallback_local), bench::fmt(row->fallback_none),
          bench::fmt(row->breaker_opens), bench::fmt(row->client_timeouts),
-         bench::fmt(row->recoveries), row->invariants_ok ? "PASS" : "FAIL"});
+         bench::fmt(row->recoveries),
+         bench::fmt(row->heal_to_last_recovery_ms, 1),
+         row->invariants_ok ? "PASS" : "FAIL"});
   }
 
   const bool deterministic = determinism_gate();
@@ -644,148 +652,104 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::FILE* f = std::fopen("BENCH_fleet.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_fleet.json\n");
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"experiment\": \"E22_fleet_scaling\",\n");
-  bench::fprint_host_json(f);
-  std::fprintf(f, "  \"stampede\": [\n");
-  for (std::size_t i = 0; i < stampede.size(); ++i) {
-    const StampedeRow& row = stampede[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"sessions\": %zu,\n", row.sessions);
-    std::fprintf(f, "      \"synthesis_runs\": %llu,\n",
-                 static_cast<unsigned long long>(row.synthesis_runs));
-    std::fprintf(f, "      \"cache_hit_rate\": %.4f,\n", row.cache_hit_rate);
-    std::fprintf(f, "      \"shed_ota\": %llu,\n",
-                 static_cast<unsigned long long>(row.shed_ota));
-    std::fprintf(f, "      \"shed_resync\": %llu,\n",
-                 static_cast<unsigned long long>(row.shed_resync));
-    std::fprintf(f, "      \"shed_recovery\": %llu,\n",
-                 static_cast<unsigned long long>(row.shed_recovery));
-    std::fprintf(f, "      \"preempted\": %llu,\n",
-                 static_cast<unsigned long long>(row.preempted));
-    std::fprintf(f, "      \"backpressured\": %llu,\n",
-                 static_cast<unsigned long long>(row.backpressured));
-    std::fprintf(f, "      \"peak_unsafe\": %zu,\n", row.peak_unsafe);
-    std::fprintf(f, "      \"max_unsafe_ms\": %.2f,\n", row.max_unsafe_ms);
-    std::fprintf(f, "      \"recovery_p50_ms\": %.2f,\n", row.p50_ms);
-    std::fprintf(f, "      \"recovery_p95_ms\": %.2f,\n", row.p95_ms);
-    std::fprintf(f, "      \"recoveries_completed\": %llu,\n",
-                 static_cast<unsigned long long>(row.recoveries));
-    std::fprintf(f, "      \"host_ms\": %.1f,\n", row.host_ms);
-    std::fprintf(f, "      \"invariants_pass\": %s\n",
-                 row.invariants_ok ? "true" : "false");
-    std::fprintf(f, "    }%s\n", i + 1 < stampede.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"outage\": [\n");
-  const OutageRow* rows[] = {&resilient, &stranded};
-  for (std::size_t i = 0; i < 2; ++i) {
-    const OutageRow& row = *rows[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"arm\": \"%s\",\n", row.arm);
-    std::fprintf(f, "      \"peak_unsafe\": %zu,\n", row.peak_unsafe);
-    std::fprintf(f, "      \"max_unsafe_ms\": %.2f,\n", row.max_unsafe_ms);
-    std::fprintf(f, "      \"fallback_cache\": %llu,\n",
-                 static_cast<unsigned long long>(row.fallback_cache));
-    std::fprintf(f, "      \"fallback_local\": %llu,\n",
-                 static_cast<unsigned long long>(row.fallback_local));
-    std::fprintf(f, "      \"fallback_none\": %llu,\n",
-                 static_cast<unsigned long long>(row.fallback_none));
-    std::fprintf(f, "      \"breaker_opens\": %llu,\n",
-                 static_cast<unsigned long long>(row.breaker_opens));
-    std::fprintf(f, "      \"client_timeouts\": %llu,\n",
-                 static_cast<unsigned long long>(row.client_timeouts));
-    std::fprintf(f, "      \"recoveries_completed\": %llu,\n",
-                 static_cast<unsigned long long>(row.recoveries));
-    std::fprintf(f, "      \"invariants_pass\": %s\n",
-                 row.invariants_ok ? "true" : "false");
-    std::fprintf(f, "    }%s\n", i == 0 ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"scaling\": [\n");
-  for (std::size_t i = 0; i < scale.size(); ++i) {
-    const ScaleRow& row = scale[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"sessions\": %zu,\n", row.sessions);
-    std::fprintf(f, "      \"host_ms\": %.1f,\n", row.host_ms);
-    std::fprintf(f, "      \"sessions_per_sec\": %.0f,\n",
-                 row.sessions_per_sec);
-    std::fprintf(f, "      \"peak_rss_kb\": %zu,\n", row.peak_rss_kb);
-    std::fprintf(f, "      \"requests_total\": %llu,\n",
-                 static_cast<unsigned long long>(row.requests));
-    std::fprintf(f, "      \"synthesis_runs\": %llu,\n",
-                 static_cast<unsigned long long>(row.synthesis_runs));
-    std::fprintf(f, "      \"dequeues\": %llu,\n",
-                 static_cast<unsigned long long>(row.dequeues));
-    std::fprintf(f, "      \"coalesced\": %llu,\n",
-                 static_cast<unsigned long long>(row.coalesced));
-    std::fprintf(f, "      \"mean_batch\": %.1f,\n", row.mean_batch);
-    std::fprintf(f, "      \"batch_size_histogram\": [");
-    for (std::size_t b = 0; b < row.batch_hist.size(); ++b) {
-      std::fprintf(f, "%s%llu", b ? ", " : "",
-                   static_cast<unsigned long long>(row.batch_hist[b]));
-    }
-    std::fprintf(f, "],\n");
-    std::fprintf(f, "      \"recovery_p50_ms\": %.2f,\n", row.p50_ms);
-    std::fprintf(f, "      \"recovery_p95_ms\": %.2f,\n", row.p95_ms);
-    std::fprintf(f, "      \"max_unsafe_ms\": %.2f,\n", row.max_unsafe_ms);
-    std::fprintf(f, "      \"recoveries_completed\": %llu,\n",
-                 static_cast<unsigned long long>(row.recoveries));
-    std::fprintf(f, "      \"invariants_pass\": %s\n",
-                 row.invariants_ok ? "true" : "false");
-    std::fprintf(f, "    }%s\n", i + 1 < scale.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"batching_gate\": {\n");
-  std::fprintf(f, "    \"sessions\": 100000,\n");
-  std::fprintf(f, "    \"batched_dequeues\": %llu,\n",
-               static_cast<unsigned long long>(batch_gate.batched_dequeues));
-  std::fprintf(f, "    \"serial_dequeues\": %llu,\n",
-               static_cast<unsigned long long>(batch_gate.serial_dequeues));
-  std::fprintf(f, "    \"batched_served\": %llu,\n",
-               static_cast<unsigned long long>(batch_gate.batched_served));
-  std::fprintf(f, "    \"serial_served\": %llu,\n",
-               static_cast<unsigned long long>(batch_gate.serial_served));
-  std::fprintf(f, "    \"dequeue_reduction\": %.2f,\n", batch_gate.ratio);
-  std::fprintf(f, "    \"pass\": %s\n", batch_gate.ok ? "true" : "false");
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"two_region_drill\": {\n");
-  std::fprintf(f, "    \"sessions\": 100000,\n");
-  std::fprintf(f, "    \"failovers\": %llu,\n",
-               static_cast<unsigned long long>(drill.failovers));
-  std::fprintf(f, "    \"region1_synthesis_runs\": %llu,\n",
-               static_cast<unsigned long long>(drill.region1_synthesis));
-  std::fprintf(f, "    \"fallback_none\": %llu,\n",
-               static_cast<unsigned long long>(drill.fallback_none));
-  std::fprintf(f, "    \"stranded\": %zu,\n", drill.unsafe_now);
-  std::fprintf(f, "    \"max_unsafe_ms\": %.2f,\n", drill.max_unsafe_ms);
-  std::fprintf(f, "    \"recoveries_completed\": %llu,\n",
-               static_cast<unsigned long long>(drill.recoveries));
-  std::fprintf(f, "    \"pass\": %s\n", drill.ok ? "true" : "false");
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"alloc_audit\": {\n");
-  std::fprintf(f, "    \"sessions\": 100000,\n");
-  const std::pair<const char*, const AllocRun*> runs[] = {
-      {"first_run", &audit.first}, {"rerun", &audit.rerun}};
-  for (const auto& [name, run] : runs) {
-    std::fprintf(f,
-                 "    \"%s\": {\"requests\": %llu, \"allocs\": %llu, "
-                 "\"allocs_per_request\": %.4f},\n",
-                 name, static_cast<unsigned long long>(run->requests),
-                 static_cast<unsigned long long>(run->allocs),
-                 run->per_request());
-  }
-  std::fprintf(f, "    \"pass\": %s\n", audit.ok ? "true" : "false");
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"sweep_deterministic\": %s\n",
-               deterministic ? "true" : "false");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote BENCH_fleet.json\n");
-  return ok ? 0 : 1;
+  const bool written = bench::write_result(
+      "BENCH_fleet.json", "E22_fleet_scaling", [&](obs::json::Writer& out) {
+        out.key("stampede").begin_array();
+        for (const StampedeRow& row : stampede) {
+          out.begin_object()
+              .member("sessions", row.sessions)
+              .member("synthesis_runs", row.synthesis_runs)
+              .member("cache_hit_rate", bench::rounded(row.cache_hit_rate, 4))
+              .member("shed_ota", row.shed_ota)
+              .member("shed_resync", row.shed_resync)
+              .member("shed_recovery", row.shed_recovery)
+              .member("preempted", row.preempted)
+              .member("backpressured", row.backpressured)
+              .member("peak_unsafe", row.peak_unsafe)
+              .member("max_unsafe_ms", bench::rounded(row.max_unsafe_ms, 2))
+              .member("recovery_p50_ms", bench::rounded(row.p50_ms, 2))
+              .member("recovery_p95_ms", bench::rounded(row.p95_ms, 2))
+              .member("recoveries_completed", row.recoveries)
+              .member("host_ms", bench::rounded(row.host_ms, 1))
+              .member("invariants_pass", row.invariants_ok)
+              .end_object();
+        }
+        out.end_array();
+        out.key("outage").begin_array();
+        for (const OutageRow* row : {&resilient, &stranded}) {
+          out.begin_object()
+              .member("arm", row->arm)
+              .member("peak_unsafe", row->peak_unsafe)
+              .member("max_unsafe_ms", bench::rounded(row->max_unsafe_ms, 2))
+              .member("fallback_cache", row->fallback_cache)
+              .member("fallback_local", row->fallback_local)
+              .member("fallback_none", row->fallback_none)
+              .member("breaker_opens", row->breaker_opens)
+              .member("client_timeouts", row->client_timeouts)
+              .member("recoveries_completed", row->recoveries)
+              .member("invariants_pass", row->invariants_ok)
+              .end_object();
+        }
+        out.end_array();
+        out.key("scaling").begin_array();
+        for (const ScaleRow& row : scale) {
+          out.begin_object()
+              .member("sessions", row.sessions)
+              .member("host_ms", bench::rounded(row.host_ms, 1))
+              .member("sessions_per_sec",
+                      bench::rounded(row.sessions_per_sec, 0))
+              .member("peak_rss_kb", row.peak_rss_kb)
+              .member("requests_total", row.requests)
+              .member("synthesis_runs", row.synthesis_runs)
+              .member("dequeues", row.dequeues)
+              .member("coalesced", row.coalesced)
+              .member("mean_batch", bench::rounded(row.mean_batch, 1));
+          out.key("batch_size_histogram").begin_array();
+          for (const std::uint64_t count : row.batch_hist) out.value(count);
+          out.end_array()
+              .member("recovery_p50_ms", bench::rounded(row.p50_ms, 2))
+              .member("recovery_p95_ms", bench::rounded(row.p95_ms, 2))
+              .member("max_unsafe_ms", bench::rounded(row.max_unsafe_ms, 2))
+              .member("recoveries_completed", row.recoveries)
+              .member("invariants_pass", row.invariants_ok)
+              .end_object();
+        }
+        out.end_array();
+        out.key("batching_gate")
+            .begin_object()
+            .member("sessions", 100000)
+            .member("batched_dequeues", batch_gate.batched_dequeues)
+            .member("serial_dequeues", batch_gate.serial_dequeues)
+            .member("batched_served", batch_gate.batched_served)
+            .member("serial_served", batch_gate.serial_served)
+            .member("dequeue_reduction", bench::rounded(batch_gate.ratio, 2))
+            .member("pass", batch_gate.ok)
+            .end_object();
+        out.key("two_region_drill")
+            .begin_object()
+            .member("sessions", 100000)
+            .member("failovers", drill.failovers)
+            .member("region1_synthesis_runs", drill.region1_synthesis)
+            .member("fallback_none", drill.fallback_none)
+            .member("stranded", drill.unsafe_now)
+            .member("max_unsafe_ms", bench::rounded(drill.max_unsafe_ms, 2))
+            .member("recoveries_completed", drill.recoveries)
+            .member("pass", drill.ok)
+            .end_object();
+        out.key("alloc_audit").begin_object().member("sessions", 100000);
+        for (const auto& [name, run] :
+             {std::pair{"first_run", &audit.first},
+              std::pair{"rerun", &audit.rerun}}) {
+          out.key(name)
+              .begin_object()
+              .member("requests", run->requests)
+              .member("allocs", run->allocs)
+              .member("allocs_per_request",
+                      bench::rounded(run->per_request(), 4))
+              .end_object();
+        }
+        out.member("pass", audit.ok).end_object();
+        out.member("sweep_deterministic", deterministic);
+      });
+  return written && ok ? 0 : 1;
 }

@@ -49,6 +49,7 @@
 
 #include "bench/alloc_counter.hpp"
 #include "bench/common.hpp"
+#include "fault/campaign.hpp"
 #include "middleware/payload.hpp"
 #include "middleware/transport.hpp"
 #include "model/parser.hpp"
@@ -691,14 +692,11 @@ int main() {
                  legacy.wire_bytes == zero.wire_bytes &&
                  legacy.delivered == zero.delivered;
     ok = ok && row.parity;
-    char fp[32];
-    std::snprintf(fp, sizeof(fp), "%016llx",
-                  static_cast<unsigned long long>(zero.wire_fp));
     parity_table.row(
         {w.name, bench::fmt(row.parity_msgs),
          bench::fmt(static_cast<double>(zero.wire_frames) / row.parity_msgs, 2),
          bench::fmt(static_cast<double>(zero.wire_bytes) / row.parity_msgs, 1),
-         fp, row.parity ? "ok" : "MISMATCH"});
+         fault::hex_u64(zero.wire_fp), row.parity ? "ok" : "MISMATCH"});
     rows.push_back(row);
   }
 
@@ -777,70 +775,60 @@ int main() {
   }
 
   // -- JSON ------------------------------------------------------------------
-  std::FILE* f = std::fopen("BENCH_middleware.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_middleware.json\n");
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"experiment\": \"E18_zero_copy_middleware\",\n");
-  bench::fprint_host_json(f);
-  std::fprintf(f, "  \"workloads\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    const double legacy_rate = row.w->msgs / (row.legacy_ms / 1000.0);
-    const double zero_rate = row.w->msgs / (row.zero_ms / 1000.0);
-    std::fprintf(f, "    {\"name\": \"%s\", \"body_bytes\": %zu, ",
-                 row.w->name, row.w->body);
-    std::fprintf(f, "\"reliable\": %s, \"msgs_per_rep\": %d, ",
-                 row.w->reliable ? "true" : "false", row.w->msgs);
-    std::fprintf(f, "\"frames_per_msg\": %.2f, ",
-                 static_cast<double>(row.stats.wire_frames) / row.parity_msgs);
-    std::fprintf(f, "\"parity\": %s, ", row.parity ? "true" : "false");
-    std::fprintf(f, "\"legacy_msgs_per_sec\": %.0f, ", legacy_rate);
-    std::fprintf(f, "\"zero_copy_msgs_per_sec\": %.0f, ", zero_rate);
-    std::fprintf(f, "\"speedup\": %.2f}%s\n", zero_rate / legacy_rate,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"small_event_speedup\": %.2f,\n", small_event_speedup);
-  std::fprintf(f, "  \"speedup_target\": %.1f,\n", kSpeedupTarget);
-  std::fprintf(f, "  \"speedup_floor\": %.1f,\n", kSpeedupFloor);
-  std::fprintf(f, "  \"speedup_ok\": %s,\n",
-               small_event_speedup >= kSpeedupTarget ? "true" : "false");
-  std::fprintf(f,
-               "  \"speedup_note\": \"warm-tcache baseline allocations; on a "
-               "shared host the 32-byte rows are noise-dominated; edge grows "
-               "with body size (see frag_8k rows) and allocator "
-               "pressure\",\n");
-  std::fprintf(f, "  \"steady_state_msgs\": %llu,\n",
-               static_cast<unsigned long long>(alloc.msgs));
-  std::fprintf(f, "  \"steady_state_heap_allocs\": %llu,\n",
-               static_cast<unsigned long long>(alloc.heap_allocs));
-  std::fprintf(f, "  \"steady_state_arena_chunk_growth\": %llu,\n",
-               static_cast<unsigned long long>(alloc.arena_chunks));
-  std::fprintf(f, "  \"zero_alloc_ok\": %s,\n", alloc.ok ? "true" : "false");
-  std::fprintf(f, "  \"full_node\": {\"window_sim_s\": 10, ");
-  std::fprintf(f, "\"delivered\": %llu, \"kernel_events\": %llu, ",
-               static_cast<unsigned long long>(node.delivered),
-               static_cast<unsigned long long>(node.events));
-  std::fprintf(f, "\"heap_allocs\": %llu, ",
-               static_cast<unsigned long long>(node.heap_allocs));
-  std::fprintf(f, "\"allocs_per_msg\": %.2f, \"allocs_per_event\": %.3f, ",
-               node.allocs_per_msg, node.allocs_per_event);
-  std::fprintf(f, "\"parent_allocs_per_msg\": %.2f, ",
-               kParentNodeAllocsPerMsg);
-  std::fprintf(f, "\"parent_allocs_per_event\": %.3f, ",
-               kParentNodeAllocsPerEvent);
-  std::fprintf(f, "\"ceiling_allocs_per_msg\": %.1f, \"ok\": %s},\n",
-               kNodeAllocsPerMsgCeiling, node_ok ? "true" : "false");
-  std::fprintf(f, "  \"sweep\": {\"scenarios\": %zu, \"threads\": [0, 4], ",
-               kSweepScenarios);
-  std::fprintf(f, "\"bit_identical\": %s, \"merged_fingerprint\": \"%016llx\"}\n",
-               sweep_identical ? "true" : "false",
-               static_cast<unsigned long long>(serial.merged));
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("\nwrote BENCH_middleware.json\n");
-  return ok ? 0 : 1;
+  const bool written = bench::write_result(
+      "BENCH_middleware.json", "E18_zero_copy_middleware",
+      [&](obs::json::Writer& out) {
+        out.key("workloads").begin_array();
+        for (const Row& row : rows) {
+          const double legacy_rate = row.w->msgs / (row.legacy_ms / 1000.0);
+          const double zero_rate = row.w->msgs / (row.zero_ms / 1000.0);
+          const double frames_per_msg =
+              static_cast<double>(row.stats.wire_frames) / row.parity_msgs;
+          out.begin_object()
+              .member("name", row.w->name)
+              .member("body_bytes", row.w->body)
+              .member("reliable", row.w->reliable)
+              .member("msgs_per_rep", row.w->msgs)
+              .member("frames_per_msg", bench::rounded(frames_per_msg, 2))
+              .member("parity", row.parity)
+              .member("legacy_msgs_per_sec", bench::rounded(legacy_rate, 0))
+              .member("zero_copy_msgs_per_sec", bench::rounded(zero_rate, 0))
+              .member("speedup", bench::rounded(zero_rate / legacy_rate, 2))
+              .end_object();
+        }
+        out.end_array()
+            .member("small_event_speedup",
+                    bench::rounded(small_event_speedup, 2))
+            .member("speedup_target", kSpeedupTarget)
+            .member("speedup_floor", kSpeedupFloor)
+            .member("speedup_ok", small_event_speedup >= kSpeedupTarget)
+            .member("speedup_note",
+                    "warm-tcache baseline allocations; on a shared host the "
+                    "32-byte rows are noise-dominated; edge grows with body "
+                    "size (see frag_8k rows) and allocator pressure")
+            .member("steady_state_msgs", alloc.msgs)
+            .member("steady_state_heap_allocs", alloc.heap_allocs)
+            .member("steady_state_arena_chunk_growth", alloc.arena_chunks)
+            .member("zero_alloc_ok", alloc.ok);
+        out.key("full_node")
+            .begin_object()
+            .member("window_sim_s", 10)
+            .member("delivered", node.delivered)
+            .member("kernel_events", node.events)
+            .member("heap_allocs", node.heap_allocs)
+            .member("allocs_per_msg", bench::rounded(node.allocs_per_msg, 2))
+            .member("allocs_per_event",
+                    bench::rounded(node.allocs_per_event, 3))
+            .member("parent_allocs_per_msg", kParentNodeAllocsPerMsg)
+            .member("parent_allocs_per_event", kParentNodeAllocsPerEvent)
+            .member("ceiling_allocs_per_msg", kNodeAllocsPerMsgCeiling)
+            .member("ok", node_ok)
+            .end_object();
+        out.key("sweep").begin_object().member("scenarios", kSweepScenarios);
+        out.key("threads").begin_array().value(0).value(4).end_array();
+        out.member("bit_identical", sweep_identical)
+            .member("merged_fingerprint", fault::hex_u64(serial.merged))
+            .end_object();
+      });
+  return written && ok ? 0 : 1;
 }

@@ -143,30 +143,22 @@ int main() {
     samples.push_back({true, sim::to_ms(period), on});
   }
 
-  std::FILE* f = std::fopen("BENCH_monitor.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_monitor.json\n");
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"experiment\": \"E10_runtime_monitoring\",\n");
-  bench::fprint_host_json(f);
-  std::fprintf(f, "  \"samples\": [\n");
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const Sample& s = samples[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"monitoring\": %s,\n",
-                 s.monitoring ? "true" : "false");
-    std::fprintf(f, "      \"sampling_period_ms\": %.3f,\n", s.sampling_ms);
-    std::fprintf(f, "      \"cpu_overhead_percent\": %.4f,\n",
-                 s.outcome.overhead_percent);
-    std::fprintf(f, "      \"detection_latency_ms\": %.3f,\n",
-                 s.outcome.detection_ms);
-    std::fprintf(f, "      \"faults_recorded\": %zu\n", s.outcome.faults);
-    std::fprintf(f, "    }%s\n", i + 1 < samples.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote BENCH_monitor.json\n");
-  return 0;
+  const bool written = bench::write_result(
+      "BENCH_monitor.json", "E10_runtime_monitoring",
+      [&](obs::json::Writer& out) {
+        out.key("samples").begin_array();
+        for (const Sample& s : samples) {
+          out.begin_object()
+              .member("monitoring", s.monitoring)
+              .member("sampling_period_ms", bench::rounded(s.sampling_ms, 3))
+              .member("cpu_overhead_percent",
+                      bench::rounded(s.outcome.overhead_percent, 4))
+              .member("detection_latency_ms",
+                      bench::rounded(s.outcome.detection_ms, 3))
+              .member("faults_recorded", s.outcome.faults)
+              .end_object();
+        }
+        out.end_array();
+      });
+  return written ? 0 : 1;
 }

@@ -375,50 +375,33 @@ int main() {
               static_cast<unsigned long long>(demo.flow_ends),
               demo.ok ? "ok" : demo.why.c_str());
 
-  std::FILE* f = std::fopen("BENCH_obs.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_obs.json\n");
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"experiment\": \"obs_record_cost\",\n");
-  bench::fprint_host_json(f);
-  std::fprintf(f, "  \"events\": %llu,\n",
-               static_cast<unsigned long long>(kEvents));
-  std::fprintf(f, "  \"ring_capacity\": %zu,\n", kRingCapacity);
-  std::fprintf(f, "  \"samples\": [\n");
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const Sample& s = samples[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"config\": \"%s\",\n", s.config);
-    std::fprintf(f, "      \"ns_per_event\": %.3f,\n", s.ns_per_event);
-    std::fprintf(f, "      \"recorded\": %llu,\n",
-                 static_cast<unsigned long long>(s.recorded));
-    std::fprintf(f, "      \"retained\": %zu,\n", s.retained);
-    std::fprintf(f, "      \"dropped\": %llu,\n",
-                 static_cast<unsigned long long>(s.dropped));
-    std::fprintf(f, "      \"approx_bytes\": %zu\n", s.approx_bytes);
-    std::fprintf(f, "    }%s\n", i + 1 < samples.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"chain_demo\": {\n");
-  std::fprintf(f, "    \"delivered\": %llu,\n",
-               static_cast<unsigned long long>(demo.delivered));
-  std::fprintf(f, "    \"retries\": %llu,\n",
-               static_cast<unsigned long long>(demo.retries));
-  std::fprintf(f, "    \"flow_starts\": %llu,\n",
-               static_cast<unsigned long long>(demo.flow_starts));
-  std::fprintf(f, "    \"flow_steps\": %llu,\n",
-               static_cast<unsigned long long>(demo.flow_steps));
-  std::fprintf(f, "    \"flow_ends\": %llu,\n",
-               static_cast<unsigned long long>(demo.flow_ends));
-  std::fprintf(f, "    \"ok\": %s\n", demo.ok ? "true" : "false");
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  std::printf("wrote BENCH_obs.json, BENCH_obs_trace.json, "
-              "BENCH_obs_postmortem.json\n");
+  const bool written = bench::write_result(
+      "BENCH_obs.json", "obs_record_cost", [&](obs::json::Writer& out) {
+        out.member("events", kEvents).member("ring_capacity", kRingCapacity);
+        out.key("samples").begin_array();
+        for (const Sample& s : samples) {
+          out.begin_object()
+              .member("config", s.config)
+              .member("ns_per_event", bench::rounded(s.ns_per_event, 3))
+              .member("recorded", s.recorded)
+              .member("retained", s.retained)
+              .member("dropped", s.dropped)
+              .member("approx_bytes", s.approx_bytes)
+              .end_object();
+        }
+        out.end_array();
+        out.key("chain_demo")
+            .begin_object()
+            .member("delivered", demo.delivered)
+            .member("retries", demo.retries)
+            .member("flow_starts", demo.flow_starts)
+            .member("flow_steps", demo.flow_steps)
+            .member("flow_ends", demo.flow_ends)
+            .member("ok", demo.ok)
+            .end_object();
+      });
 
-  bool failed = false;
+  bool failed = !written;
   for (const Sample& s : samples) {
     if (std::string(s.config) == "chain_disabled" &&
         s.ns_per_event > kDisabledBudgetNs) {

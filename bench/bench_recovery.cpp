@@ -185,31 +185,23 @@ int main() {
                bench::fmt(s.plans_rolled_back)});
   }
 
-  std::FILE* f = std::fopen("BENCH_recovery.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_recovery.json\n");
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"experiment\": \"E15_transactional_recovery\",\n");
-  bench::fprint_host_json(f);
-  std::fprintf(f, "  \"kill_sweep\": [\n");
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const Outcome& s = samples[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"killed\": %d,\n", s.killed);
-    std::fprintf(f, "      \"mode\": \"%s\",\n", s.mode);
-    std::fprintf(f, "      \"displaced\": %d,\n", s.displaced);
-    std::fprintf(f, "      \"recovered\": %d,\n", s.recovered);
-    std::fprintf(f, "      \"stranded\": %d,\n", s.stranded);
-    std::fprintf(f, "      \"latency_ms\": %.1f,\n", s.latency_ms);
-    std::fprintf(f, "      \"plans_committed\": %d,\n", s.plans_committed);
-    std::fprintf(f, "      \"plans_rolled_back\": %d\n", s.plans_rolled_back);
-    std::fprintf(f, "    }%s\n", i + 1 < samples.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("\nwrote BENCH_recovery.json\n");
-  return 0;
+  const bool written = bench::write_result(
+      "BENCH_recovery.json", "E15_transactional_recovery",
+      [&](obs::json::Writer& out) {
+        out.key("kill_sweep").begin_array();
+        for (const Outcome& s : samples) {
+          out.begin_object()
+              .member("killed", s.killed)
+              .member("mode", s.mode)
+              .member("displaced", s.displaced)
+              .member("recovered", s.recovered)
+              .member("stranded", s.stranded)
+              .member("latency_ms", bench::rounded(s.latency_ms, 1))
+              .member("plans_committed", s.plans_committed)
+              .member("plans_rolled_back", s.plans_rolled_back)
+              .end_object();
+        }
+        out.end_array();
+      });
+  return written ? 0 : 1;
 }

@@ -249,19 +249,6 @@ void print_row(bench::Table& table, const char* workload, const char* kernel,
              bench::fmt(t.rep_ms.max, 2)});
 }
 
-void json_throughput(std::FILE* f, const char* name, const Throughput& t,
-                     const char* indent) {
-  std::fprintf(f, "%s\"%s\": {\n", indent, name);
-  std::fprintf(f, "%s  \"events\": %llu,\n", indent,
-               static_cast<unsigned long long>(t.events));
-  std::fprintf(f, "%s  \"best_ms\": %.3f,\n", indent, t.best_ms);
-  std::fprintf(f, "%s  \"events_per_sec\": %.0f,\n", indent, t.events_per_sec);
-  std::fprintf(f, "%s  \"rep_ms_p50\": %.3f,\n", indent, t.rep_ms.p50);
-  std::fprintf(f, "%s  \"rep_ms_p95\": %.3f,\n", indent, t.rep_ms.p95);
-  std::fprintf(f, "%s  \"rep_ms_max\": %.3f\n", indent, t.rep_ms.max);
-  std::fprintf(f, "%s}", indent);
-}
-
 }  // namespace
 
 int main() {
@@ -340,34 +327,36 @@ int main() {
       kCancelRounds, legacy_cancel.queue_entries(), legacy_cancel.pending(),
       slab_cancel.slab_capacity(), slab_cancel.pending());
 
-  std::FILE* f = std::fopen("BENCH_sim.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_sim.json\n");
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"experiment\": \"E16_event_kernel\",\n");
-  bench::fprint_host_json(f);
-  std::fprintf(f, "  \"reps\": %d,\n", kReps);
-  std::fprintf(f, "  \"mixed\": {\n");
-  json_throughput(f, "legacy", mixed_legacy, "    ");
-  std::fprintf(f, ",\n");
-  json_throughput(f, "slab", mixed_slab, "    ");
-  std::fprintf(f, ",\n    \"speedup\": %.2f\n  },\n", mixed_speedup);
-  std::fprintf(f, "  \"oneshot_churn\": {\n");
-  json_throughput(f, "legacy", churn_legacy, "    ");
-  std::fprintf(f, ",\n");
-  json_throughput(f, "slab", churn_slab, "    ");
-  std::fprintf(f, ",\n    \"speedup\": %.2f\n  },\n", churn_speedup);
-  std::fprintf(f, "  \"cancel_growth\": {\n");
-  std::fprintf(f, "    \"rounds\": %d,\n", kCancelRounds);
-  std::fprintf(f, "    \"legacy_queue_entries\": %zu,\n",
-               legacy_cancel.queue_entries());
-  std::fprintf(f, "    \"slab_nodes\": %zu,\n", slab_cancel.slab_capacity());
-  std::fprintf(f, "    \"legacy_pending\": %zu,\n", legacy_cancel.pending());
-  std::fprintf(f, "    \"slab_pending\": %zu\n", slab_cancel.pending());
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote BENCH_sim.json\n");
-  return 0;
+  const bool written = bench::write_result(
+      "BENCH_sim.json", "E16_event_kernel", [&](obs::json::Writer& out) {
+        const auto throughput = [&out](const char* name, const Throughput& t) {
+          out.key(name)
+              .begin_object()
+              .member("events", t.events)
+              .member("best_ms", bench::rounded(t.best_ms, 3))
+              .member("events_per_sec", bench::rounded(t.events_per_sec, 0))
+              .member("rep_ms_p50", bench::rounded(t.rep_ms.p50, 3))
+              .member("rep_ms_p95", bench::rounded(t.rep_ms.p95, 3))
+              .member("rep_ms_max", bench::rounded(t.rep_ms.max, 3))
+              .end_object();
+        };
+        out.member("reps", kReps);
+        out.key("mixed").begin_object();
+        throughput("legacy", mixed_legacy);
+        throughput("slab", mixed_slab);
+        out.member("speedup", bench::rounded(mixed_speedup, 2)).end_object();
+        out.key("oneshot_churn").begin_object();
+        throughput("legacy", churn_legacy);
+        throughput("slab", churn_slab);
+        out.member("speedup", bench::rounded(churn_speedup, 2)).end_object();
+        out.key("cancel_growth")
+            .begin_object()
+            .member("rounds", kCancelRounds)
+            .member("legacy_queue_entries", legacy_cancel.queue_entries())
+            .member("slab_nodes", slab_cancel.slab_capacity())
+            .member("legacy_pending", legacy_cancel.pending())
+            .member("slab_pending", slab_cancel.pending())
+            .end_object();
+      });
+  return written ? 0 : 1;
 }

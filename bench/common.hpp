@@ -1,24 +1,29 @@
 // Shared helpers for the experiment benches (E1..E12).
 //
 // Each bench binary regenerates one table/figure of EXPERIMENTS.md as a
-// tab-separated table on stdout, plus a short header naming the experiment.
+// tab-separated table on stdout, plus a short header naming the experiment;
+// a bench with a machine-readable result writes it with write_result().
 // Wall-clock helpers measure host cost where the experiment is about
 // analysis/synthesis cost rather than simulated time.
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
+#include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
 #include <type_traits>
-#include <cstdio>
-#include <string>
 #include <vector>
 
 #if defined(__linux__)
 #include <sys/utsname.h>
 #endif
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace dynaplat::bench {
@@ -128,8 +133,8 @@ inline double min_elapsed_ms(int reps, Fn&& fn) {
 // --- Host context ------------------------------------------------------------
 //
 // Wall-clock results mean nothing without the machine they were taken on:
-// every BENCH_*.json embeds a "host" object so successive PRs' trajectories
-// are comparable (or visibly not).
+// every BENCH_*.json embeds a "host" object (write_result below) so
+// successive snapshots are comparable (or visibly not).
 
 struct HostInfo {
   unsigned hardware_threads = 0;
@@ -182,24 +187,41 @@ inline std::size_t peak_rss_kb() {
   return 0;
 }
 
-/// Emits the standard `"host": {...},` JSON fragment (two-space indent,
-/// trailing comma) — call right after the opening `{` of a BENCH_*.json.
-inline void fprint_host_json(std::FILE* f) {
-  const HostInfo info = host_info();
-  const auto escaped = [](const std::string& s) {
-    std::string out;
-    for (const char c : s) {
-      if (c == '"' || c == '\\') out.push_back('\\');
-      out.push_back(c);
-    }
-    return out;
-  };
-  std::fprintf(f, "  \"host\": {\n");
-  std::fprintf(f, "    \"hardware_threads\": %u,\n", info.hardware_threads);
-  std::fprintf(f, "    \"cpu_model\": \"%s\",\n",
-               escaped(info.cpu_model).c_str());
-  std::fprintf(f, "    \"os\": \"%s\"\n", escaped(info.os).c_str());
-  std::fprintf(f, "  },\n");
+/// `v` rounded to `digits` decimals (the same decimal a "%.<digits>f"
+/// column shows), for result values quoted at a fixed precision.
+inline double rounded(double v, int digits) {
+  char buf[64];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v,
+                                       std::chars_format::fixed, digits);
+  if (ec != std::errc{}) return v;
+  double out = v;
+  std::from_chars(buf, end, out);
+  return out;
+}
+
+/// Writes one BENCH_*.json result, `{"experiment": ..., "host": {...},`
+/// then the members `fill(writer)` adds `}`, and prints the path. Returns
+/// false, with a message on stderr, when the file cannot be written.
+template <typename Fill>
+bool write_result(const std::string& path, std::string_view experiment,
+                  Fill&& fill) {
+  const HostInfo host = host_info();
+  obs::json::Writer out;
+  out.begin_object().member("experiment", experiment);
+  out.key("host")
+      .begin_object()
+      .member("hardware_threads", host.hardware_threads)
+      .member("cpu_model", host.cpu_model)
+      .member("os", host.os)
+      .end_object();
+  fill(out);
+  out.end_object();
+  if (!obs::json::write_file(path, out.take())) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return true;
 }
 
 }  // namespace dynaplat::bench

@@ -42,6 +42,7 @@
 #include "middleware/payload.hpp"
 #include "model/parser.hpp"
 #include "obs/export.hpp"
+#include "obs/json.hpp"
 #include "platform/degradation.hpp"
 #include "platform/redundancy.hpp"
 #include "platform/vehicle.hpp"
@@ -241,11 +242,7 @@ int fuzz_mode(std::uint64_t master_seed) {
                 static_cast<unsigned long long>(entry.config.seed));
   }
 
-  std::FILE* f = std::fopen("chaos_fuzz_journal.json", "w");
-  if (f != nullptr) {
-    const std::string journal = fuzzer.journal_json();
-    std::fwrite(journal.data(), 1, journal.size(), f);
-    std::fclose(f);
+  if (obs::json::write_file("chaos_fuzz_journal.json", fuzzer.journal_json())) {
     std::printf("wrote chaos_fuzz_journal.json (replay record)\n");
   }
 

@@ -1,6 +1,7 @@
 #include "fault/campaign.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "obs/fnv.hpp"
 
@@ -49,6 +50,13 @@ bool fault_kind_from_string(std::string_view name, FaultKind* out) {
     }
   }
   return false;
+}
+
+std::string hex_u64(std::uint64_t value) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(value));
+  return buf;
 }
 
 bool fault_kind_end_of(FaultKind start, FaultKind* end) {

@@ -74,6 +74,11 @@ bool fault_kind_from_string(std::string_view name, FaultKind* out);
 /// minimizer uses this to keep Start/End pairs together as one episode.
 bool fault_kind_end_of(FaultKind start, FaultKind* end);
 
+/// A 64-bit seed or fingerprint as 16 lower-case hex digits, the form JSON
+/// documents store it in: a full-range u64 does not survive the double
+/// round-trip of a JSON number.
+std::string hex_u64(std::uint64_t value);
+
 struct FaultEvent {
   sim::Time at = 0;
   FaultKind kind = FaultKind::kEcuCrash;

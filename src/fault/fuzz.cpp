@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 #include "obs/json.hpp"
@@ -31,17 +30,25 @@ std::uint8_t bucket_of(std::uint64_t count) {
   return width;
 }
 
-std::string u64_hex(std::uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(value));
-  return buf;
-}
-
-std::string fmt_double(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
+void write_campaign_config(obs::json::Writer& out,
+                           const CampaignConfig& config) {
+  out.begin_object()
+      .member("seed", hex_u64(config.seed))
+      .member("start_ns", config.start)
+      .member("horizon_ns", config.horizon)
+      .member("episodes", config.episodes)
+      .member("min_duration_ns", config.min_duration)
+      .member("max_duration_ns", config.max_duration)
+      .member("weight_crash", config.weight_crash)
+      .member("weight_partition", config.weight_partition)
+      .member("weight_babble", config.weight_babble)
+      .member("weight_burst", config.weight_burst)
+      .member("weight_corruption", config.weight_corruption)
+      .member("weight_overrun", config.weight_overrun)
+      .member("weight_memory", config.weight_memory)
+      .member("magnitude_scale", config.magnitude_scale)
+      .member("partition_fraction", config.partition_fraction)
+      .end_object();
 }
 
 }  // namespace
@@ -274,54 +281,39 @@ void FuzzScheduler::run(double budget_ms) {
 }
 
 std::string FuzzScheduler::journal_json() const {
-  std::string out = "{\n  \"kind\": \"dynaplat_fuzz_journal\",\n";
-  out += "  \"master_seed\": \"" + u64_hex(config_.master_seed) + "\",\n";
-  out += "  \"rounds_completed\": " + std::to_string(rounds_done_) + ",\n";
-  out += "  \"batch\": " + std::to_string(config_.batch) + ",\n";
-  out += "  \"executed\": " + std::to_string(executed_) + ",\n";
-  out += "  \"unique_keys\": " + std::to_string(unique_keys()) + ",\n";
-  out += "  \"base\": " + campaign_config_json(config_.base) + ",\n";
-  out += "  \"records\": [";
-  for (std::size_t i = 0; i < journal_.size(); ++i) {
-    const JournalRecord& record = journal_[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"round\": " + std::to_string(record.round) +
-           ", \"index\": " + std::to_string(record.index) +
-           ", \"parent\": " + std::to_string(record.parent) + ", \"op\": \"" +
-           to_string(record.op) + "\", \"new_edges\": " +
-           std::to_string(record.new_edges) + ", \"admitted\": " +
-           (record.admitted ? "true" : "false") + ", \"passed\": " +
-           (record.invariants_passed ? "true" : "false") +
-           ", \"violated\": \"" + obs::json::escape(record.violated) +
-           "\", \"config\": " + campaign_config_json(record.config) + "}";
+  obs::json::Writer out;
+  out.begin_object()
+      .member("kind", "dynaplat_fuzz_journal")
+      .member("master_seed", hex_u64(config_.master_seed))
+      .member("rounds_completed", rounds_done_)
+      .member("batch", config_.batch)
+      .member("executed", executed_)
+      .member("unique_keys", unique_keys());
+  write_campaign_config(out.key("base"), config_.base);
+  out.key("records").begin_array();
+  for (const JournalRecord& record : journal_) {
+    out.begin_object()
+        .member("round", record.round)
+        .member("index", record.index)
+        .member("parent", record.parent)
+        .member("op", to_string(record.op))
+        .member("new_edges", record.new_edges)
+        .member("admitted", record.admitted)
+        .member("passed", record.invariants_passed)
+        .member("violated", record.violated);
+    write_campaign_config(out.key("config"), record.config);
+    out.end_object();
   }
-  out += journal_.empty() ? "],\n" : "\n  ],\n";
-  out += "  \"coverage\": " + coverage_.snapshot_json() + "\n}\n";
-  return out;
+  out.end_array();
+  coverage_.write_json(out.key("coverage"));
+  out.end_object();
+  return out.take();
 }
 
 std::string campaign_config_json(const CampaignConfig& config) {
-  std::string out = "{\"seed\": \"" + u64_hex(config.seed) + "\"";
-  out += ", \"start_ns\": " +
-         std::to_string(static_cast<std::uint64_t>(config.start));
-  out += ", \"horizon_ns\": " +
-         std::to_string(static_cast<std::uint64_t>(config.horizon));
-  out += ", \"episodes\": " + std::to_string(config.episodes);
-  out += ", \"min_duration_ns\": " +
-         std::to_string(static_cast<std::uint64_t>(config.min_duration));
-  out += ", \"max_duration_ns\": " +
-         std::to_string(static_cast<std::uint64_t>(config.max_duration));
-  out += ", \"weight_crash\": " + fmt_double(config.weight_crash);
-  out += ", \"weight_partition\": " + fmt_double(config.weight_partition);
-  out += ", \"weight_babble\": " + fmt_double(config.weight_babble);
-  out += ", \"weight_burst\": " + fmt_double(config.weight_burst);
-  out += ", \"weight_corruption\": " + fmt_double(config.weight_corruption);
-  out += ", \"weight_overrun\": " + fmt_double(config.weight_overrun);
-  out += ", \"weight_memory\": " + fmt_double(config.weight_memory);
-  out += ", \"magnitude_scale\": " + fmt_double(config.magnitude_scale);
-  out += ", \"partition_fraction\": " + fmt_double(config.partition_fraction);
-  out += "}";
-  return out;
+  obs::json::Writer out;
+  write_campaign_config(out, config);
+  return out.take();
 }
 
 bool campaign_config_from_json(std::string_view json_text,
@@ -331,13 +323,13 @@ bool campaign_config_from_json(std::string_view json_text,
   CampaignConfig config;
   if (!doc.at("seed").is_string()) return false;
   config.seed = std::strtoull(doc.at("seed").string.c_str(), nullptr, 16);
-  config.start = static_cast<sim::Time>(doc.at("start_ns").number);
-  config.horizon = static_cast<sim::Duration>(doc.at("horizon_ns").number);
-  config.episodes = static_cast<int>(doc.at("episodes").number);
-  config.min_duration =
-      static_cast<sim::Duration>(doc.at("min_duration_ns").number);
-  config.max_duration =
-      static_cast<sim::Duration>(doc.at("max_duration_ns").number);
+  const bool integers_fit =
+      doc.at("start_ns").to_integer(&config.start) &&
+      doc.at("horizon_ns").to_integer(&config.horizon) &&
+      doc.at("episodes").to_integer(&config.episodes) &&
+      doc.at("min_duration_ns").to_integer(&config.min_duration) &&
+      doc.at("max_duration_ns").to_integer(&config.max_duration);
+  if (!integers_fit) return false;
   config.weight_crash = doc.at("weight_crash").number;
   config.weight_partition = doc.at("weight_partition").number;
   config.weight_babble = doc.at("weight_babble").number;

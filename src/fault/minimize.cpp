@@ -1,7 +1,6 @@
 #include "fault/minimize.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <map>
 
@@ -192,64 +191,36 @@ Repro Minimizer::minimize(std::vector<FaultEvent> plan, sim::Duration horizon,
 }
 
 std::string repro_json(const Repro& repro) {
-  std::string out = "{\n  \"kind\": \"dynaplat_fault_repro\",\n";
-  char buf[64];
-  auto field_u64 = [&](const char* name, std::uint64_t value, bool comma) {
-    std::snprintf(buf, sizeof buf, "  \"%s\": %llu%s\n", name,
-                  static_cast<unsigned long long>(value), comma ? "," : "");
-    out += buf;
-  };
-  out += "  \"failing\": ";
-  out += repro.failing ? "true,\n" : "false,\n";
-  out += "  \"invariant\": \"" + obs::json::escape(repro.invariant) + "\",\n";
-  out += "  \"detail\": \"" + obs::json::escape(repro.detail) + "\",\n";
-  // Hex string: a full-range 64-bit seed does not survive a double
-  // round-trip through the JSON number path.
-  std::snprintf(buf, sizeof buf, "  \"seed\": \"%016llx\",\n",
-                static_cast<unsigned long long>(repro.seed));
-  out += buf;
-  field_u64("horizon_ns", static_cast<std::uint64_t>(repro.horizon), true);
-  field_u64("original_events", repro.original_events, true);
-  field_u64("runs_used", repro.runs_used, true);
-  out += "  \"events\": [";
-  for (std::size_t i = 0; i < repro.plan.size(); ++i) {
-    const FaultEvent& event = repro.plan[i];
-    out += i == 0 ? "\n" : ",\n";
-    std::snprintf(buf, sizeof buf, "%llu",
-                  static_cast<unsigned long long>(event.at));
-    out += "    {\"at_ns\": ";
-    out += buf;
-    out += ", \"kind\": \"";
-    out += to_string(event.kind);
-    out += "\", \"target\": \"" + obs::json::escape(event.target) + "\"";
-    std::snprintf(buf, sizeof buf, "%.17g", event.magnitude);
-    out += ", \"magnitude\": ";
-    out += buf;
+  obs::json::Writer out;
+  out.begin_object()
+      .member("kind", "dynaplat_fault_repro")
+      .member("failing", repro.failing)
+      .member("invariant", repro.invariant)
+      .member("detail", repro.detail)
+      .member("seed", hex_u64(repro.seed))
+      .member("horizon_ns", repro.horizon)
+      .member("original_events", repro.original_events)
+      .member("runs_used", repro.runs_used);
+  out.key("events").begin_array();
+  for (const FaultEvent& event : repro.plan) {
+    out.begin_object()
+        .member("at_ns", event.at)
+        .member("kind", to_string(event.kind))
+        .member("target", event.target)
+        .member("magnitude", event.magnitude);
     if (!event.island.empty()) {
-      out += ", \"island\": [";
-      bool first = true;
-      for (const net::NodeId node : event.island) {
-        if (!first) out += ", ";
-        first = false;
-        std::snprintf(buf, sizeof buf, "%llu",
-                      static_cast<unsigned long long>(node));
-        out += buf;
-      }
-      out += "]";
+      out.key("island").begin_array();
+      for (const net::NodeId node : event.island) out.value(node);
+      out.end_array();
     }
-    out += "}";
+    out.end_object();
   }
-  out += repro.plan.empty() ? "]\n}\n" : "\n  ]\n}\n";
-  return out;
+  out.end_array().end_object();
+  return out.take();
 }
 
 bool write_repro_file(const Repro& repro, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string doc = repro_json(repro);
-  const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  std::fclose(f);
-  return ok;
+  return obs::json::write_file(path, repro_json(repro));
 }
 
 bool load_repro(std::string_view json_text, Repro* out) {
@@ -261,24 +232,27 @@ bool load_repro(std::string_view json_text, Repro* out) {
   repro.invariant = doc.at("invariant").string;
   repro.detail = doc.at("detail").string;
   repro.seed = std::strtoull(doc.at("seed").string.c_str(), nullptr, 16);
-  repro.horizon = static_cast<sim::Duration>(doc.at("horizon_ns").number);
-  repro.original_events =
-      static_cast<std::size_t>(doc.at("original_events").number);
-  repro.runs_used = static_cast<std::size_t>(doc.at("runs_used").number);
+  if (!doc.at("horizon_ns").to_integer(&repro.horizon) ||
+      !doc.at("original_events").to_integer(&repro.original_events) ||
+      !doc.at("runs_used").to_integer(&repro.runs_used)) {
+    return false;
+  }
   const obs::json::Value& events = doc.at("events");
   if (!events.is_array()) return false;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const obs::json::Value& entry = events[i];
     FaultEvent event;
-    event.at = static_cast<sim::Time>(entry.at("at_ns").number);
-    if (!fault_kind_from_string(entry.at("kind").string, &event.kind)) {
+    if (!entry.at("at_ns").to_integer(&event.at) ||
+        !fault_kind_from_string(entry.at("kind").string, &event.kind)) {
       return false;
     }
     event.target = entry.at("target").string;
     event.magnitude = entry.at("magnitude").number;
     const obs::json::Value& island = entry.at("island");
     for (std::size_t j = 0; j < island.size(); ++j) {
-      event.island.insert(static_cast<net::NodeId>(island[j].number));
+      net::NodeId node = 0;
+      if (!island[j].to_integer(&node)) return false;
+      event.island.insert(node);
     }
     repro.plan.push_back(std::move(event));
   }

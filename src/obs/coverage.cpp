@@ -1,9 +1,9 @@
 #include "obs/coverage.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "obs/fnv.hpp"
+#include "obs/json.hpp"
 
 namespace dynaplat::obs {
 
@@ -30,14 +30,18 @@ std::size_t CoverageMap::unique_hit_count() const {
   return covered;
 }
 
-std::uint64_t CoverageMap::fingerprint() const {
+std::vector<std::size_t> CoverageMap::sorted_order() const {
   std::vector<std::size_t> order(names_.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
     return names_[a] < names_[b];
   });
+  return order;
+}
+
+std::uint64_t CoverageMap::fingerprint() const {
   std::uint64_t hash = kFingerprintOffset;
-  for (std::size_t i : order) {
+  for (std::size_t i : sorted_order()) {
     hash = fnv1a(hash, names_[i]);
     hash = fnv1a(hash, &counts_[i], sizeof(counts_[i]));
   }
@@ -55,26 +59,15 @@ void CoverageMap::merge_from(const CoverageMap& other) {
 }
 
 std::string CoverageMap::snapshot_json() const {
-  std::vector<std::size_t> order(names_.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
-    return names_[a] < names_[b];
-  });
-  std::string out = "{";
-  bool first = true;
-  char buf[32];
-  for (std::size_t i : order) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"";
-    out += names_[i];  // keys are identifier-style, no escaping needed
-    out += "\":";
-    std::snprintf(buf, sizeof buf, "%llu",
-                  static_cast<unsigned long long>(counts_[i]));
-    out += buf;
-  }
-  out += "}";
-  return out;
+  json::Writer out;
+  write_json(out);
+  return out.take();
+}
+
+void CoverageMap::write_json(json::Writer& out) const {
+  out.begin_object();
+  for (std::size_t i : sorted_order()) out.member(names_[i], counts_[i]);
+  out.end_object();
 }
 
 void CoverageMap::clear() {

@@ -10,8 +10,8 @@
 //
 // Hot paths pre-resolve keys with key() once and hit(u32) per event; cold
 // paths use the string overload. snapshot_json() renders a flat JSON object
-// sorted by key name — the exact input the ROADMAP coverage-guided chaos
-// scheduler consumes.
+// sorted by key name — the coverage section of the fuzz journal and the
+// post-mortem bundle, which embed it through write_json().
 #pragma once
 
 #include <cstdint>
@@ -21,6 +21,10 @@
 #include <vector>
 
 namespace dynaplat::obs {
+
+namespace json {
+class Writer;
+}
 
 class CoverageMap {
  public:
@@ -66,10 +70,15 @@ class CoverageMap {
   /// Flat JSON object `{"key": count, ...}` sorted by key name, so two maps
   /// with the same content serialize byte-identically.
   std::string snapshot_json() const;
+  /// Writes the snapshot object as the writer's next value.
+  void write_json(json::Writer& out) const;
 
   void clear();
 
  private:
+  /// Interning indices sorted by key name.
+  std::vector<std::size_t> sorted_order() const;
+
   std::unordered_map<std::string, std::uint32_t> index_;
   std::vector<std::string> names_;
   std::vector<std::uint64_t> counts_;

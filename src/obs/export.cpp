@@ -1,7 +1,6 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <string>
 #include <utility>
@@ -15,15 +14,9 @@ namespace {
 
 double to_us(sim::Time at) { return static_cast<double>(at) / 1000.0; }
 
-std::string fmt_us(double us) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.3f", us);
-  return buf;
-}
-
 struct OutEvent {
-  double ts_us = 0.0;
-  double dur_us = 0.0;
+  sim::Time at = 0;
+  sim::Duration dur = 0;
   char phase = 'i';  // 'X', 'i', 'C'
   int pid = 0;
   int tid = 0;
@@ -95,8 +88,8 @@ std::string to_chrome_trace_json(const TraceBuffer& buffer) {
         it->second.pop_back();
         OutEvent span;
         span.phase = 'X';
-        span.ts_us = to_us(begin.at);
-        span.dur_us = to_us(event.at) - span.ts_us;
+        span.at = begin.at;
+        span.dur = event.at - begin.at;
         span.pid = pid;
         span.tid = tid;
         span.name = begin.name;
@@ -128,7 +121,7 @@ std::string to_chrome_trace_json(const TraceBuffer& buffer) {
             point.phase = 'i';
             break;
         }
-        point.ts_us = to_us(event.at);
+        point.at = event.at;
         point.pid = pid;
         point.tid = tid;
         point.name = event.name;
@@ -142,74 +135,60 @@ std::string to_chrome_trace_json(const TraceBuffer& buffer) {
 
   std::stable_sort(out.begin(), out.end(),
                    [](const OutEvent& a, const OutEvent& b) {
-                     return a.ts_us < b.ts_us;
+                     return a.at < b.at;
                    });
 
-  std::string doc = "{\"traceEvents\":[";
-  bool first = true;
-  auto emit = [&](const std::string& line) {
-    doc += first ? "\n" : ",\n";
-    first = false;
-    doc += line;
+  json::Writer doc;
+  doc.begin_object().key("traceEvents").begin_array();
+  const auto lane_name = [&doc](const char* kind, int pid, int tid,
+                                const std::string& name) {
+    doc.begin_object()
+        .member("name", kind)
+        .member("ph", "M")
+        .member("pid", pid)
+        .member("tid", tid);
+    doc.key("args").begin_object().member("name", name).end_object();
+    doc.end_object();
   };
-
   for (std::size_t i = 0; i < lanes.pid_names.size(); ++i) {
-    emit("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
-         std::to_string(i + 1) + ",\"tid\":0,\"args\":{\"name\":\"" +
-         json::escape(lanes.pid_names[i]) + "\"}}");
+    lane_name("process_name", static_cast<int>(i) + 1, 0, lanes.pid_names[i]);
   }
   for (const auto& [pid, thread] : lanes.tid_names) {
-    const int tid = lanes.tids.at({pid, thread});
-    emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" +
-         std::to_string(pid) + ",\"tid\":" + std::to_string(tid) +
-         ",\"args\":{\"name\":\"" + json::escape(thread) + "\"}}");
+    lane_name("thread_name", pid, lanes.tids.at({pid, thread}), thread);
   }
 
   for (const OutEvent& event : out) {
-    std::string line = "{\"name\":\"" +
-                       json::escape(buffer.name_of(event.name)) +
-                       "\",\"cat\":\"" +
-                       category_name(event.category) + "\",\"ph\":\"";
-    line += event.phase;
-    line += "\",\"ts\":" + fmt_us(event.ts_us);
-    if (event.phase == 'X') {
-      line += ",\"dur\":" + fmt_us(event.dur_us);
-    }
-    line += ",\"pid\":" + std::to_string(event.pid) +
-            ",\"tid\":" + std::to_string(event.tid);
-    if (event.phase == 'i') {
-      line += ",\"s\":\"t\"";
-    }
+    const std::string& name = buffer.name_of(event.name);
+    doc.begin_object()
+        .member("name", name)
+        .member("cat", category_name(event.category))
+        .member("ph", std::string_view(&event.phase, 1))
+        .member("ts", to_us(event.at));
+    if (event.phase == 'X') doc.member("dur", to_us(event.dur));
+    doc.member("pid", event.pid).member("tid", event.tid);
+    if (event.phase == 'i') doc.member("s", "t");
     if (event.phase == 's' || event.phase == 't' || event.phase == 'f') {
       // Flow events bind by id; the terminal one binds to the enclosing
       // slice ("bp":"e") so the arrow lands on the dispatch span.
-      line += ",\"id\":" + std::to_string(event.value);
-      if (event.phase == 'f') line += ",\"bp\":\"e\"";
-      line += ",\"args\":{}";
-    } else if (event.phase == 'C') {
-      line += ",\"args\":{\"" + json::escape(buffer.name_of(event.name)) +
-              "\":" + std::to_string(event.value) + "}";
+      doc.member("id", event.value);
+      if (event.phase == 'f') doc.member("bp", "e");
+      doc.key("args").begin_object().end_object();
     } else {
-      line += ",\"args\":{\"value\":" + std::to_string(event.value) + "}";
+      doc.key("args").begin_object();
+      doc.member(event.phase == 'C' ? std::string_view(name) : "value",
+                 event.value);
+      doc.end_object();
     }
-    line += "}";
-    emit(line);
+    doc.end_object();
   }
 
-  doc += first ? "" : "\n";
-  doc += "],\"displayTimeUnit\":\"ms\"}\n";
-  return doc;
+  doc.end_array().member("displayTimeUnit", "ms").end_object();
+  return doc.take();
 }
 
 bool write_chrome_trace_file(const TraceBuffer& buffer,
                              const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string doc = to_chrome_trace_json(buffer);
-  const std::size_t written = std::fwrite(doc.data(), 1, doc.size(), f);
-  const bool ok = written == doc.size() && std::fclose(f) == 0;
-  if (written != doc.size()) std::fclose(f);
-  return ok;
+  return json::write_file(path, to_chrome_trace_json(buffer));
 }
 
 }  // namespace dynaplat::obs

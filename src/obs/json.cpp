@@ -1,14 +1,16 @@
 #include "obs/json.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 namespace dynaplat::obs::json {
 
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+namespace {
+
+void append_escaped(std::string& out, std::string_view s) {
+  out += '"';
   for (const char c : s) {
     switch (c) {
       case '"':
@@ -28,15 +30,91 @@ std::string escape(std::string_view s) {
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
+          constexpr char kHex[] = "0123456789abcdef";
+          out += "\\u00";
+          out += kHex[(c >> 4) & 0xF];
+          out += kHex[c & 0xF];
         } else {
           out += c;
         }
     }
   }
-  return out;
+  out += '"';
+}
+
+}  // namespace
+
+Writer& Writer::key(std::string_view name) {
+  next_item();
+  append_escaped(out_, name);
+  out_ += ": ";
+  after_key_ = true;
+  return *this;
+}
+
+Writer& Writer::value(std::string_view s) {
+  next_item();
+  append_escaped(out_, s);
+  return *this;
+}
+
+Writer& Writer::value(double v) {
+  if (!std::isfinite(v)) return null();
+  char buf[32];
+  const auto end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+  return raw({buf, static_cast<std::size_t>(end - buf)});
+}
+
+std::string Writer::take() {
+  has_items_.clear();
+  after_key_ = false;
+  return std::move(out_);
+}
+
+Writer& Writer::open(char bracket) {
+  next_item();
+  out_ += bracket;
+  has_items_.push_back(false);
+  return *this;
+}
+
+Writer& Writer::close(char bracket) {
+  const bool line_per_item = !one_line() && has_items_.back();
+  has_items_.pop_back();
+  if (line_per_item) newline(has_items_.size());
+  out_ += bracket;
+  if (has_items_.empty()) out_ += '\n';
+  return *this;
+}
+
+Writer& Writer::raw(std::string_view text) {
+  next_item();
+  out_ += text;
+  return *this;
+}
+
+void Writer::next_item() {
+  if (after_key_) {
+    after_key_ = false;
+    return;
+  }
+  if (has_items_.empty()) return;
+  if (has_items_.back()) out_ += one_line() ? ", " : ",";
+  has_items_.back() = true;
+  if (!one_line()) newline(has_items_.size());
+}
+
+void Writer::newline(std::size_t depth) {
+  out_ += '\n';
+  out_.append(2 * depth, ' ');
+}
+
+bool write_file(const std::string& path, std::string_view text) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return false;
+  const bool written =
+      std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  return std::fclose(f) == 0 && written;
 }
 
 const Value& Value::at(const std::string& key) const {
@@ -93,9 +171,13 @@ class Parser {
     const char c = text_[pos_];
     switch (c) {
       case '{':
-        return parse_object(out);
-      case '[':
-        return parse_array(out);
+      case '[': {
+        if (depth_ == kMaxDepth) return fail("nesting deeper than kMaxDepth");
+        ++depth_;
+        const bool ok = c == '{' ? parse_object(out) : parse_array(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         out->kind = Value::Kind::kString;
         return parse_string(&out->string);
@@ -270,6 +352,7 @@ class Parser {
   std::string_view text_;
   std::string* error_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdio>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -32,12 +32,6 @@ void atomic_max_double(std::atomic<double>& target, double v) {
   while (v > cur && !target.compare_exchange_weak(cur, v,
                                                   std::memory_order_relaxed)) {
   }
-}
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
 }
 
 constexpr std::size_t kSubMask = (std::size_t{1} << Histogram::kSubBits) - 1;
@@ -175,71 +169,60 @@ std::size_t MetricsRegistry::histogram_count() const {
 }
 
 std::string MetricsRegistry::snapshot_json() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::string out = "{\n  \"counters\": {";
+  json::Writer out;
+  write_json(out);
+  return out.take();
+}
 
-  auto sorted_names = [](const auto& family) {
-    std::vector<const std::string*> names;
-    names.reserve(family.size());
-    for (const auto& entry : family) names.push_back(&entry.name);
-    std::sort(names.begin(), names.end(),
-              [](const std::string* a, const std::string* b) { return *a < *b; });
-    return names;
+void MetricsRegistry::write_json(json::Writer& out) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto by_name = [](const auto& family) {
+    std::vector<const typename std::decay_t<decltype(family)>::value_type*>
+        entries;
+    entries.reserve(family.size());
+    for (const auto& entry : family) entries.push_back(&entry);
+    std::sort(entries.begin(), entries.end(),
+              [](const auto* a, const auto* b) { return a->name < b->name; });
+    return entries;
   };
 
-  bool first = true;
-  for (const std::string* name : sorted_names(counters_)) {
-    const Counter* c = counter_index_.at(*name);
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + json::escape(*name) +
-           "\": " + std::to_string(c->value());
+  out.begin_object();
+  out.key("counters").begin_object();
+  for (const auto* entry : by_name(counters_)) {
+    out.member(entry->name, entry->instrument.value());
   }
-  out += first ? "},\n" : "\n  },\n";
-
-  out += "  \"gauges\": {";
-  first = true;
-  for (const std::string* name : sorted_names(gauges_)) {
-    const Gauge* g = gauge_index_.at(*name);
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + json::escape(*name) + "\": " + fmt_double(g->value());
+  out.end_object();
+  out.key("gauges").begin_object();
+  for (const auto* entry : by_name(gauges_)) {
+    out.member(entry->name, entry->instrument.value());
   }
-  out += first ? "},\n" : "\n  },\n";
-
-  out += "  \"histograms\": {";
-  first = true;
-  for (const std::string* name : sorted_names(histograms_)) {
-    const Histogram* h = histogram_index_.at(*name);
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + json::escape(*name) + "\": {\"count\": " +
-           std::to_string(h->count()) + ", \"sum\": " + fmt_double(h->sum());
-    if (!h->empty()) {
-      out += ", \"min\": " + fmt_double(h->min()) +
-             ", \"max\": " + fmt_double(h->max()) +
-             ", \"p50\": " + fmt_double(h->percentile(50)) +
-             ", \"p95\": " + fmt_double(h->percentile(95)) +
-             ", \"p99\": " + fmt_double(h->percentile(99));
+  out.end_object();
+  out.key("histograms").begin_object();
+  for (const auto* entry : by_name(histograms_)) {
+    const Histogram& h = entry->instrument;
+    out.key(entry->name).begin_object();
+    out.member("count", h.count()).member("sum", h.sum());
+    if (!h.empty()) {
+      out.member("min", h.min())
+          .member("max", h.max())
+          .member("p50", h.percentile(50))
+          .member("p95", h.percentile(95))
+          .member("p99", h.percentile(99));
     }
     // Non-empty buckets only, each by its exclusive upper edge.
-    out += ", \"buckets\": [";
-    bool first_bucket = true;
+    out.key("buckets").begin_array();
     for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-      const std::uint64_t n = h->count_at(i);
+      const std::uint64_t n = h.count_at(i);
       if (n == 0) continue;
-      if (!first_bucket) out += ", ";
-      first_bucket = false;
       const double lt = Histogram::bucket_upper(i);
-      out += "{\"lt\": ";
-      out += std::isfinite(lt) ? fmt_double(lt) : std::string("\"inf\"");
-      out += ", \"count\": " + std::to_string(n) + "}";
+      out.begin_object().key("lt");
+      std::isfinite(lt) ? out.value(lt) : out.value("inf");
+      out.member("count", n).end_object();
     }
-    out += "]}";
+    out.end_array().end_object();
   }
-  out += first ? "}\n" : "\n  }\n";
-  out += "}\n";
-  return out;
+  out.end_object();
+  out.end_object();
 }
 
 }  // namespace dynaplat::obs

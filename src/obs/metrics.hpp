@@ -8,7 +8,8 @@
 // well as on the simulator thread.
 //
 // snapshot_json() renders the whole registry as one JSON document, which
-// platform::DiagnosticsService surfaces next to the vehicle fault store.
+// platform::DiagnosticsService surfaces next to the vehicle fault store;
+// write_json() writes the same object into a larger document.
 #pragma once
 
 #include <atomic>
@@ -21,6 +22,10 @@
 #include <unordered_map>
 
 namespace dynaplat::obs {
+
+namespace json {
+class Writer;
+}
 
 /// Monotonically increasing event count.
 class Counter {
@@ -133,6 +138,8 @@ class MetricsRegistry {
   /// Whole-registry snapshot as a JSON object with "counters", "gauges" and
   /// "histograms" sections, names sorted for deterministic output.
   std::string snapshot_json() const;
+  /// Writes the snapshot object as the writer's next value.
+  void write_json(json::Writer& out) const;
 
  private:
   template <typename T>

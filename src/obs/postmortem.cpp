@@ -1,85 +1,50 @@
 #include "obs/postmortem.hpp"
 
-#include <cstdio>
-#include <vector>
-
 #include "obs/json.hpp"
 
 namespace dynaplat::obs {
-namespace {
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-void append_i64(std::string& out, std::int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-  out += buf;
-}
-
-}  // namespace
 
 std::string make_postmortem_bundle(const PostMortemInput& input) {
-  std::string out = "{\"postmortem\":{";
-  out += "\"seed\":";
-  append_u64(out, input.seed);
-  out += ",\"verdict\":\"" + json::escape(input.verdict) + "\"";
-  out += ",\"detail\":\"" + json::escape(input.detail) + "\"";
+  json::Writer out;
+  out.begin_object().key("postmortem").begin_object();
+  out.member("seed", input.seed)
+      .member("verdict", input.verdict)
+      .member("detail", input.detail);
 
   if (input.trace != nullptr) {
-    out += ",\"trace_dropped\":";
-    append_u64(out, input.trace->dropped());
-    out += ",\"trace_recorded\":";
-    append_u64(out, input.trace->recorded());
-    out += ",\"trace_tail\":[";
+    const TraceBuffer& trace = *input.trace;
+    out.member("trace_dropped", trace.dropped())
+        .member("trace_recorded", trace.recorded());
+    out.key("trace_tail").begin_array();
     // Keep only the newest `trace_tail` retained events, oldest first.
-    const std::size_t retained = input.trace->size();
     const std::size_t skip =
-        retained > input.trace_tail ? retained - input.trace_tail : 0;
+        trace.size() > input.trace_tail ? trace.size() - input.trace_tail : 0;
     std::size_t index = 0;
-    bool first = true;
-    input.trace->for_each([&](const Event& event) {
+    trace.for_each([&](const Event& event) {
       if (index++ < skip) return;
-      if (!first) out += ",";
-      first = false;
-      out += "{\"at\":";
-      append_i64(out, event.at);
-      out += ",\"source\":\"" +
-             json::escape(input.trace->name_of(event.source)) + "\"";
-      out += ",\"name\":\"" + json::escape(input.trace->name_of(event.name)) +
-             "\"";
-      out += ",\"value\":";
-      append_i64(out, event.value);
-      out += ",\"category\":\"";
-      out += category_name(event.category);
-      out += "\",\"type\":\"";
-      out += event_type_name(event.type);
-      out += "\"}";
+      out.begin_object()
+          .member("at", event.at)
+          .member("source", trace.name_of(event.source))
+          .member("name", trace.name_of(event.name))
+          .member("value", event.value)
+          .member("category", category_name(event.category))
+          .member("type", event_type_name(event.type))
+          .end_object();
     });
-    out += "]";
+    out.end_array();
   }
 
-  if (input.metrics != nullptr) {
-    out += ",\"metrics\":" + input.metrics->snapshot_json();
-  }
+  if (input.metrics != nullptr) input.metrics->write_json(out.key("metrics"));
   if (input.coverage != nullptr) {
-    out += ",\"coverage\":" + input.coverage->snapshot_json();
+    input.coverage->write_json(out.key("coverage"));
   }
-  out += "}}";
-  return out;
+  out.end_object().end_object();
+  return out.take();
 }
 
 bool write_postmortem_file(const PostMortemInput& input,
                            const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string bundle = make_postmortem_bundle(input);
-  const std::size_t written = std::fwrite(bundle.data(), 1, bundle.size(), f);
-  std::fclose(f);
-  return written == bundle.size();
+  return json::write_file(path, make_postmortem_bundle(input));
 }
 
 }  // namespace dynaplat::obs

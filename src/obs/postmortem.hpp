@@ -30,7 +30,8 @@ struct PostMortemInput {
 /// Renders the bundle as a JSON document (parseable by obs::json).
 std::string make_postmortem_bundle(const PostMortemInput& input);
 
-/// Writes the bundle to `path`; returns false if the file can't be opened.
+/// Writes the bundle to `path`; returns false if the file cannot be
+/// opened, written or closed.
 bool write_postmortem_file(const PostMortemInput& input,
                            const std::string& path);
 

@@ -37,9 +37,12 @@ ClockSyncService::ClockSyncService(middleware::ServiceRuntime& runtime,
             const sim::Time local_time = clock_.now();
             // Sample the *pre-correction* error: the worst drift the node
             // accumulated since the previous sync — the figure distributed
-            // TT tables and central switchovers actually suffer from.
-            residual_.observe(
-                static_cast<std::int64_t>(std::llabs(clock_.true_error())));
+            // TT tables and central switchovers actually suffer from. The
+            // first sync acquires the initial offset, which is not drift.
+            if (corrections_ > 0) {
+              residual_.observe(
+                  static_cast<std::int64_t>(std::llabs(clock_.true_error())));
+            }
             // The announcement aged by ~path delay on its way here.
             const sim::Duration correction =
                 (master_time + kPathDelayEstimate) - local_time;

@@ -30,7 +30,8 @@ class ClockSyncService {
   ~ClockSyncService();
 
   bool is_master() const { return master_; }
-  /// Residual |local - global| sampled at every correction (slaves only).
+  /// Residual |local - global| sampled before every correction after the
+  /// first (slaves only); the first measures the start-up offset.
   const obs::Histogram& residual_error() const { return residual_; }
   std::uint64_t corrections() const { return corrections_; }
 

@@ -48,6 +48,16 @@ PlatformNode* DynamicPlatform::node(const std::string& ecu_name) {
   return it == nodes_.end() ? nullptr : it->second.get();
 }
 
+sim::Trace* DynamicPlatform::vehicle_trace() {
+  for (const auto& ecu_def : model_.ecus()) {
+    PlatformNode* node = this->node(ecu_def.name);
+    if (node != nullptr && node->ecu().trace() != nullptr) {
+      return node->ecu().trace();
+    }
+  }
+  return nullptr;
+}
+
 std::vector<std::string> DynamicPlatform::node_names() const {
   std::vector<std::string> names;
   names.reserve(nodes_.size());

@@ -52,6 +52,9 @@ class DynamicPlatform {
   /// Names of every registered node (vehicle-wide iteration order is the
   /// sorted ECU name, so traversals are deterministic).
   std::vector<std::string> node_names() const;
+  /// The vehicle-wide observability sink: the trace of the first node, in
+  /// model ECU order, whose ECU has one; nullptr when none does.
+  sim::Trace* vehicle_trace();
 
   /// Registers an installable application version ("the app store").
   void register_app(const std::string& app_name, AppFactory factory);

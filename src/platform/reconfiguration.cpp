@@ -25,16 +25,6 @@ void ReconfigurationManager::disengage() {
   sweeper_ = {};
 }
 
-sim::Trace* ReconfigurationManager::vehicle_trace() {
-  for (const auto& ecu_def : platform_.system_model().ecus()) {
-    PlatformNode* node = platform_.node(ecu_def.name);
-    if (node != nullptr && node->ecu().trace() != nullptr) {
-      return node->ecu().trace();
-    }
-  }
-  return nullptr;
-}
-
 bool ReconfigurationManager::alive_somewhere(const std::string& app) {
   for (const auto& ecu_def : platform_.system_model().ecus()) {
     PlatformNode* node = platform_.node(ecu_def.name);
@@ -135,7 +125,7 @@ void ReconfigurationManager::sweep() {
     migration.from_ecu = dead_host;
     migration.to_ecu = place(*def, binding.candidates, dead_host);
     migration.success = !migration.to_ecu.empty();
-    sim::Trace* trace = vehicle_trace();
+    sim::Trace* trace = platform_.vehicle_trace();
     const bool was_stranded =
         std::find(previously_stranded_.begin(), previously_stranded_.end(),
                   def->name) != previously_stranded_.end();

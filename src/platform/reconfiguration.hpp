@@ -47,9 +47,6 @@ class ReconfigurationManager {
 
  private:
   void sweep();
-  /// First live trace found on any platform node — the vehicle-wide
-  /// observability sink for migration counters and stranding spans.
-  sim::Trace* vehicle_trace();
   /// True if a running, live instance of `app` exists anywhere.
   bool alive_somewhere(const std::string& app);
   /// Attempts placement; returns the hosting ECU name or empty.

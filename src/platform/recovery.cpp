@@ -95,18 +95,8 @@ std::vector<std::string> RecoveryOrchestrator::stranded() const {
   return out;
 }
 
-sim::Trace* RecoveryOrchestrator::vehicle_trace() {
-  for (const auto& ecu_def : platform_.system_model().ecus()) {
-    PlatformNode* node = platform_.node(ecu_def.name);
-    if (node != nullptr && node->ecu().trace() != nullptr) {
-      return node->ecu().trace();
-    }
-  }
-  return nullptr;
-}
-
 void RecoveryOrchestrator::coverage_hit(const char* key) {
-  sim::Trace* trace = vehicle_trace();
+  sim::Trace* trace = platform_.vehicle_trace();
   if (trace != nullptr) trace->coverage().hit(key);
 }
 
@@ -410,7 +400,7 @@ void RecoveryOrchestrator::plan_and_apply(std::vector<Displaced> work) {
 
   plan.status = PlanStatus::kApplying;
   plan.apply_started_at = now;
-  if (sim::Trace* trace = vehicle_trace()) {
+  if (sim::Trace* trace = platform_.vehicle_trace()) {
     if (trace->enabled(sim::TraceCategory::kPlatform)) {
       trace->record(now, sim::TraceCategory::kPlatform, "recovery",
                     "plan#" + std::to_string(plan.id),
@@ -451,7 +441,7 @@ void RecoveryOrchestrator::apply_step(std::size_t index) {
           apply_step(index + 1);
         });
   };
-  if (sim::Trace* trace = vehicle_trace()) {
+  if (sim::Trace* trace = platform_.vehicle_trace()) {
     if (trace->enabled(sim::TraceCategory::kPlatform)) {
       trace->record(platform_.simulator().now(),
                     sim::TraceCategory::kPlatform, "recovery",
@@ -587,7 +577,7 @@ void RecoveryOrchestrator::commit() {
       }
     }
   }
-  if (sim::Trace* trace = vehicle_trace()) {
+  if (sim::Trace* trace = platform_.vehicle_trace()) {
     trace->metrics().counter("recovery.plans_committed").add();
     trace->metrics()
         .counter("recovery.steps_applied")
@@ -671,7 +661,7 @@ void RecoveryOrchestrator::rollback(const std::string& reason) {
   for (const RecoveryStep& step : plan.steps) {
     strand(step.app, step.from_ecu);
   }
-  if (sim::Trace* trace = vehicle_trace()) {
+  if (sim::Trace* trace = platform_.vehicle_trace()) {
     trace->metrics().counter("recovery.plans_rolled_back").add();
     if (trace->enabled(sim::TraceCategory::kPlatform)) {
       trace->record(plan.finished_at, sim::TraceCategory::kPlatform,
@@ -693,7 +683,7 @@ void RecoveryOrchestrator::strand(const std::string& app,
   RetryState& retry = retries_[app];
   retry.attempts += 1;
   if (!origin_ecu.empty()) retry.origin_ecu = origin_ecu;
-  if (sim::Trace* trace = vehicle_trace()) {
+  if (sim::Trace* trace = platform_.vehicle_trace()) {
     trace->metrics().counter("recovery.stranded").add();
   }
   if (retry.attempts > config_.retry_budget) {
@@ -701,7 +691,7 @@ void RecoveryOrchestrator::strand(const std::string& app,
     abandoned_.push_back(app);
     abandoned_set_.insert(app);
     retries_.erase(app);
-    if (sim::Trace* trace = vehicle_trace()) {
+    if (sim::Trace* trace = platform_.vehicle_trace()) {
       trace->metrics().counter("recovery.abandoned").add();
     }
     if (degradation_ != nullptr && !origin.empty()) {

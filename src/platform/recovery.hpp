@@ -193,7 +193,6 @@ class RecoveryOrchestrator {
   void finish_plan();
   /// Plan-time placement failure: backoff bookkeeping + escalation.
   void strand(const std::string& app, const std::string& origin_ecu);
-  sim::Trace* vehicle_trace();
   /// Records a reached recovery phase in the vehicle trace's CoverageMap.
   void coverage_hit(const char* key);
 

@@ -185,6 +185,8 @@ TEST(ClockSync, SlaveConvergesToMaster) {
   EXPECT_LT(std::abs(slave_clock.true_error()), 200 * sim::kMicrosecond);
   EXPECT_LT(slave_sync.residual_error().percentile(95),
             200'000.0 /* 200 us */);
+  // The 10 ms start-up offset is acquisition, not a residual.
+  EXPECT_LT(slave_sync.residual_error().max(), 200'000.0);
 }
 
 TEST(ClockSync, TighterPeriodTightensError) {

@@ -203,6 +203,11 @@ TEST(CampaignConfigJson, RejectsMalformedInput) {
   CampaignConfig out;
   EXPECT_FALSE(campaign_config_from_json("not json", &out));
   EXPECT_FALSE(campaign_config_from_json("{}", &out));
+  // A number no integer field can hold is rejected, not cast.
+  EXPECT_FALSE(campaign_config_from_json(
+      R"({"seed": "1", "horizon_ns": 1e300})", &out));
+  EXPECT_FALSE(
+      campaign_config_from_json(R"({"seed": "1", "episodes": 1e10})", &out));
 }
 
 }  // namespace

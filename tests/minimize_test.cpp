@@ -210,6 +210,13 @@ TEST(ReproJson, RoundTripsIncludingFullRangeSeeds) {
   EXPECT_EQ(replay.invariant, repro.invariant);
 
   EXPECT_FALSE(load_repro("not json", &loaded));
+  // Out-of-range numbers are rejected, not cast.
+  EXPECT_FALSE(load_repro(
+      R"({"kind": "dynaplat_fault_repro", "horizon_ns": 1e300, "events": []})",
+      &loaded));
+  EXPECT_FALSE(load_repro(R"({"kind": "dynaplat_fault_repro", "events": [
+      {"at_ns": 0, "kind": "bus_partition", "island": [-1]}]})",
+                          &loaded));
 }
 
 }  // namespace

@@ -7,6 +7,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
@@ -268,14 +271,77 @@ TEST(ObsJson, RejectsMalformedInput) {
   EXPECT_FALSE(obs::json::parse("[1,]", &doc));
   EXPECT_FALSE(obs::json::parse("{} trailing", &doc));
   EXPECT_FALSE(obs::json::parse("'single'", &doc));
+  // Nesting far past kMaxDepth is a parse error, not a stack overflow.
+  EXPECT_FALSE(obs::json::parse(std::string(100'000, '['), &doc));
+}
+
+TEST(ObsJson, NestingLimitIsMaxDepth) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  obs::json::Value doc;
+  std::string error;
+  EXPECT_TRUE(obs::json::parse(nested(obs::json::kMaxDepth), &doc, &error))
+      << error;
+  EXPECT_FALSE(obs::json::parse(nested(obs::json::kMaxDepth + 1), &doc));
 }
 
 TEST(ObsJson, EscapeProducesParseableStrings) {
   const std::string nasty = "a\"b\\c\nd\te\x01";
+  obs::json::Writer writer;
+  writer.begin_object().member(nasty, nasty).end_object();
   obs::json::Value doc;
-  ASSERT_TRUE(
-      obs::json::parse("\"" + obs::json::escape(nasty) + "\"", &doc));
-  EXPECT_EQ(doc.string, nasty);
+  ASSERT_TRUE(obs::json::parse(writer.take(), &doc));
+  EXPECT_EQ(doc.at(nasty).string, nasty);
+}
+
+TEST(ObsJson, WriterLayoutAndNumbers) {
+  obs::json::Writer writer;
+  writer.begin_object()
+      .member("u64", std::numeric_limits<std::uint64_t>::max())
+      .member("i64", std::numeric_limits<std::int64_t>::min())
+      .member("tenth", 0.1)
+      .member("us", 7'040 / 1000.0)
+      .member("inf", std::numeric_limits<double>::infinity())
+      .member("text", "x");
+  writer.key("rows").begin_array().value(1);
+  writer.begin_object().member("ok", true).key("ids").begin_array();
+  writer.end_array().end_object().end_array();
+  writer.key("empty").begin_object().end_object();
+  writer.key("none").null();
+  writer.end_object();
+  // Depth <= kLineDepth: one member per line; deeper: one line.
+  EXPECT_EQ(writer.take(),
+            "{\n"
+            "  \"u64\": 18446744073709551615,\n"
+            "  \"i64\": -9223372036854775808,\n"
+            "  \"tenth\": 0.1,\n"
+            "  \"us\": 7.04,\n"
+            "  \"inf\": null,\n"
+            "  \"text\": \"x\",\n"
+            "  \"rows\": [\n"
+            "    1,\n"
+            "    {\"ok\": true, \"ids\": []}\n"
+            "  ],\n"
+            "  \"empty\": {},\n"
+            "  \"none\": null\n"
+            "}\n");
+  // take() leaves an empty writer behind.
+  EXPECT_EQ(writer.begin_array().end_array().take(), "[]\n");
+}
+
+TEST(ObsJson, WriteFileReportsFailure) {
+  const std::string path = ::testing::TempDir() + "obs_json_write_file.json";
+  ASSERT_TRUE(obs::json::write_file(path, "{}\n"));
+  std::ifstream in(path);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}), "{}\n");
+  std::remove(path.c_str());
+  EXPECT_FALSE(obs::json::write_file(
+      ::testing::TempDir() + "missing_dir/x.json", "{}"));
+#if defined(__linux__)
+  // Opening and buffering succeed; only the flush in fclose fails.
+  EXPECT_FALSE(obs::json::write_file("/dev/full", "{}"));
+#endif
 }
 
 // --- Chrome trace exporter ---------------------------------------------------
