@@ -18,6 +18,12 @@
 // rolls the half-applied plan back and re-plans against the new topology
 // instead of layering a second greedy repair on top of the first.
 //
+// Gate: the bench exits nonzero unless, for 1, 2 and 3 killed ECUs, both
+// arms recover every displaced app and strand none, the orchestrator's
+// latency is at least the greedy arm's, every rolled-back plan restored
+// the deployment exactly, and the 3-kill run rolls back at least one plan
+// and still commits.
+//
 // Machine-readable results go to BENCH_recovery.json following the
 // BENCH_fault.json pattern so successive PRs accumulate a trajectory.
 #include <cstdio>
@@ -44,6 +50,8 @@ struct Outcome {
   double latency_ms = -1.0;
   int plans_committed = 0;
   int plans_rolled_back = 0;
+  /// Every rolled-back plan restored the pre-plan deployment exactly.
+  bool rollbacks_exact = true;
 };
 
 struct World {
@@ -156,6 +164,8 @@ Outcome run_orchestrator(int killed) {
       last = std::max(last, plan.finished_at);
     } else if (plan.status == platform::PlanStatus::kRolledBack) {
       ++outcome.plans_rolled_back;
+      outcome.rollbacks_exact =
+          outcome.rollbacks_exact && plan.restored_exactly;
     }
   }
   outcome.recovered = static_cast<int>(recovered.size());
@@ -163,6 +173,38 @@ Outcome run_orchestrator(int killed) {
                                       recovery.abandoned().size());
   if (!recovered.empty()) outcome.latency_ms = sim::to_ms(last - kFirstFault);
   return outcome;
+}
+
+// The claims of the header, checked on this run (samples: legacy, then
+// orchestrator, per kill count). Each broken claim is reported on stderr.
+bool claims_hold(const std::vector<Outcome>& samples) {
+  bool ok = true;
+  const auto require = [&ok](bool holds, const Outcome& s, const char* claim) {
+    if (!holds) {
+      std::fprintf(stderr, "E15 gate: killed=%d %s: %s\n", s.killed, s.mode,
+                   claim);
+      ok = false;
+    }
+  };
+  for (std::size_t i = 0; i + 1 < samples.size(); i += 2) {
+    const Outcome& legacy = samples[i];
+    const Outcome& orchestrator = samples[i + 1];
+    for (const Outcome* arm : {&legacy, &orchestrator}) {
+      require(arm->displaced == 2 * arm->killed &&
+                  arm->recovered == arm->displaced && arm->stranded == 0,
+              *arm, "not every displaced app recovered");
+    }
+    require(orchestrator.latency_ms >= legacy.latency_ms, orchestrator,
+            "faster than the greedy arm (no soak window paid)");
+    require(orchestrator.rollbacks_exact, orchestrator,
+            "a rolled-back plan did not restore the deployment exactly");
+    if (orchestrator.killed == 3) {
+      require(orchestrator.plans_rolled_back >= 1 &&
+                  orchestrator.plans_committed >= 1,
+              orchestrator, "no plan rolled back, or none committed");
+    }
+  }
+  return ok;
 }
 
 }  // namespace
@@ -203,5 +245,7 @@ int main() {
         }
         out.end_array();
       });
-  return written ? 0 : 1;
+  const bool gated = claims_hold(samples);
+  std::fprintf(stderr, "E15 gate: %s\n", gated ? "pass" : "FAIL");
+  return written && gated ? 0 : 1;
 }

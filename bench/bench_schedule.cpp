@@ -65,7 +65,6 @@ int main() {
                       "ecu_admit_ms", "ecu_synth_ms", "backend_wall_ms",
                       "validated_rate"});
   const std::uint64_t ecu_mips = 200;
-  dse::AdmissionController admission;
   dse::ScheduleServer backend;
 
   for (std::size_t count : {5u, 10u, 20u, 50u, 100u}) {
@@ -79,7 +78,7 @@ int main() {
       for (int trial = 0; trial < trials; ++trial) {
         const auto tasks = random_task_set(count, utilization, rng);
         // Local admission: all tasks are "incoming" against an empty ECU.
-        const auto decision = admission.admit({}, tasks);
+        const auto decision = dse::admit({}, tasks);
         admit_instr += decision.analysis_instructions;
         if (decision.admitted) ++admitted;
         // Full synthesis (host wall clock measures the backend's real cost).

@@ -11,7 +11,7 @@
 //
 //   1. vehicle-local artifact cache — the last backend-synthesized table
 //      for this topology, served stale;
-//   2. ECU-local admission (dse::AdmissionController fast path) — cheap
+//   2. ECU-local admission (the dse::admit fast path) — cheap
 //      utilization + RTA, good enough to *keep running safely* even though
 //      it ships no fresh TT table;
 //   3. explicit kNone — the caller enters DEGRADED and retries later.

@@ -67,7 +67,7 @@ struct BackendOutcome {
   bool ok = false;
   /// Served from the vehicle cache while the backend was unreachable.
   bool stale = false;
-  /// ok via dse::AdmissionController, no synthesized table attached.
+  /// ok via dse::admit, no synthesized table attached.
   bool locally_admitted = false;
   /// Backend-side memo-cache hit (reporting only).
   bool cache_hit = false;

@@ -67,7 +67,7 @@ TaskSet::TaskSet(std::vector<dse::AnalysisTask> tasks, std::uint64_t ecu_mips,
       ecu_mips_(ecu_mips),
       key_(key),
       sig_(topology_sig(tasks_, ecu_mips_)),
-      locally_admitted_(dse::AdmissionController{}.admit({}, tasks_).admitted) {
+      locally_admitted_(dse::admit({}, tasks_).admitted) {
 }
 
 const char* to_string(Criticality criticality) {

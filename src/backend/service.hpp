@@ -99,8 +99,8 @@ class TaskSet {
   /// Secondary hash of the same fields from an independent basis; a key
   /// match with a signature mismatch is a detected collision.
   std::uint64_t sig() const { return sig_; }
-  /// dse::AdmissionController::admit({}, tasks).admitted: the verdict of
-  /// the client's ECU-local fallback rung.
+  /// dse::admit({}, tasks).admitted: the verdict of the client's ECU-local
+  /// fallback rung.
   bool locally_admitted() const { return locally_admitted_; }
 
  private:

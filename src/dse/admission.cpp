@@ -7,15 +7,14 @@
 
 namespace dynaplat::dse {
 
-std::uint64_t AdmissionController::local_test_cost(std::size_t task_count) {
+std::uint64_t local_test_cost(std::size_t task_count) {
   // RTA fixed-point: ~n^2 interference terms, ~20 iterations, ~50
   // instructions per term.
   return 50ull * 20ull * task_count * task_count + 10'000;
 }
 
-AdmissionDecision AdmissionController::admit(
-    const std::vector<AnalysisTask>& existing,
-    const std::vector<AnalysisTask>& incoming) const {
+AdmissionDecision admit(const std::vector<AnalysisTask>& existing,
+                        const std::vector<AnalysisTask>& incoming) {
   AdmissionDecision decision;
   std::vector<AnalysisTask> combined = existing;
   combined.insert(combined.end(), incoming.begin(), incoming.end());

@@ -23,16 +23,16 @@ struct AdmissionDecision {
   std::uint64_t analysis_instructions = 0;
 };
 
-/// ECU-local admission control: a fast utilization + RTA test without table
-/// synthesis. Cheap enough to run on the target ECU itself.
-class AdmissionController {
- public:
-  AdmissionDecision admit(const std::vector<AnalysisTask>& existing,
-                          const std::vector<AnalysisTask>& incoming) const;
+/// The admission test: may `incoming` join `existing` on one core? Total
+/// utilization must stay <= 1 and the deterministic subset must pass exact
+/// response-time analysis. No table synthesis, so it is cheap enough to run
+/// on the target ECU itself; the verifier, node install, recovery planning
+/// and the fleet client's local fallback all ask this one function.
+AdmissionDecision admit(const std::vector<AnalysisTask>& existing,
+                        const std::vector<AnalysisTask>& incoming);
 
-  /// Cost model of the local test: ~RTA is O(n^2 * iterations).
-  static std::uint64_t local_test_cost(std::size_t task_count);
-};
+/// Cost model of admit(): ~RTA is O(n^2 * iterations).
+std::uint64_t local_test_cost(std::size_t task_count);
 
 /// Backend schedule server: full TT synthesis plus validation by simulating
 /// the resulting table against the vehicle's task configuration. Expensive,

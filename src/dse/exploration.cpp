@@ -161,16 +161,13 @@ void Explorer::build_fast_model() {
     }
   }
 
-  // (b) Host admissibility per (app, ECU): asil.ecu-certification and
-  // cpu.rtos-required both depend only on the pair.
+  // (b) Host admissibility per (app, ECU): the host rule
+  // (asil.ecu-certification, cpu.rtos-required) depends only on the pair.
   fm.app_ecu_ok.assign(napps * necus, 1);
   for (std::size_t a = 0; a < napps; ++a) {
     for (std::size_t e = 0; e < necus; ++e) {
-      const bool ok =
-          apps_[a]->asil <= ecus_[e]->max_asil &&
-          (apps_[a]->app_class != model::AppClass::kDeterministic ||
-           ecus_[e]->rtos);
-      fm.app_ecu_ok[a * necus + e] = ok ? 1 : 0;
+      fm.app_ecu_ok[a * necus + e] =
+          model::host_admits(*apps_[a], *ecus_[e]) ? 1 : 0;
     }
   }
 

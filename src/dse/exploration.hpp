@@ -148,7 +148,7 @@ class Explorer {
   /// schedulability hook is a pure function of (ECU, hosted app set), and
   /// across candidates the same per-ECU app subsets recur far more often
   /// than whole genomes — so even a cache-miss genome usually verifies all
-  /// its ECUs from this cache instead of re-running RTA/TT synthesis.
+  /// its ECUs from this cache instead of re-running the admission test.
   struct SchedKey {
     const model::EcuDef* ecu = nullptr;
     std::vector<const model::AppDef*> apps;  ///< in hook call order

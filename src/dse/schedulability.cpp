@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
-#include <sstream>
+
+#include "dse/admission.hpp"
 
 namespace dynaplat::dse {
 
@@ -24,26 +25,21 @@ std::vector<AnalysisTask> tasks_on(const model::AppDef& app,
 
 std::optional<std::vector<sim::Duration>> response_time_analysis(
     const std::vector<AnalysisTask>& tasks) {
-  // Sort indices by priority (most urgent first).
-  std::vector<std::size_t> order(tasks.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return tasks[a].priority < tasks[b].priority;
-  });
-
   std::vector<sim::Duration> response(tasks.size(), 0);
-  for (std::size_t rank = 0; rank < order.size(); ++rank) {
-    const AnalysisTask& task = tasks[order[rank]];
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const AnalysisTask& task = tasks[i];
     if (task.period <= 0) continue;  // aperiodic: not covered by RTA
     sim::Duration r = task.wcet;
     for (int iteration = 0; iteration < 1000; ++iteration) {
       sim::Duration interference = 0;
-      for (std::size_t h = 0; h < rank; ++h) {
-        const AnalysisTask& higher = tasks[order[h]];
-        if (higher.period <= 0) continue;
+      for (std::size_t h = 0; h < tasks.size(); ++h) {
+        const AnalysisTask& other = tasks[h];
+        if (h == i || other.period <= 0 || other.priority > task.priority) {
+          continue;
+        }
         const sim::Duration jobs =
-            (r + higher.period - 1) / higher.period;  // ceil(r / T_h)
-        interference += jobs * higher.wcet;
+            (r + other.period - 1) / other.period;  // ceil(r / T_h)
+        interference += jobs * other.wcet;
       }
       const sim::Duration next = task.wcet + interference;
       if (next == r) break;
@@ -51,20 +47,9 @@ std::optional<std::vector<sim::Duration>> response_time_analysis(
       if (r > task.deadline) return std::nullopt;
     }
     if (r > task.deadline) return std::nullopt;
-    response[order[rank]] = r;
+    response[i] = r;
   }
   return response;
-}
-
-bool edf_feasible(const std::vector<AnalysisTask>& tasks) {
-  double density = 0.0;
-  for (const auto& task : tasks) {
-    if (task.period <= 0) continue;
-    const sim::Duration d = std::min(task.deadline, task.period);
-    if (d <= 0) return false;
-    density += static_cast<double>(task.wcet) / static_cast<double>(d);
-  }
-  return density <= 1.0 + 1e-12;
 }
 
 double TtTable::reserved_fraction() const {
@@ -165,42 +150,13 @@ std::optional<TtTable> synthesize_tt_table(
   return table;
 }
 
-bool schedulable(const std::vector<AnalysisTask>& tasks, std::string* why) {
-  double total_utilization = 0.0;
-  for (const auto& task : tasks) total_utilization += task.utilization();
-  if (total_utilization > 1.0) {
-    if (why != nullptr) {
-      std::ostringstream os;
-      os << "total utilization " << total_utilization << " > 1.0";
-      *why = os.str();
-    }
-    return false;
-  }
-  // Deterministic subset must admit a TT table.
-  if (!synthesize_tt_table(tasks).has_value()) {
-    // TT synthesis is conservative: fall back to exact RTA over the
-    // deterministic subset.
-    std::vector<AnalysisTask> det;
-    for (const auto& task : tasks) {
-      if (task.deterministic) det.push_back(task);
-    }
-    if (!response_time_analysis(det).has_value()) {
-      if (why != nullptr) {
-        *why = "deterministic tasks admit neither a TT table nor RTA "
-               "guarantees";
-      }
-      return false;
-    }
-  }
-  return true;
-}
-
 model::Verifier::SchedulabilityHook make_verifier_hook() {
   return [](const model::EcuDef& ecu,
             const std::vector<const model::AppDef*>& apps, std::string* why) {
-    // Partitioned multicore: first-fit-decreasing apps onto cores, then the
-    // exact single-core test per core (the same placement policy the
-    // PlatformNode uses at install time).
+    // Partitioned multicore: first-fit-decreasing apps onto cores, each
+    // placement asking the admission test node install runs. Install packs
+    // first-fit in install order instead, so on a multicore ECU the two
+    // can still choose different cores.
     const auto cores = static_cast<std::size_t>(std::max(1, ecu.cores));
     std::vector<const model::AppDef*> order = apps;
     std::sort(order.begin(), order.end(),
@@ -213,11 +169,9 @@ model::Verifier::SchedulabilityHook make_verifier_hook() {
       const auto app_tasks = tasks_on(*app, ecu.mips);
       bool placed = false;
       for (auto& core_tasks : per_core) {
-        std::vector<AnalysisTask> candidate = core_tasks;
-        candidate.insert(candidate.end(), app_tasks.begin(),
-                         app_tasks.end());
-        if (schedulable(candidate, nullptr)) {
-          core_tasks = std::move(candidate);
+        if (admit(core_tasks, app_tasks).admitted) {
+          core_tasks.insert(core_tasks.end(), app_tasks.begin(),
+                            app_tasks.end());
           placed = true;
           break;
         }

@@ -1,9 +1,10 @@
 // Schedulability analysis and time-triggered table synthesis.
 //
-// The exact tests behind the verification engine's cpu.schedulability rule
-// and the platform's admission control (paper Sec. 2.3, 3.1; related work
-// [6] compositional admission, [19] online schedulability analysis, [21]
-// schedule synthesis).
+// Response-time analysis is the exact test behind the one admission
+// decision (dse::admit, dse/admission.hpp) that the verification engine's
+// cpu.schedulability rule and node install both ask; table synthesis is
+// the backend's (paper Sec. 2.3, 3.1; related work [6] compositional
+// admission, [19] online schedulability analysis, [21] schedule synthesis).
 #pragma once
 
 #include <optional>
@@ -37,14 +38,14 @@ std::vector<AnalysisTask> tasks_on(const model::AppDef& app,
                                    std::uint64_t mips);
 
 /// Exact response-time analysis for preemptive fixed-priority scheduling
-/// (Joseph & Pandya). Returns per-task worst-case response times, or nullopt
-/// if any task's fixed point exceeds its deadline.
+/// (Joseph & Pandya). Every other task of equal or higher priority (lower
+/// or equal number) interferes: the scheduler runs equal priorities in
+/// release order, so either of two tied tasks can delay the other, and the
+/// verdict does not depend on the order of `tasks`. Returns per-task
+/// worst-case response times, or nullopt if any task's fixed point exceeds
+/// its deadline.
 std::optional<std::vector<sim::Duration>> response_time_analysis(
     const std::vector<AnalysisTask>& tasks);
-
-/// EDF feasibility: utilization test for implicit deadlines, density bound
-/// for constrained deadlines (sufficient, not necessary).
-bool edf_feasible(const std::vector<AnalysisTask>& tasks);
 
 /// Synthesized time-triggered table: windows within one cycle
 /// (== hyperperiod of the deterministic tasks).
@@ -72,12 +73,9 @@ std::optional<TtTable> synthesize_tt_table(
     const std::vector<AnalysisTask>& tasks, sim::Duration granularity = 0,
     sim::Duration window_padding = 0);
 
-/// Combined check used by the platform: deterministic tasks must admit a TT
-/// table (or pass RTA), and total utilization including best-effort load
-/// must stay below 1.
-bool schedulable(const std::vector<AnalysisTask>& tasks, std::string* why);
-
-/// Adapts `schedulable` to the verification engine's hook signature.
+/// The verification engine's cpu.schedulability hook: packs an ECU's apps
+/// onto its cores first-fit-decreasing by utilization and asks dse::admit
+/// for each placement.
 model::Verifier::SchedulabilityHook make_verifier_hook();
 
 /// Hyperperiod (LCM of periods), saturating at `cap`.

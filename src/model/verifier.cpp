@@ -213,6 +213,23 @@ void Verifier::check_capacity(const SystemModel& model,
   }
 }
 
+bool host_admits(const AppDef& app, const EcuDef& ecu,
+                 std::vector<Violation>* out) {
+  const bool certified = app.asil <= ecu.max_asil;
+  const bool rtos_ok = app.app_class != AppClass::kDeterministic || ecu.rtos;
+  if (out != nullptr && !certified) {
+    out->push_back({Severity::kError, "asil.ecu-certification", app.name,
+                    "app ASIL " + std::string(to_string(app.asil)) +
+                        " exceeds ECU '" + ecu.name + "' certification " +
+                        to_string(ecu.max_asil)});
+  }
+  if (out != nullptr && !rtos_ok) {
+    out->push_back({Severity::kError, "cpu.rtos-required", app.name,
+                    "deterministic app on non-RTOS ECU '" + ecu.name + "'"});
+  }
+  return certified && rtos_ok;
+}
+
 void Verifier::check_safety(const SystemModel& model,
                             const Assignment& assignment,
                             std::vector<Violation>& out) const {
@@ -221,17 +238,7 @@ void Verifier::check_safety(const SystemModel& model,
     if (app == nullptr) continue;
     for (const auto& host : hosts) {
       const EcuDef* ecu = model.ecu(host);
-      if (ecu == nullptr) continue;
-      if (app->asil > ecu->max_asil) {
-        out.push_back({Severity::kError, "asil.ecu-certification", app_name,
-                       "app ASIL " + std::string(to_string(app->asil)) +
-                           " exceeds ECU '" + host + "' certification " +
-                           to_string(ecu->max_asil)});
-      }
-      if (app->app_class == AppClass::kDeterministic && !ecu->rtos) {
-        out.push_back({Severity::kError, "cpu.rtos-required", app_name,
-                       "deterministic app on non-RTOS ECU '" + host + "'"});
-      }
+      if (ecu != nullptr) host_admits(*app, *ecu, &out);
     }
     // Dependency safety: every provider of a consumed interface must carry
     // at least this app's ASIL.

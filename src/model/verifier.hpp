@@ -107,6 +107,15 @@ class Verifier {
   SchedulabilityHook sched_hook_;
 };
 
+/// The host rule (Sec. 1.1, Sec. 3): `ecu` may host `app` only if its
+/// certification covers the app's ASIL and, when the app is deterministic,
+/// it runs an RTOS. Appends an asil.ecu-certification and/or a
+/// cpu.rtos-required error (subject: the app) to `out` when given, and
+/// returns whether the placement is allowed. The verifier, the DSE, node
+/// install and recovery planning all ask this one function.
+bool host_admits(const AppDef& app, const EcuDef& ecu,
+                 std::vector<Violation>* out = nullptr);
+
 /// Minimum achievable one-way latency of a payload on a network kind
 /// (transmission time only) — the floor an interface requirement is checked
 /// against.

@@ -239,8 +239,15 @@ class Parser {
           *out += '\f';
           break;
         case 'u': {
+          // Exactly four hex digits: strtol alone would stop at the first
+          // non-hex character and take a sign, blanks or "0x".
           if (pos_ + 4 > text_.size()) return fail("bad \\u escape");
           const std::string hex(text_.substr(pos_, 4));
+          for (const char h : hex) {
+            if (!std::isxdigit(static_cast<unsigned char>(h))) {
+              return fail("bad \\u escape");
+            }
+          }
           pos_ += 4;
           const long code = std::strtol(hex.c_str(), nullptr, 16);
           // Non-BMP / surrogate handling is out of scope: emit UTF-8 for the
@@ -264,22 +271,38 @@ class Parser {
     return fail("unterminated string");
   }
 
+  // RFC 8259: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
   bool parse_number(Value* out) {
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
+    const auto at = [this](char c) {
+      return pos_ < text_.size() && text_[pos_] == c;
+    };
+    const auto digits = [this] {
+      const std::size_t first = pos_;
+      while (pos_ < text_.size() &&
+             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+        ++pos_;
+      }
+      return pos_ - first;
+    };
+    if (at('-')) ++pos_;
+    const std::size_t int_start = pos_;
+    const std::size_t int_digits = digits();
+    if (int_digits == 0) {
+      return fail(pos_ == start ? "expected value" : "bad number");
     }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '-' || text_[pos_] == '+')) {
+    if (int_digits > 1 && text_[int_start] == '0') return fail("bad number");
+    if (at('.')) {
       ++pos_;
+      if (digits() == 0) return fail("bad number");
     }
-    if (pos_ == start) return fail("expected value");
+    if (at('e') || at('E')) {
+      ++pos_;
+      if (at('+') || at('-')) ++pos_;
+      if (digits() == 0) return fail("bad number");
+    }
     const std::string num(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    out->number = std::strtod(num.c_str(), &end);
-    if (end == nullptr || *end != '\0') return fail("bad number");
+    out->number = std::strtod(num.c_str(), nullptr);
     out->kind = Value::Kind::kNumber;
     return true;
   }

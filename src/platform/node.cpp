@@ -69,6 +69,14 @@ bool PlatformNode::install(const model::AppDef& def, AppFactory factory,
     if (reason != nullptr) *reason = "instance '" + label + "' already exists";
     return false;
   }
+  // The host rule holds whatever the platform's verification setting:
+  // reconfiguration and recovery place apps through install alone.
+  std::vector<model::Violation> host;
+  if (!model::host_admits(def, *platform_.system_model().ecu(ecu_.name()),
+                          &host)) {
+    if (reason != nullptr) *reason = "rejected: " + host.front().message;
+    return false;
+  }
   // Core placement + admission: first core whose task set still admits the
   // newcomer (partitioned multicore scheduling). Without admission control,
   // the least-utilized core is chosen.
@@ -78,7 +86,7 @@ bool PlatformNode::install(const model::AppDef& def, AppFactory factory,
     bool admitted = false;
     std::string last_reason;
     for (std::size_t core = 0; core < ecu_.core_count(); ++core) {
-      const auto decision = admission_.admit(analysis_tasks(core), incoming);
+      const auto decision = dse::admit(analysis_tasks(core), incoming);
       // The admission test itself costs ECU CPU time (on the tested core).
       ecu_.processor(core).submit("admission",
                                   decision.analysis_instructions, 9,

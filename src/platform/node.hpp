@@ -53,8 +53,10 @@ class PlatformNode {
   PlatformNode(const PlatformNode&) = delete;
   PlatformNode& operator=(const PlatformNode&) = delete;
 
-  /// Installs an instance: process creation + admission test. The instance
-  /// is not running yet. Returns false (with reason) on rejection.
+  /// Installs an instance: the host rule (model::host_admits against this
+  /// node's model ECU), the admission test (dse::admit) and process
+  /// creation. The instance is not running yet. Returns false (with
+  /// reason) on rejection.
   bool install(const model::AppDef& def, AppFactory factory,
                std::string* reason = nullptr,
                const std::string& label_suffix = "");
@@ -132,7 +134,6 @@ class PlatformNode {
   std::vector<os::TimeTriggeredScheduler*> tts_;
   std::map<std::string, AppInstance> instances_;
   std::map<std::string, std::vector<std::uint8_t>> persistence_;
-  dse::AdmissionController admission_;
 };
 
 }  // namespace dynaplat::platform

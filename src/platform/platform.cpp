@@ -1,5 +1,7 @@
 #include "platform/platform.hpp"
 
+#include <stdexcept>
+
 #include "dse/schedulability.hpp"
 
 namespace dynaplat::platform {
@@ -31,6 +33,11 @@ DynamicPlatform::DynamicPlatform(sim::Simulator& simulator,
 }
 
 PlatformNode& DynamicPlatform::add_node(os::Ecu& ecu, NodeConfig config) {
+  // Install judges the host rule against this model ECU.
+  if (model_.ecu(ecu.name()) == nullptr) {
+    throw std::invalid_argument("ECU '" + ecu.name() +
+                                "' is not in the system model");
+  }
   auto node = std::make_unique<PlatformNode>(*this, ecu, config);
   PlatformNode& ref = *node;
   nodes_[ecu.name()] = std::move(node);

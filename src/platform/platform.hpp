@@ -45,7 +45,7 @@ class DynamicPlatform {
                   PlatformConfig config = {});
 
   /// Registers the per-ECU platform slice. The node name must match an ECU
-  /// in the model.
+  /// in the model (std::invalid_argument otherwise).
   PlatformNode& add_node(os::Ecu& ecu, NodeConfig config = {});
   PlatformNode* node(const std::string& ecu_name);
   PlatformNode* node_hosting(const std::string& app_label);

@@ -194,15 +194,10 @@ RecoveryOrchestrator::collect_displaced() {
 bool RecoveryOrchestrator::admits(
     PlatformNode& node, const model::AppDef& def,
     std::vector<dse::AnalysisTask>* pending) const {
-  const model::EcuDef* ecu_def =
-      platform_.system_model().ecu(node.ecu().name());
-  if (ecu_def == nullptr) return false;
-  if (def.asil > ecu_def->max_asil) return false;
-  if (def.app_class == model::AppClass::kDeterministic && !ecu_def->rtos) {
-    return false;
-  }
-  std::vector<dse::AnalysisTask> incoming =
-      dse::tasks_on(def, ecu_def->mips);
+  const model::EcuDef& ecu_def =
+      *platform_.system_model().ecu(node.ecu().name());
+  if (!model::host_admits(def, ecu_def)) return false;
+  std::vector<dse::AnalysisTask> incoming = dse::tasks_on(def, ecu_def.mips);
   // Admission is tested against the least-loaded core plus whatever this
   // plan already promised to the node.
   std::size_t best_core = 0;
@@ -220,8 +215,7 @@ bool RecoveryOrchestrator::admits(
   for (const auto& task : existing) post_util += task.utilization();
   for (const auto& task : incoming) post_util += task.utilization();
   if (post_util > kPlacementHeadroom) return false;
-  dse::AdmissionController admission;
-  if (!admission.admit(existing, incoming).admitted) return false;
+  if (!dse::admit(existing, incoming).admitted) return false;
   if (def.app_class == model::AppClass::kDeterministic) {
     // DA targets must also pass backend table synthesis + simulation
     // validation (Sec. 3.1 "CPU") before the plan relies on them. With
@@ -233,7 +227,7 @@ bool RecoveryOrchestrator::admits(
     std::vector<dse::AnalysisTask> all = existing;
     all.insert(all.end(), incoming.begin(), incoming.end());
     const auto outcome = platform_.backend_client().synthesize(
-        all, ecu_def->mips, ::dynaplat::backend::Criticality::kRecovery);
+        all, ecu_def.mips, ::dynaplat::backend::Criticality::kRecovery);
     if (!outcome.ok) return false;
     if (outcome.source ==
             ::dynaplat::backend::BackendOutcome::Source::kBackend &&

@@ -1,8 +1,10 @@
 #include "xil/testbench.hpp"
 
 #include <cmath>
+#include <string>
 
 #include "middleware/payload.hpp"
+#include "model/parser.hpp"
 #include "platform/vehicle.hpp"
 
 namespace dynaplat::xil {
@@ -189,91 +191,41 @@ std::uint64_t deadline_misses(const platform::Vehicle& vehicle) {
   return misses;
 }
 
-model::SystemModel sil_model(const CruiseScenario& scenario) {
-  model::SystemModel m;
-  m.add_network({"backbone", model::NetworkKind::kEthernet, 100'000'000});
-
-  model::EcuDef ctrl;
-  ctrl.name = "CtrlEcu";
-  ctrl.mips = scenario.ecu_mips;
-  ctrl.max_asil = model::Asil::kD;
-  ctrl.network = "backbone";
-  m.add_ecu(ctrl);
-
-  model::EcuDef io;
-  io.name = "IoEcu";
-  io.mips = 200;
-  io.max_asil = model::Asil::kD;
-  io.network = "backbone";
-  m.add_ecu(io);
-
-  model::InterfaceDef speed;
-  speed.name = "SpeedSignal";
-  speed.paradigm = model::Paradigm::kEvent;
-  speed.payload_bytes = 8;
-  speed.period = scenario.control_period;
-  m.add_interface(speed);
-
-  model::InterfaceDef throttle;
-  throttle.name = "ThrottleCmd";
-  throttle.paradigm = model::Paradigm::kEvent;
-  throttle.payload_bytes = 16;
-  throttle.period = scenario.control_period;
-  m.add_interface(throttle);
-
-  auto control_task = [&](const char* name, std::uint64_t instructions,
-                          int priority) {
-    model::TaskDef task;
-    task.name = name;
-    task.period = scenario.control_period;
-    task.instructions = instructions;
-    task.priority = priority;
-    return task;
-  };
-
-  model::AppDef sensor;
-  sensor.name = "SpeedSensor";
-  sensor.app_class = model::AppClass::kDeterministic;
-  sensor.asil = model::Asil::kC;
-  sensor.memory_bytes = 1 << 20;
-  sensor.tasks.push_back(control_task("sample", 20'000, 1));
-  sensor.provides = {"SpeedSignal"};
-  m.add_app(sensor);
-
-  model::AppDef cruise;
-  cruise.name = "CruiseCtl";
-  cruise.app_class = model::AppClass::kDeterministic;
-  cruise.asil = model::Asil::kC;
-  cruise.memory_bytes = 2 << 20;
-  cruise.tasks.push_back(control_task("control", 50'000, 1));
-  cruise.consumes = {"SpeedSignal"};
-  cruise.provides = {"ThrottleCmd"};
-  m.add_app(cruise);
-
-  model::AppDef actuator;
-  actuator.name = "Actuator";
-  actuator.app_class = model::AppClass::kDeterministic;
-  actuator.asil = model::Asil::kC;
-  actuator.memory_bytes = 1 << 20;
-  actuator.tasks.push_back(control_task("apply", 20'000, 1));
-  actuator.consumes = {"ThrottleCmd"};
-  m.add_app(actuator);
-
+// The SiL vehicle as model text. Element order fixes service and node ids.
+std::string sil_model(const CruiseScenario& scenario) {
+  const std::string period = std::to_string(scenario.control_period);
+  std::string dsl =
+      "network backbone kind=ethernet bitrate=100M\n"
+      "ecu CtrlEcu mips=" + std::to_string(scenario.ecu_mips) +
+      " asil=D network=backbone\n"
+      "ecu IoEcu mips=200 asil=D network=backbone\n"
+      "interface SpeedSignal paradigm=event payload=8 period=" + period + "\n"
+      "interface ThrottleCmd paradigm=event payload=16 period=" + period +
+      "\n"
+      "app SpeedSensor class=deterministic asil=C memory=1M\n"
+      "  task sample period=" + period + " wcet=20K priority=1\n"
+      "  provides SpeedSignal\n"
+      "app CruiseCtl class=deterministic asil=C memory=2M\n"
+      "  task control period=" + period + " wcet=50K priority=1\n"
+      "  consumes SpeedSignal\n"
+      "  provides ThrottleCmd\n"
+      "app Actuator class=deterministic asil=C memory=1M\n"
+      "  task apply period=" + period + " wcet=20K priority=1\n"
+      "  consumes ThrottleCmd\n";
   if (scenario.background_load_instructions > 0) {
-    model::AppDef load;
-    load.name = "BgLoad";
-    load.app_class = model::AppClass::kNonDeterministic;
-    load.asil = model::Asil::kQM;
-    load.memory_bytes = 1 << 20;
-    model::TaskDef task;
-    task.name = "burn";
-    task.period = 20 * sim::kMillisecond;
-    task.instructions = scenario.background_load_instructions;
-    task.priority = 12;
-    load.tasks.push_back(task);
-    m.add_app(load);
+    dsl += "app BgLoad class=nondeterministic asil=QM memory=1M\n"
+           "  task burn period=20ms wcet=" +
+           std::to_string(scenario.background_load_instructions) +
+           " priority=12\n";
   }
-  return m;
+  dsl +=
+      "deploy SpeedSensor -> IoEcu\n"
+      "deploy CruiseCtl -> CtrlEcu\n"
+      "deploy Actuator -> IoEcu\n";
+  if (scenario.background_load_instructions > 0) {
+    dsl += "deploy BgLoad -> CtrlEcu\n";
+  }
+  return dsl;
 }
 
 }  // namespace
@@ -283,15 +235,8 @@ CruiseResult run_sil(const CruiseScenario& scenario) {
   sim::Simulator simulator;
   sim::Trace trace;
 
-  model::DeploymentDef deployment;
-  deployment.bindings.push_back({"SpeedSensor", {"IoEcu"}});
-  deployment.bindings.push_back({"CruiseCtl", {"CtrlEcu"}});
-  deployment.bindings.push_back({"Actuator", {"IoEcu"}});
-  if (scenario.background_load_instructions > 0) {
-    deployment.bindings.push_back({"BgLoad", {"CtrlEcu"}});
-  }
   platform::Vehicle vehicle(simulator,
-                            {sil_model(scenario), std::move(deployment)},
+                            model::parse_system(sil_model(scenario)),
                             {.trace = &trace});
   net::Medium& backbone = vehicle.medium("backbone");
   if (scenario.frame_loss_rate > 0.0) {
@@ -516,61 +461,29 @@ class AccActuatorApp final : public platform::Application {
 AccResult run_acc_sil(const AccScenario& scenario) {
   AccResult result;
   sim::Simulator simulator;
-  model::SystemModel m;
-  m.add_network({"backbone", model::NetworkKind::kEthernet, 100'000'000});
-  model::EcuDef adas_def;
-  adas_def.name = "AdasEcu";
-  adas_def.mips = scenario.ecu_mips;
-  adas_def.max_asil = model::Asil::kD;
-  adas_def.network = "backbone";
-  m.add_ecu(adas_def);
-  model::EcuDef io_def;
-  io_def.name = "IoEcu";
-  io_def.mips = 200;
-  io_def.max_asil = model::Asil::kD;
-  io_def.network = "backbone";
-  m.add_ecu(io_def);
-
-  auto event_interface = [&](const char* name, std::size_t payload) {
-    model::InterfaceDef interface;
-    interface.name = name;
-    interface.paradigm = model::Paradigm::kEvent;
-    interface.payload_bytes = payload;
-    interface.period = scenario.control_period;
-    m.add_interface(interface);
-  };
-  event_interface("RadarTrack", 24);
-  event_interface("AccCmd", 16);
-
-  auto control_app = [&](const char* name, const char* task,
-                         std::uint64_t instructions,
-                         std::vector<std::string> provides,
-                         std::vector<std::string> consumes) {
-    model::AppDef app;
-    app.name = name;
-    app.app_class = model::AppClass::kDeterministic;
-    app.asil = model::Asil::kC;
-    app.memory_bytes = 2 << 20;
-    model::TaskDef task_def;
-    task_def.name = task;
-    task_def.period = scenario.control_period;
-    task_def.instructions = instructions;
-    task_def.priority = 1;
-    app.tasks.push_back(task_def);
-    app.provides = std::move(provides);
-    app.consumes = std::move(consumes);
-    m.add_app(app);
-  };
-  control_app("Radar", "measure", 30'000, {"RadarTrack"}, {});
-  control_app("AccCtl", "plan", 120'000, {"AccCmd"}, {"RadarTrack"});
-  control_app("AccAct", "apply", 20'000, {}, {"AccCmd"});
-
-  model::DeploymentDef deployment;
-  deployment.bindings.push_back({"Radar", {"IoEcu"}});
-  deployment.bindings.push_back({"AccCtl", {"AdasEcu"}});
-  deployment.bindings.push_back({"AccAct", {"IoEcu"}});
-
-  platform::Vehicle vehicle(simulator, {std::move(m), std::move(deployment)});
+  const std::string period = std::to_string(scenario.control_period);
+  const std::string dsl =
+      "network backbone kind=ethernet bitrate=100M\n"
+      "ecu AdasEcu mips=" + std::to_string(scenario.ecu_mips) +
+      " asil=D network=backbone\n"
+      "ecu IoEcu mips=200 asil=D network=backbone\n"
+      "interface RadarTrack paradigm=event payload=24 period=" + period +
+      "\n"
+      "interface AccCmd paradigm=event payload=16 period=" + period + "\n"
+      "app Radar class=deterministic asil=C memory=2M\n"
+      "  task measure period=" + period + " wcet=30K priority=1\n"
+      "  provides RadarTrack\n"
+      "app AccCtl class=deterministic asil=C memory=2M\n"
+      "  task plan period=" + period + " wcet=120K priority=1\n"
+      "  provides AccCmd\n"
+      "  consumes RadarTrack\n"
+      "app AccAct class=deterministic asil=C memory=2M\n"
+      "  task apply period=" + period + " wcet=20K priority=1\n"
+      "  consumes AccCmd\n"
+      "deploy Radar -> IoEcu\n"
+      "deploy AccCtl -> AdasEcu\n"
+      "deploy AccAct -> IoEcu\n";
+  platform::Vehicle vehicle(simulator, model::parse_system(dsl));
   if (scenario.frame_loss_rate > 0.0) {
     vehicle.medium("backbone").set_fault_injection(scenario.frame_loss_rate);
   }

@@ -996,13 +996,12 @@ TEST(FleetCache, TaskSetDerivesKeyAndLocalVerdictOnce) {
   EXPECT_EQ(forced.key(), a.key());
   EXPECT_EQ(forced.sig(), overloaded.sig());
   EXPECT_NE(forced.sig(), a.sig());
-  // The local rung's verdict is AdmissionController's.
-  const dse::AdmissionController admission;
+  // The local rung's verdict is dse::admit's.
   EXPECT_TRUE(a.locally_admitted());
-  EXPECT_EQ(a.locally_admitted(), admission.admit({}, feasible_set()).admitted);
+  EXPECT_EQ(a.locally_admitted(), dse::admit({}, feasible_set()).admitted);
   EXPECT_FALSE(overloaded.locally_admitted());
   EXPECT_EQ(overloaded.locally_admitted(),
-            admission.admit({}, infeasible_set()).admitted);
+            dse::admit({}, infeasible_set()).admitted);
 }
 
 TEST(FleetCache, EvictionUnderTopologyChurn) {

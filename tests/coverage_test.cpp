@@ -6,7 +6,7 @@
 #include "crypto/bignum.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/sha256.hpp"
-#include "dse/schedulability.hpp"
+#include "dse/admission.hpp"
 #include "middleware/runtime.hpp"
 #include "model/parser.hpp"
 #include "net/ethernet.hpp"
@@ -160,9 +160,7 @@ TEST(ParserEdge, MalformedKeyValueRejected) {
 // --- Schedulability degenerates -------------------------------------------------------------
 
 TEST(SchedulabilityEdge, EmptyTaskSetIsSchedulable) {
-  std::string why;
-  EXPECT_TRUE(dse::schedulable({}, &why));
-  EXPECT_TRUE(dse::edf_feasible({}));
+  EXPECT_TRUE(dse::admit({}, {}).admitted);
   const auto table = dse::synthesize_tt_table({});
   ASSERT_TRUE(table.has_value());
   EXPECT_TRUE(table->windows.empty());

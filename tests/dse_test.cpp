@@ -57,15 +57,28 @@ TEST(Rta, DeadlineShorterThanPeriodHonoured) {
   EXPECT_TRUE(response_time_analysis({t1, t2}).has_value());
 }
 
-// --- EDF ------------------------------------------------------------------------
+TEST(Schedulability, EqualPrioritiesInterfereBothWays) {
+  // The scheduler runs equal priorities in release order, so either tied
+  // task can delay the other: with b's job queued first, b runs 0-7 ms and
+  // a ends at 13 ms, past its 10 ms deadline. Both list orders say so.
+  const auto a = task("a", 10 * sim::kMillisecond, 6 * sim::kMillisecond, 5);
+  const auto b = task("b", 20 * sim::kMillisecond, 7 * sim::kMillisecond, 5);
+  EXPECT_FALSE(response_time_analysis({a, b}).has_value());
+  EXPECT_FALSE(response_time_analysis({b, a}).has_value());
+  EXPECT_FALSE(admit({a}, {b}).admitted);
+  EXPECT_FALSE(admit({b}, {a}).admitted);
 
-TEST(Edf, FullUtilizationFeasible) {
-  std::vector<AnalysisTask> tasks{
-      task("a", 10 * sim::kMillisecond, 5 * sim::kMillisecond, 0),
-      task("b", 20 * sim::kMillisecond, 10 * sim::kMillisecond, 1)};
-  EXPECT_TRUE(edf_feasible(tasks));
-  tasks.push_back(task("c", 100 * sim::kMillisecond, sim::kMillisecond, 2));
-  EXPECT_FALSE(edf_feasible(tasks));
+  // A feasible tie: each task's response time counts the other's job, in
+  // either order.
+  const auto c = task("c", 10 * sim::kMillisecond, 2 * sim::kMillisecond, 5);
+  const auto d = task("d", 20 * sim::kMillisecond, 3 * sim::kMillisecond, 5);
+  const auto cd = response_time_analysis({c, d});
+  const auto dc = response_time_analysis({d, c});
+  ASSERT_TRUE(cd.has_value());
+  ASSERT_TRUE(dc.has_value());
+  EXPECT_EQ((*cd)[0], 5 * sim::kMillisecond);
+  EXPECT_EQ((*cd)[1], 5 * sim::kMillisecond);
+  EXPECT_EQ(*cd, *dc);
 }
 
 // --- Hyperperiod ------------------------------------------------------------------
@@ -153,29 +166,26 @@ TEST(TtSynthesis, UnpaddedTableFailsSimulationOnSlowCpu) {
 // --- Admission control ----------------------------------------------------------------
 
 TEST(Admission, AcceptsFeasibleAddition) {
-  AdmissionController admission;
   std::vector<AnalysisTask> existing{
       task("a", 10 * sim::kMillisecond, 3 * sim::kMillisecond, 0)};
   std::vector<AnalysisTask> incoming{
       task("b", 20 * sim::kMillisecond, 4 * sim::kMillisecond, 1)};
-  const auto decision = admission.admit(existing, incoming);
+  const auto decision = admit(existing, incoming);
   EXPECT_TRUE(decision.admitted);
   EXPECT_GT(decision.analysis_instructions, 0u);
 }
 
 TEST(Admission, RejectsOverload) {
-  AdmissionController admission;
   std::vector<AnalysisTask> existing{
       task("a", 10 * sim::kMillisecond, 7 * sim::kMillisecond, 0)};
   std::vector<AnalysisTask> incoming{
       task("b", 10 * sim::kMillisecond, 5 * sim::kMillisecond, 1)};
-  const auto decision = admission.admit(existing, incoming);
+  const auto decision = admit(existing, incoming);
   EXPECT_FALSE(decision.admitted);
 }
 
 TEST(Admission, CostGrowsWithTaskCount) {
-  EXPECT_GT(AdmissionController::local_test_cost(100),
-            AdmissionController::local_test_cost(10));
+  EXPECT_GT(local_test_cost(100), local_test_cost(10));
 }
 
 // --- Backend schedule server --------------------------------------------------------------
@@ -189,7 +199,7 @@ TEST(ScheduleServer, SynthesizesAndValidates) {
   EXPECT_TRUE(artifact.feasible);
   EXPECT_TRUE(artifact.validated);
   EXPECT_GT(artifact.synthesis_instructions,
-            AdmissionController::local_test_cost(tasks.size()));
+            local_test_cost(tasks.size()));
 }
 
 TEST(ScheduleServer, ReportsInfeasibleSets) {

@@ -694,6 +694,32 @@ TEST(Reconfiguration, StrandedWhenNoCapacity) {
   EXPECT_EQ(reconfig.migrations().size(), 1u);
 }
 
+TEST(Reconfiguration, RespectsHostRules) {
+  // B is neither certified for ASIL D nor an RTOS host. Reconfiguration
+  // places through node install alone, so install must refuse Fn there.
+  sim::Simulator simulator;
+  Vehicle vehicle(simulator,
+                  model::parse_system(
+                      "ecu A mips=1000 asil=D\n"
+                      "ecu B mips=1000 asil=A os=posix\n"
+                      "app Fn class=deterministic asil=D\n"
+                      "  task t period=10ms wcet=1M priority=1\n"
+                      "deploy Fn -> A\n"));
+  DynamicPlatform& dp = vehicle.platform();
+  ASSERT_TRUE(dp.verify().empty());
+  dp.register_app("Fn", [] { return std::make_unique<Application>(); });
+  ASSERT_TRUE(dp.install_all());
+  ReconfigurationManager reconfig(dp);
+  reconfig.engage();
+  simulator.run_until(sim::seconds(1));
+  vehicle.ecu("A").fail();
+  simulator.run_until(sim::seconds(2));
+  ASSERT_EQ(reconfig.migrations().size(), 1u);
+  EXPECT_FALSE(reconfig.migrations().front().success);
+  EXPECT_EQ(reconfig.stranded(), std::vector<std::string>{"Fn"});
+  EXPECT_FALSE(dp.node("B")->hosts("Fn"));
+}
+
 TEST(Reconfiguration, LeavesReplicatedAppsToRedundancyManager) {
   sim::Simulator simulator;
   Vehicle vehicle(simulator,

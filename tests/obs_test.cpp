@@ -273,6 +273,28 @@ TEST(ObsJson, RejectsMalformedInput) {
   EXPECT_FALSE(obs::json::parse("'single'", &doc));
   // Nesting far past kMaxDepth is a parse error, not a stack overflow.
   EXPECT_FALSE(obs::json::parse(std::string(100'000, '['), &doc));
+  // Numbers outside RFC 8259's grammar and \u escapes without four hex
+  // digits.
+  for (const char* text : {"+5", "01", "-01", ".5", "1.", "[1.]", "-", "1e",
+                           "1e+", "0x10", "\"\\uZZZZ\"", "\"\\u12G4\"",
+                           "\"\\u+123\"", "\"\\u 123\""}) {
+    EXPECT_FALSE(obs::json::parse(text, &doc)) << text;
+  }
+}
+
+TEST(ObsJson, ParsesRfc8259NumbersAndEscapes) {
+  obs::json::Value doc;
+  ASSERT_TRUE(obs::json::parse(
+      "[0, -0, 10, 0.5, -1.5e+3, 1E-2, 2e300, \"\\u00e9\\u0041\"]", &doc));
+  ASSERT_EQ(doc.array.size(), 8u);
+  EXPECT_EQ(doc.array[0].number, 0.0);
+  EXPECT_EQ(doc.array[1].number, 0.0);
+  EXPECT_EQ(doc.array[2].number, 10.0);
+  EXPECT_EQ(doc.array[3].number, 0.5);
+  EXPECT_EQ(doc.array[4].number, -1500.0);
+  EXPECT_EQ(doc.array[5].number, 0.01);
+  EXPECT_EQ(doc.array[6].number, 2e300);
+  EXPECT_EQ(doc.array[7].string, "\xC3\xA9" "A");
 }
 
 TEST(ObsJson, NestingLimitIsMaxDepth) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 
+#include "dse/admission.hpp"
 #include "middleware/payload.hpp"
 #include "model/parser.hpp"
 #include "platform/redundancy.hpp"
@@ -152,6 +154,80 @@ TEST(DynamicPlatform, AdmissionControlRejectsOverload) {
   EXPECT_FALSE(world.platform.node("A")->install(
       more, [] { return std::make_unique<NullApp>(); }, &reason));
   EXPECT_NE(reason.find("rejected"), std::string::npos);
+}
+
+TEST(DynamicPlatform, VerifierAndInstallShareTheAdmissionTest) {
+  // This task set has a time-triggered table, but c misses its 5 ms
+  // deadline behind b and the equal-priority a under fixed priorities. The
+  // verifier's cpu.schedulability and node install ask the same test, so
+  // both refuse it, install with the test's own reason.
+  World world(
+      "ecu E mips=1000 asil=D\n"
+      "app P class=deterministic\n"
+      "  task a period=20ms wcet=2786K priority=10\n"
+      "  task b period=5ms wcet=1216K priority=9\n"
+      "  task c period=5ms wcet=1699K priority=10\n"
+      "deploy P -> E\n",
+      {.enforce_verification = false});
+  const auto violations = world.platform.verify();
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].rule, "cpu.schedulability");
+  EXPECT_EQ(violations[0].subject, "E");
+  world.platform.register_app("P",
+                              [] { return std::make_unique<NullApp>(); });
+  std::string reason;
+  EXPECT_FALSE(world.platform.install_all(&reason));
+  const model::AppDef& def = *world.platform.system_model().app("P");
+  EXPECT_EQ(reason, dse::admit({}, dse::tasks_on(def, 1000)).reason);
+  EXPECT_EQ(reason, "rejected: deterministic subset fails RTA");
+}
+
+TEST(DynamicPlatform, InstallEnforcesHostRuleWithoutVerification) {
+  // A is certified QM only; B runs a general-purpose OS. With verification
+  // off, install still applies the host rule the verifier checks.
+  World world(
+      "ecu A mips=1000 asil=QM\n"
+      "ecu B mips=1000 asil=D os=posix\n"
+      "app Safe class=nondeterministic asil=B\n"
+      "  task t period=10ms wcet=100K priority=5\n"
+      "app Det class=deterministic\n"
+      "  task t period=10ms wcet=100K priority=1\n"
+      "deploy Safe -> A\n"
+      "deploy Det -> B\n",
+      {.enforce_verification = false});
+  std::set<std::string> rules;
+  for (const auto& violation : world.platform.verify()) {
+    rules.insert(violation.rule);
+  }
+  EXPECT_EQ(rules, (std::set<std::string>{"asil.ecu-certification",
+                                          "cpu.rtos-required"}));
+  const auto factory = [] { return std::make_unique<NullApp>(); };
+  world.platform.register_app("Safe", factory);
+  world.platform.register_app("Det", factory);
+  std::string reason;
+  EXPECT_FALSE(world.platform.install_all(&reason));
+  EXPECT_EQ(reason, "rejected: app ASIL B exceeds ECU 'A' certification QM");
+  const model::SystemModel& model = world.platform.system_model();
+  EXPECT_FALSE(world.platform.node("B")->install(*model.app("Det"), factory,
+                                                 &reason));
+  EXPECT_EQ(reason, "rejected: deterministic app on non-RTOS ECU 'B'");
+  EXPECT_FALSE(world.platform.node("B")->hosts("Det"));
+  // B is certified D, so the non-deterministic app fits there.
+  EXPECT_TRUE(world.platform.node("B")->install(*model.app("Safe"), factory,
+                                                &reason))
+      << reason;
+}
+
+TEST(DynamicPlatform, AddNodeRequiresAModelEcu) {
+  // Install judges the host rule against the node's model ECU, so a node
+  // for an ECU the model does not define is refused up front.
+  sim::Simulator simulator;
+  DynamicPlatform platform(simulator,
+                           model::parse_system("ecu A mips=100\n").model, {});
+  os::Ecu stray(simulator, os::EcuConfig{.name = "Z", .cpu = {.mips = 100}},
+                nullptr, 0);
+  EXPECT_THROW(platform.add_node(stray), std::invalid_argument);
+  EXPECT_EQ(platform.node("Z"), nullptr);
 }
 
 TEST(DynamicPlatform, MemoryQuotaRejectsInstall) {

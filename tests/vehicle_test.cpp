@@ -6,12 +6,15 @@
 
 #include <algorithm>
 #include <initializer_list>
+#include <iostream>
 #include <map>
 #include <memory>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "dse/exploration.hpp"
 #include "model/parser.hpp"
 #include "model/verifier.hpp"
 #include "net/can_bus.hpp"
@@ -359,9 +362,9 @@ struct InstallOutcome {
   std::string reason;      ///< install_all's reason on failure
 };
 
-InstallOutcome install_generated(std::uint64_t seed) {
+InstallOutcome install_generated(model::ParsedSystem system) {
   sim::Simulator simulator;
-  Vehicle vehicle(simulator, model::parse_system(generate_model(seed)));
+  Vehicle vehicle(simulator, std::move(system));
   DynamicPlatform& platform = vehicle.platform();
   InstallOutcome outcome;
   outcome.accepted = !model::Verifier::has_errors(platform.verify());
@@ -376,47 +379,81 @@ InstallOutcome install_generated(std::uint64_t seed) {
 
 constexpr std::uint64_t kGeneratedSeeds = 5000;
 
-// Verifier-accepted models that fail install, with the reason each fails
-// with. The test fails on an unlisted failure, on a listed seed that
-// installs (or is no longer accepted), and on a listed seed failing for
-// another reason.
-//
-// All four are one known disagreement (ROADMAP, open item): the verifier's
-// dse::schedulable hook accepts a deterministic task set that admits a
-// time-triggered table even when fixed-priority RTA fails, while node
-// admission (AdmissionController::admit) requires RTA. Seed 1427 is the
-// smallest: one app on a 920-MIPS ECU whose 5 ms task (2.45 ms at priority
-// 12) is preempted by a 10 ms task (3.73 ms at priority 4).
-constexpr const char* kRtaDisagreement =
-    "rejected: deterministic subset fails RTA";
-const std::map<std::uint64_t, std::string> kKnownInstallFailures = {
-    {866, kRtaDisagreement},
-    {1427, kRtaDisagreement},
-    {1700, kRtaDisagreement},
-    {4683, kRtaDisagreement},
-};
-
+// The verifier's cpu.schedulability, asil.ecu-certification and
+// cpu.rtos-required rules ask the same admission test and host rule as
+// node install, so every model the verifier accepts installs.
 TEST(GeneratedModels, VerifierAcceptedModelsInstall) {
   std::size_t accepted = 0;
   for (std::uint64_t seed = 1; seed <= kGeneratedSeeds; ++seed) {
-    const InstallOutcome outcome = install_generated(seed);
+    const InstallOutcome outcome =
+        install_generated(model::parse_system(generate_model(seed)));
     if (outcome.accepted) ++accepted;
-    const auto known = kKnownInstallFailures.find(seed);
-    if (known == kKnownInstallFailures.end()) {
-      EXPECT_TRUE(!outcome.accepted || outcome.installed)
-          << "seed " << seed << ": " << outcome.reason << "\n"
-          << generate_model(seed);
-    } else {
-      EXPECT_TRUE(outcome.accepted && !outcome.installed)
-          << "seed " << seed << " is listed as a known install failure";
-      EXPECT_NE(outcome.reason.find(known->second), std::string::npos)
-          << "seed " << seed << " failed for another reason: "
-          << outcome.reason;
+    EXPECT_TRUE(!outcome.accepted || outcome.installed)
+        << "seed " << seed << ": " << outcome.reason << "\n"
+        << generate_model(seed);
+  }
+  RecordProperty("verifier_accepted", static_cast<int>(accepted));
+  std::cout << accepted << " of " << kGeneratedSeeds
+            << " generated models pass the verifier\n";
+  // Guard the generator itself: it must keep producing models the verifier
+  // accepts (675 of the 5000 today), or the property checks nothing.
+  EXPECT_GT(accepted, kGeneratedSeeds / 10);
+}
+
+// Explorer results that fail install, keyed by (seed, strategy), with the
+// reason each fails with. The test fails on an unlisted failure, on a
+// listed result that installs (or is no longer feasible), and on a listed
+// result failing for another reason.
+//
+// Seed 473's greedy result packs three apps onto the 2-core ECU E0. The
+// verifier packs an ECU's apps first-fit-decreasing by utilization and
+// finds a core for each; install packs them first-fit in deployment order
+// and runs out of room on both cores (ROADMAP item 4, packing order).
+const std::map<std::pair<std::uint64_t, std::string>, std::string>
+    kKnownExplorerInstallFailures = {
+        {{473, "greedy"}, "rejected: utilization 1.2702 > 1.0"},
+};
+
+// Every feasible DSE result, deployed exactly as the explorer chose it,
+// passes the verifier and installs.
+TEST(GeneratedModels, ExplorerResultsInstall) {
+  std::size_t feasible = 0;
+  for (std::uint64_t seed = 1; seed <= kGeneratedSeeds; ++seed) {
+    const model::ParsedSystem generated =
+        model::parse_system(generate_model(seed));
+    dse::Explorer explorer(generated.model);
+    for (const dse::ExplorationResult& result :
+         {explorer.greedy(), explorer.simulated_annealing(300, seed, 1, 0)}) {
+      if (!result.feasible) continue;
+      ++feasible;
+      model::ParsedSystem system{generated.model, {}};
+      for (const model::AppDef& app : generated.model.apps()) {
+        const auto hosts = result.assignment.placement.find(app.name);
+        ASSERT_NE(hosts, result.assignment.placement.end());
+        system.deployment.bindings.push_back({app.name, hosts->second});
+      }
+      const InstallOutcome outcome = install_generated(std::move(system));
+      const auto known =
+          kKnownExplorerInstallFailures.find({seed, result.strategy});
+      if (known == kKnownExplorerInstallFailures.end()) {
+        EXPECT_TRUE(outcome.accepted && outcome.installed)
+            << "seed " << seed << " " << result.strategy << ": "
+            << (outcome.accepted ? outcome.reason : "verifier errors");
+      } else {
+        EXPECT_TRUE(outcome.accepted && !outcome.installed)
+            << "seed " << seed << " " << result.strategy
+            << " is listed as a known install failure";
+        EXPECT_EQ(outcome.reason, known->second)
+            << "seed " << seed << " " << result.strategy
+            << " failed for another reason";
+      }
     }
   }
-  // Guard the generator itself: it must keep producing models the verifier
-  // accepts (682 of the 5000 today), or the property checks nothing.
-  EXPECT_GT(accepted, kGeneratedSeeds / 10);
+  RecordProperty("explorer_feasible", static_cast<int>(feasible));
+  std::cout << feasible << " of " << 2 * kGeneratedSeeds
+            << " explorer results are feasible\n";
+  // Guard the generator: 3 247 of the 10 000 results are feasible today.
+  EXPECT_GT(feasible, kGeneratedSeeds / 2);
 }
 
 }  // namespace
